@@ -258,16 +258,30 @@ def knn_predict(train_x: np.ndarray, train_y: list[str], query: np.ndarray,
                 k: int = 3) -> str:
     """Majority vote of the k nearest by cosine; ties go to the single
     nearest neighbour's label."""
-    sims = np.array([cosine_similarity(query, v) for v in train_x])
-    nearest = np.argsort(-sims, kind="stable")[:k]
-    votes: dict[str, int] = {}
-    for i in nearest:
-        votes[train_y[i]] = votes.get(train_y[i], 0) + 1
-    top = max(votes.values())
-    winners = [label for label, count in votes.items() if count == top]
-    if len(winners) == 1:
-        return winners[0]
-    return train_y[nearest[0]]
+    return knn_predict_many(train_x, train_y, query[None, :], k)[0]
+
+
+def knn_predict_many(train_x: np.ndarray, train_y: list[str],
+                     queries: np.ndarray, k: int = 3) -> list[str]:
+    """``knn_predict`` for each row of ``queries``, from one product of
+    unit rows; a zero vector has cosine 0 with everything."""
+    sims = _unit_rows(queries) @ _unit_rows(train_x).T
+    labels = []
+    for nearest in np.argsort(-sims, axis=1, kind="stable")[:, :k]:
+        votes: dict[str, int] = {}
+        for i in nearest:
+            votes[train_y[i]] = votes.get(train_y[i], 0) + 1
+        top = max(votes.values())
+        winners = [label for label, count in votes.items() if count == top]
+        labels.append(winners[0] if len(winners) == 1
+                      else train_y[nearest[0]])
+    return labels
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
 def _resolve_tokens(emb: WordVectors, tokens) -> tuple[list[str], list[str]]:
@@ -303,11 +317,9 @@ def eval_classification(emb: WordVectors, gold: LabeledSet, seed: int = 0,
     for fold in range(folds):
         train_idx = [i for i in range(len(present)) if fold_of[i] != fold]
         test_idx = [i for i in range(len(present)) if fold_of[i] == fold]
-        train_x = x[train_idx]
-        train_y = [labels[i] for i in train_idx]
-        for i in test_idx:
-            if knn_predict(train_x, train_y, x[i], k=k) == labels[i]:
-                correct += 1
+        predicted = knn_predict_many(
+            x[train_idx], [labels[i] for i in train_idx], x[test_idx], k=k)
+        correct += sum(p == labels[i] for p, i in zip(predicted, test_idx))
     return EvalReport(
         task="classification",
         metrics={"accuracy": correct / len(present)},

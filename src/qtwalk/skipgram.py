@@ -4,14 +4,24 @@ Supports the classic model (one output matrix) and the structured variant
 with one output matrix per relative context position, trained either by
 negative sampling (default) or by the exact softmax (small vocabularies
 only; kept as a verification path and for gradient checks).
+
+Training is minibatch SGD over int arrays of all (center, context,
+position) pairs.  Both objectives go through one batched gradient,
+``_batch_gradient``, which the public ``*_objective`` functions also return,
+so the finite-difference checks cover the update that training applies.
+The batch size is derived from the corpus so that no parameter row collects
+too many summed gradient terms in one step (see ``_batch_size``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 
 class Mode(Enum):
@@ -87,6 +97,9 @@ class TrainConfig:
             raise ValueError("dim, window, and negatives must be positive")
         if self.epochs < 0 or self.learning_rate <= 0 or self.min_count <= 0:
             raise ValueError("bad training configuration")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got "
+                             f"{self.learning_rate!r}")
 
 
 @dataclass
@@ -107,20 +120,24 @@ class EmbeddingModel:
         return self.input_vectors[self.vocab.index[token]]
 
 
-def position_slot(relative_position: int, window: int) -> int:
-    """Map a relative position in {-c..-1, 1..c} to a matrix slot."""
-    if relative_position == 0 or abs(relative_position) > window:
+def position_slot(relative_position, window: int):
+    """Map a relative position in {-c..-1, 1..c} to a matrix slot.
+
+    Accepts one position (returns an int) or an int array of them.
+    """
+    rel = np.asarray(relative_position)
+    if np.any(rel == 0) or np.any(np.abs(rel) > window):
         raise ValueError(f"relative position {relative_position} out of range")
-    if relative_position < 0:
-        return relative_position + window
-    return relative_position + window - 1
+    slot = rel + window - (rel > 0)
+    return int(slot) if slot.ndim == 0 else slot
 
 
 def extract_pairs(walk_tokens, vocab: Vocabulary, window: int
                   ) -> list[tuple[int, int, int]]:
     """(center, context, relative position) index pairs within the window.
 
-    Tokens missing from the vocabulary are dropped before pairing.
+    Tokens missing from the vocabulary are dropped before pairing.  This is
+    the per-row reference for ``corpus_pairs``, which training uses.
     """
     ids = [vocab.index[t] for t in walk_tokens if t in vocab.index]
     pairs: list[tuple[int, int, int]] = []
@@ -131,6 +148,32 @@ def extract_pairs(walk_tokens, vocab: Vocabulary, window: int
             if j != i:
                 pairs.append((center, ids[j], j - i))
     return pairs
+
+
+def corpus_pairs(corpus_rows, vocab: Vocabulary, window: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All pairs of the corpus as (centers, contexts, relative positions)
+    int arrays, in the order of ``extract_pairs`` applied row by row.
+    """
+    get = vocab.index.get
+    raw = [[get(t, -1) for t in row] for row in corpus_rows]
+    lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+    ids = np.fromiter(itertools.chain.from_iterable(raw), dtype=np.int64,
+                      count=int(lengths.sum()))
+    kept = ids >= 0
+    ids = ids[kept]
+    row_of = np.repeat(np.arange(len(raw)), lengths)[kept]
+    row_len = np.bincount(row_of, minlength=len(raw))
+    row_end = np.cumsum(row_len)
+    pos = np.arange(len(ids))
+    before = pos - (row_end - row_len)[row_of]     # row tokens left of pos
+    after = row_end[row_of] - 1 - pos              # row tokens right of pos
+    offsets = np.array([r for r in range(-window, window + 1) if r != 0])
+    in_row = np.where(offsets < 0, before[:, None] >= -offsets,
+                      after[:, None] >= offsets)    # (tokens, 2 * window)
+    center_pos, column = np.nonzero(in_row)         # row-major: pair order
+    rel = offsets[column]
+    return ids[center_pos], ids[center_pos + rel], rel
 
 
 def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
@@ -150,97 +193,180 @@ def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     )
 
 
-def _noise_cdf(vocab: Vocabulary) -> np.ndarray:
+def _noise_probabilities(vocab: Vocabulary) -> np.ndarray:
     weights = np.asarray(vocab.counts, dtype=np.float64) ** 0.75
-    return np.cumsum(weights / weights.sum())
+    return weights / weights.sum()
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
-def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
-    """Per-pair SGD over all context pairs of the corpus.
+# The pairs of one SGD step are scored at the same parameters, so a row hit
+# h times in a step takes h summed gradient terms where per-pair SGD would
+# see each term move the row before the next.  COLLISION_BUDGET caps the
+# expected h of the most hit row: on KGRC-shaped corpora, embedding quality
+# collapsed once that h passed about 300.
+COLLISION_BUDGET = 128
+MAX_BATCH = 1024
 
-    Single-threaded and bit-reproducible for a fixed seed; the learning
-    rate decays linearly over the total number of updates.
+
+def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
+                negatives: int) -> int:
+    """Pairs per SGD step: ``COLLISION_BUDGET`` over the largest expected
+    number of times one output row is hit per pair, within [1, MAX_BATCH].
+
+    A token's output row is hit by its share of the contexts, plus
+    ``negatives`` times its noise probability under negative sampling.
+    Centre rows need no term of their own: each pair (c, o, r) has its
+    mirror (o, c, -r), so a token's centre share equals its context share.
+    Structured mode splits a token's hits over 2 * window output planes;
+    the bound uses their sum.
+    """
+    tokens = 0 if noise is None else len(noise)
+    hits = np.bincount(contexts, minlength=tokens) / len(contexts)
+    if noise is not None:
+        hits += negatives * noise
+    return int(min(MAX_BATCH, max(1, COLLISION_BUDGET // hits.max())))
+
+
+def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unique rows, sums): the sum for row r is the sum of
+    ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``.
+
+    One sparse (unique rows x len(x)) product; deterministic, and cheaper
+    than ``np.add.at`` on the repeated rows.
+    """
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    selector = sparse.csr_array(
+        (weights[order], columns[order], np.r_[starts, len(rows)]),
+        shape=(len(starts), len(x)),
+    )
+    return ordered[starts], selector @ x
+
+
+def _batch_gradient(inputs: np.ndarray, outputs: np.ndarray,
+                    centers: np.ndarray, contexts: np.ndarray,
+                    slots: np.ndarray, weights: np.ndarray,
+                    negatives: np.ndarray | None = None):
+    """Loss sum_i weights[i] * loss_i over a batch of pairs and its exact
+    gradient, every pair evaluated at the same parameters.
+
+    loss_i is the negative-sampling loss of pair i against the noise tokens
+    ``negatives[i]`` when ``negatives`` is given, else the exact softmax
+    negative log likelihood.  Returns ``(loss, (rows, grad), (rows, grad))``
+    for the input vectors (rows are tokens) and the output matrices (rows
+    are flat indices slot * |W| + token); rows are unique.
+    """
+    n, dim = inputs.shape
+    v = inputs[centers]                                        # (B, d)
+    batch = np.arange(len(centers))
+    if negatives is not None:
+        targets = (slots[:, None] * n
+                   + np.column_stack((contexts, negatives)))   # (B, 1+k)
+        u = outputs.reshape(-1, dim)[targets]                  # (B, 1+k, d)
+        scores = np.einsum("bd,bkd->bk", v, u)
+        losses = (np.logaddexp(0.0, -scores[:, 0])
+                  + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1))
+        delta = _sigmoid(scores)                       # d loss_i / d score
+        delta[:, 0] -= 1.0
+        delta *= weights[:, None]
+        d_v = np.einsum("bk,bkd->bd", delta, u)
+        out_grad = _sum_rows(targets.ravel(),
+                             np.repeat(batch, targets.shape[1]),
+                             delta.ravel(), v)
+    else:
+        losses = np.empty(len(centers))
+        d_v = np.empty_like(v)
+        out_rows, out_sums = [], []
+        for slot in np.unique(slots):
+            at = np.flatnonzero(slots == slot)
+            matrix = outputs[slot]
+            scores = v[at] @ matrix.T                          # (b, |W|)
+            scores -= scores.max(axis=1, keepdims=True)
+            p = np.exp(scores)
+            total = p.sum(axis=1)
+            p /= total[:, None]
+            hit = (np.arange(len(at)), contexts[at])
+            losses[at] = np.log(total) - scores[hit]
+            p[hit] -= 1.0                              # d loss_i / d score
+            p *= weights[at, None]
+            d_v[at] = p @ matrix
+            out_rows.append(slot * n + np.arange(n))
+            out_sums.append(p.T @ v[at])
+        out_grad = (np.concatenate(out_rows), np.concatenate(out_sums))
+    in_grad = _sum_rows(centers, batch, np.ones(len(centers)), d_v)
+    return float(weights @ losses), in_grad, out_grad
+
+
+def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
+    """Minibatch SGD over all context pairs of the corpus.
+
+    Each epoch visits the pairs in one random permutation, in steps of a
+    batch size derived from the corpus (see ``_batch_size``); the pairs of a
+    step see the same parameters, and their gradients are summed.  The
+    learning rate decays linearly per pair over all epochs.  Single-threaded
+    and bit-reproducible for a fixed seed.
+
+    Raises ``ValueError`` if any trained vector is not finite.
     """
     if len(vocab) == 0:
         raise EmptyCorpus("vocabulary is empty")
-    pairs: list[tuple[int, int, int]] = []
-    for row in corpus_rows:
-        pairs.extend(extract_pairs(row, vocab, cfg.window))
+    centers, contexts, rel = corpus_pairs(corpus_rows, vocab, cfg.window)
     model = _init_model(vocab, cfg)
-    if not pairs or cfg.epochs == 0:
+    if len(centers) == 0 or cfg.epochs == 0:
         return model
     if cfg.softmax_mode is SoftmaxMode.FULL_SOFTMAX and len(vocab) > cfg.full_softmax_cap:
         raise ValueError(
             f"full softmax limited to {cfg.full_softmax_cap} tokens, "
             f"vocabulary has {len(vocab)}"
         )
-
-    centers = np.array([p[0] for p in pairs], dtype=np.int64)
-    contexts = np.array([p[1] for p in pairs], dtype=np.int64)
     if cfg.mode is Mode.CLASSIC:
-        slots = np.zeros(len(pairs), dtype=np.int64)
+        slots = np.zeros_like(rel)
     else:
-        slots = np.array(
-            [position_slot(p[2], cfg.window) for p in pairs], dtype=np.int64
-        )
+        slots = position_slot(rel, cfg.window)
 
     rng = np.random.default_rng(cfg.seed + 1)
-    cdf = _noise_cdf(vocab)
-    total_updates = cfg.epochs * len(pairs)
-    update_no = 0
-    negative_sampling = cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        if negative_sampling:
-            negatives = np.searchsorted(
-                cdf, rng.random((len(pairs), cfg.negatives))
-            )
-        for step, i in enumerate(order):
-            lr = cfg.learning_rate * max(
-                1e-4, 1.0 - update_no / total_updates
-            )
-            update_no += 1
-            if negative_sampling:
-                _ns_update(model, centers[i], contexts[i], slots[i],
-                           negatives[step], lr)
-            else:
-                _full_softmax_update(model, centers[i], contexts[i],
-                                     slots[i], lr)
+    noise = None
+    if cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING:
+        noise = _noise_probabilities(vocab)
+        cdf = np.cumsum(noise)
+    batch = _batch_size(contexts, noise, cfg.negatives)
+    n_pairs = len(centers)
+    total_updates = cfg.epochs * n_pairs
+    inputs = model.input_vectors
+    outputs = model.output_matrices.reshape(-1, cfg.dim)       # a view
+    negatives = None
+    # Divergence shows as inf/nan in the vectors, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_pairs)
+            if noise is not None:
+                negatives = np.searchsorted(
+                    cdf, rng.random((n_pairs, cfg.negatives))
+                )
+            for start in range(0, n_pairs, batch):
+                step = slice(start, start + batch)
+                at = order[step]
+                update_no = epoch * n_pairs + np.arange(start,
+                                                        start + len(at))
+                lr = cfg.learning_rate * np.maximum(
+                    1e-4, 1.0 - update_no / total_updates
+                )
+                noise_tokens = None if negatives is None else negatives[step]
+                _, (rows, grad), (out_rows, out_grad) = _batch_gradient(
+                    inputs, model.output_matrices, centers[at], contexts[at],
+                    slots[at], lr, noise_tokens,
+                )
+                inputs[rows] -= grad
+                outputs[out_rows] -= out_grad
+    if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+        raise ValueError("training diverged to non-finite vectors; "
+                         "lower the learning rate")
     return model
-
-
-def _ns_update(model: EmbeddingModel, c: int, o: int, slot: int,
-               negatives: np.ndarray, lr: float) -> None:
-    inputs = model.input_vectors
-    matrix = model.output_matrices[slot]
-    targets = np.concatenate(([o], negatives))           # (1+k,)
-    labels = np.zeros(len(targets))
-    labels[0] = 1.0
-    v = inputs[c]                                        # (d,)
-    u = matrix[targets]                                  # (1+k, d)
-    g = (_sigmoid(u @ v) - labels) * lr
-    dv = g @ u
-    np.subtract.at(matrix, targets, g[:, None] * v)
-    inputs[c] -= dv
-
-
-def _full_softmax_update(model: EmbeddingModel, c: int, o: int, slot: int,
-                         lr: float) -> None:
-    inputs = model.input_vectors
-    matrix = model.output_matrices[slot]
-    v = inputs[c]                                        # (d,)
-    scores = matrix @ v                                  # (|W|,)
-    scores -= scores.max()
-    p = np.exp(scores)
-    p /= p.sum()
-    p[o] -= 1.0
-    dv = p @ matrix
-    matrix -= lr * np.outer(p, v)
-    inputs[c] -= lr * dv
 
 
 def softmax_probability(model: EmbeddingModel, center, context,
@@ -263,26 +389,37 @@ def full_softmax_objective(input_vectors: np.ndarray,
                            output_matrices: np.ndarray,
                            pairs, window: int, structured: bool):
     """Mean negative log softmax likelihood over pairs, with exact
-    gradients for every parameter.  Used by the finite-difference checks.
+    gradients for every parameter, from the batch gradient that training
+    applies.  Used by the finite-difference checks.
     """
-    grad_in = np.zeros_like(input_vectors)
-    grad_out = np.zeros_like(output_matrices)
-    loss = 0.0
-    for center, context, rel in pairs:
-        slot = position_slot(rel, window) if structured else 0
-        matrix = output_matrices[slot]
-        v = input_vectors[center]
-        scores = matrix @ v
-        scores = scores - scores.max()
-        e = np.exp(scores)
-        p = e / e.sum()
-        loss -= np.log(p[context])
-        delta = p.copy()
-        delta[context] -= 1.0
-        grad_out[slot] += np.outer(delta, v)
-        grad_in[center] += matrix.T @ delta
-    scale = 1.0 / len(pairs)
-    return loss * scale, grad_in * scale, grad_out * scale
+    return _mean_objective(input_vectors, output_matrices, pairs, window,
+                           structured, None)
+
+
+def negative_sampling_objective(input_vectors: np.ndarray,
+                                output_matrices: np.ndarray, pairs,
+                                negatives, window: int, structured: bool):
+    """Mean negative-sampling loss over pairs, pair i scored against the
+    noise tokens ``negatives[i]``, with exact gradients for every
+    parameter, from the batch gradient that training applies.
+    """
+    negatives = np.asarray(negatives, dtype=np.int64)
+    return _mean_objective(input_vectors, output_matrices, pairs, window,
+                           structured, negatives)
+
+
+def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
+    centers, contexts, rel = np.array(pairs, dtype=np.int64).T
+    slots = position_slot(rel, window) if structured else np.zeros_like(rel)
+    weights = np.full(len(centers), 1.0 / len(centers))
+    loss, (in_rows, in_grad), (out_rows, out_grad) = _batch_gradient(
+        inputs, outputs, centers, contexts, slots, weights, negatives
+    )
+    grad_in = np.zeros_like(inputs)
+    grad_in[in_rows] = in_grad
+    grad_out = np.zeros_like(outputs)
+    grad_out.reshape(-1, inputs.shape[1])[out_rows] = out_grad
+    return loss, grad_in, grad_out
 
 
 EMB_MAGIC = "#qtwalk-emb v1"

@@ -165,6 +165,19 @@ def test_missing_input_file_is_exit_code_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "1e200"])
+def test_non_finite_training_is_exit_code_one(tmp_path, fixture_graph,
+                                              capsys, rate):
+    corpus = tmp_path / "walks.tsv"
+    emb = tmp_path / "vectors.tsv"
+    assert main(["walk", str(fixture_graph), str(corpus),
+                 *small_walk_flags()]) == 0
+    assert main(["train", str(corpus), str(emb), *small_train_flags(),
+                 "--learning-rate", rate]) == 1
+    assert "qtwalk: error:" in capsys.readouterr().err
+    assert not emb.exists()
+
+
 def test_parse_error_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("this is not turtle", encoding="utf-8")

@@ -22,6 +22,7 @@ from qtwalk.evaluate import (
     kendall_tau_b,
     kmeans,
     knn_predict,
+    knn_predict_many,
     load_labeled_tsv,
     load_relatedness,
     load_similarity,
@@ -240,6 +241,39 @@ def test_knn_majority_and_tie_break():
     # one vote each: fall back to the label of the single nearest point
     train_x2 = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert knn_predict(train_x2, ["p", "q"], np.array([0.9, 0.1]), k=2) == "p"
+
+
+def knn_predict_loop(train_x, train_y, query, k=3):
+    """Reference kNN: one cosine_similarity call per training vector."""
+    sims = np.array([cosine_similarity(query, v) for v in train_x])
+    nearest = np.argsort(-sims, kind="stable")[:k]
+    votes: dict[str, int] = {}
+    for i in nearest:
+        votes[train_y[i]] = votes.get(train_y[i], 0) + 1
+    top = max(votes.values())
+    winners = [label for label, count in votes.items() if count == top]
+    if len(winners) == 1:
+        return winners[0]
+    return train_y[nearest[0]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_knn_matrix_product_matches_cosine_loop(seed):
+    rng = np.random.default_rng(seed)
+    train_x = rng.normal(size=(40, 6))
+    # planted ties: exact copies and power-of-two multiples (same cosine
+    # under either formula), plus zero vectors, which have cosine 0
+    train_x[10:20] = train_x[:10]
+    train_x[20:25] = 4.0 * train_x[:5]
+    train_x[[25, 33]] = 0.0
+    train_y = [str(label) for label in rng.integers(4, size=len(train_x))]
+    queries = np.vstack([rng.normal(size=(30, 6)), train_x[:12],
+                         0.5 * train_x[20:25], np.zeros((2, 6))])
+    for k in (1, 2, 3, 5):
+        expected = [knn_predict_loop(train_x, train_y, q, k) for q in queries]
+        assert knn_predict_many(train_x, train_y, queries, k) == expected
+        assert [knn_predict(train_x, train_y, q, k)
+                for q in queries] == expected
 
 
 def test_stratified_folds_are_balanced_and_deterministic():

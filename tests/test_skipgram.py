@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qtwalk.skipgram import (
+    MAX_BATCH,
     DimensionMismatch,
     EmptyCorpus,
     Mode,
     SoftmaxMode,
     TrainConfig,
+    _batch_size,
     _init_model,
+    _noise_probabilities,
     build_vocabulary,
+    corpus_pairs,
     extract_pairs,
     full_softmax_objective,
     load_embeddings,
+    negative_sampling_objective,
     position_slot,
     save_embeddings,
     softmax_probability,
@@ -80,6 +86,25 @@ def test_unknown_tokens_are_dropped_before_pairing():
     ])
 
 
+@given(
+    rows=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=9),
+                  max_size=6),
+    min_count=st.integers(1, 3),
+    window=st.integers(1, 5),
+)
+@example(rows=[[], ["a"], ["a", "b", "a"], ["c"]], min_count=2, window=1)
+@example(rows=[], min_count=1, window=3)
+@settings(max_examples=300, deadline=None)
+def test_corpus_pairs_equal_concatenated_extract_pairs(rows, min_count,
+                                                       window):
+    # min_count > 1 drops tokens, so rows shrink or empty before pairing
+    vocab = build_vocabulary(rows, min_count)
+    centers, contexts, rel = corpus_pairs(rows, vocab, window)
+    expected = [p for row in rows for p in extract_pairs(row, vocab, window)]
+    got = list(zip(centers.tolist(), contexts.tolist(), rel.tolist()))
+    assert got == expected
+
+
 def test_position_slots_cover_both_sides():
     window = 3
     slots = [position_slot(r, window) for r in (-3, -2, -1, 1, 2, 3)]
@@ -88,6 +113,8 @@ def test_position_slots_cover_both_sides():
         position_slot(0, window)
     with pytest.raises(ValueError):
         position_slot(4, window)
+    assert position_slot(np.array([-3, -1, 1, 3]), window).tolist() == [
+        0, 2, 3, 5]
 
 
 # -- exact softmax ---------------------------------------------------------------
@@ -221,10 +248,80 @@ def test_negative_sampling_agrees_with_full_softmax_rankings():
     assert agree >= 0.9 * len(vocab_tokens)
 
 
+def test_batch_size_shrinks_with_negatives_and_hot_tokens():
+    def contexts(hot_share, n=1000, vocab=50):
+        hot = int(hot_share * n)
+        return np.r_[np.zeros(hot, dtype=np.int64),
+                     np.arange(n - hot) % (vocab - 1) + 1]
+
+    noise = np.full(50, 1 / 50)
+    sizes = [_batch_size(contexts(0.1), noise, k) for k in (1, 5, 10, 20)]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+    sizes = [_batch_size(contexts(s), noise, 5) for s in (0.05, 0.2, 0.5)]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+    skewed = np.r_[0.99, np.full(49, 0.01 / 49)]
+    sizes = [_batch_size(contexts(0.2), noise, 5),
+             _batch_size(contexts(0.2), skewed, 5)]
+    assert sizes[0] > sizes[1]
+    for ctx in (contexts(0.0), contexts(1.0), np.arange(5000) % 50):
+        for noise_probs in (None, noise, skewed):
+            for k in (1, 5, 500):
+                assert 1 <= _batch_size(ctx, noise_probs, k) <= MAX_BATCH
+    # a uniform corpus without hot rows gets the cap, a single token 1 row
+    assert _batch_size(np.arange(5000) % 50, None, 5) == MAX_BATCH
+    assert _batch_size(np.zeros(10, dtype=np.int64), skewed, 500) == 1
+
+
+def test_hot_token_corpus_trains_at_derived_batch_size():
+    # Every fourth token is one hot token (25%) next to a group's tokens.
+    # With 10 negatives a fixed batch of 1024 pairs sums ~1000 gradient
+    # terms into the hot token's output row per step; then only 0.17 of
+    # the tokens have their nearest neighbour in their own group, below the
+    # 5/23 chance share.  The derived batch keeps per-pair SGD's quality.
+    rng = np.random.default_rng(0)
+    rows = [
+        ["hot" if i % 4 == 1 else f"g{r % 4}t{rng.integers(6)}"
+         for i in range(12)]
+        for r in range(400)
+    ]
+    v = build_vocabulary(rows)
+    assert v.tokens[0] == "hot" and v.counts[0] >= 0.2 * sum(v.counts)
+    _, contexts, _ = corpus_pairs(rows, v, window=2)
+    assert _batch_size(contexts, _noise_probabilities(v), 10) < 128
+    model = train(rows, v, cfg(dim=16, window=2, epochs=3, negatives=10))
+    tokens = [t for t in v.tokens if t != "hot"]
+    x = np.array([model.vector(t) for t in tokens])
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    sims = x @ x.T
+    np.fill_diagonal(sims, -np.inf)
+    same = [tokens[j][:2] == t[:2] for t, j in zip(tokens, sims.argmax(1))]
+    assert np.mean(same) >= 0.9
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_learning_rate_is_rejected(rate):
+    with pytest.raises(ValueError):
+        cfg(learning_rate=rate)
+
+
+@pytest.mark.parametrize("softmax_mode", list(SoftmaxMode))
+def test_diverging_training_raises(softmax_mode):
+    rows = [["a", "b", "c", "d"], ["b", "d", "a"]] * 10
+    v = build_vocabulary(rows)
+    with pytest.raises(ValueError, match="non-finite"):
+        train(rows, v, cfg(learning_rate=1e200, softmax_mode=softmax_mode))
+
+
 # -- gradients ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("structured", [False, True])
-def test_softmax_gradients_match_finite_differences(structured):
+@pytest.mark.parametrize("structured, negative_sampling", [
+    pytest.param(False, False, id="False"),
+    pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="neg-False"),
+    pytest.param(True, True, id="neg-True"),
+])
+def test_softmax_gradients_match_finite_differences(structured,
+                                                    negative_sampling):
     rng = np.random.default_rng(7)
     n, dim, window = 6, 4, 2
     inputs = rng.normal(size=(n, dim))
@@ -234,7 +331,16 @@ def test_softmax_gradients_match_finite_differences(structured):
          int(rng.choice([-2, -1, 1, 2])))
         for _ in range(12)
     ]
-    loss, grad_in, grad_out = full_softmax_objective(
+    if negative_sampling:
+        # repeated rows within and across pairs exercise the summed scatter
+        negatives = rng.integers(n, size=(len(pairs), 3))
+
+        def objective(inputs, outputs, pairs, window, structured):
+            return negative_sampling_objective(inputs, outputs, pairs,
+                                               negatives, window, structured)
+    else:
+        objective = full_softmax_objective
+    loss, grad_in, grad_out = objective(
         inputs, outputs, pairs, window, structured
     )
     h = 1e-5
@@ -248,11 +354,9 @@ def test_softmax_gradients_match_finite_differences(structured):
             theta, grad = outputs, grad_out
         orig = theta[idx]
         theta[idx] = orig + h
-        up, _, _ = full_softmax_objective(inputs, outputs, pairs, window,
-                                          structured)
+        up, _, _ = objective(inputs, outputs, pairs, window, structured)
         theta[idx] = orig - h
-        down, _, _ = full_softmax_objective(inputs, outputs, pairs, window,
-                                            structured)
+        down, _, _ = objective(inputs, outputs, pairs, window, structured)
         theta[idx] = orig
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(grad[idx]), 1e-8)
