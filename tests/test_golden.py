@@ -1,0 +1,117 @@
+"""Byte-identity guard: pinned sha256 digests of walk corpora, graph
+fingerprints, stats tables and one trained embedding file.
+
+Candidate order, RNG draws and token text all feed these bytes, so a
+change to how the graph is indexed or walked that alters any of them
+changes a digest.  The digests must only change together with a
+deliberate, documented change of output.
+"""
+
+import hashlib
+
+import pytest
+
+from qtwalk.cli import main
+from qtwalk.fixtures import random_graph
+from qtwalk.graph import build_graph, compute_stats, stats_tsv
+from qtwalk.walks import Strategy, WalkParams, generate_corpus, write_corpus
+
+SEEDS = (0, 1, 2)
+ALPHA_BETA = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_graph(seed: int):
+    return build_graph(random_graph(seed, triples=60, qt_probability=0.4,
+                                    max_depth=3))
+
+
+CORPUS_SHA256 = {
+    (0, "random", 0.0, 0.0):
+        "d65b1ebed9291ca42d1220ed3d6e3d3be281a53eaf97456ebb8ee840b471b4d2",
+    (0, "random", 0.5, 0.5):
+        "f8a6379c2dfa0a9a27ff05a792d32a792da58e390d93a70f9211881d9b96dde1",
+    (0, "random", 1.0, 1.0):
+        "e654bafb5631d9fd07a5847d01e86d8cc48824b131ecea480d4c10c813376aa6",
+    (0, "mid", 0.0, 0.0):
+        "8d14a10c670688cd5da3dcd57b36eed9ff988bae165494e0da249e762324e0e9",
+    (0, "mid", 0.5, 0.5):
+        "3df78034ed025b5b0ac3d180c07f920a0982fb22f39e0d5e35128d272688f6b2",
+    (0, "mid", 1.0, 1.0):
+        "aa6b3044f54ae784a893f4584d65a76e4d503abffa70a30cc7cdc8738e8a4611",
+    (1, "random", 0.0, 0.0):
+        "d75d2408d41b7cb243a9b30aa8662fd8d1eb3781c960599c51b5317e8f9fe963",
+    (1, "random", 0.5, 0.5):
+        "04df288d534995256226caafa0c9fc45dfe8a03f6b32d5cb2db6a6edb660352c",
+    (1, "random", 1.0, 1.0):
+        "3320e7508ba9a25f401c4945b076cea0dacfecd7ff0c43329411a981cf04d6b8",
+    (1, "mid", 0.0, 0.0):
+        "3ffe4cd9d4f7ba98f95f5ccf6ea23ab7d2647ea6339f3f29b71cdf0b7ef8da43",
+    (1, "mid", 0.5, 0.5):
+        "8fab4a3c4d8e3b772fe8d6687d5ce4a9929a494b411280f216f99c3f66ebc087",
+    (1, "mid", 1.0, 1.0):
+        "4ee9fc73e0e9fe14889e84afbe9e5240a8c2d27393a7ed246e977bacedc5b7ea",
+    (2, "random", 0.0, 0.0):
+        "8de2f6e85d4ef74faf6915ecb34e247d6c49458bee6891232cdace9d58b6b5a2",
+    (2, "random", 0.5, 0.5):
+        "98aaa27783d8c05f3c5f92e389dd0e5a8c23c6ec2c3cf5378a89000486aa1131",
+    (2, "random", 1.0, 1.0):
+        "6ff7b47ce3a74e12b6cc942249cb00c0f65270f70cfaca14a0d05c5ad5d83cd6",
+    (2, "mid", 0.0, 0.0):
+        "571d379ae0b5895328604fa5e1271724d14ba453a4b756285cea44bf0899ee1f",
+    (2, "mid", 0.5, 0.5):
+        "d0467281fb79e0efb3f5507b985bb4feb3106f49ef59cde802cb878b787e004d",
+    (2, "mid", 1.0, 1.0):
+        "08c9472d12f5ebad51a569a9aaeff80fc0e4722b583fa91409d6414aeb74ea10",
+}
+
+FINGERPRINT = {
+    0: "23baf9b28c11cc2b7b7ef7d3df5a83c9affccb8e19710f3078d3fe2dd76cdb2f",
+    1: "16ed6ffa63b7004273c7311f1a9c8ed77b45b539608fe9a3386c5ac191999218",
+    2: "34d1c8b7d9b05ea01fef46ae94ed00ee10843d1e04289fd26f89081616587f86",
+}
+
+STATS_SHA256 = {
+    0: "135c12f8e58e81883bd6ddb05aa2396eb906eeaeaa6c2a83c7062c0781a2a2c9",
+    1: "f4718d068f04e5105ccb0a9b6184d183a287f5deb779086f153daf2609897bdb",
+    2: "adc4b583524beeda0f0a2a23fef1f712e86126af99c4919657c0eef2e25f6644",
+}
+
+EMBEDDING_SHA256 = (
+    "e84cd1c7929dc1e1eb1cb44303026c0be4e99f4fef3a0511b9d8892d260d823f")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("strategy", ["random", "mid"])
+@pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
+def test_corpus_bytes_are_pinned(tmp_path, seed, strategy, alpha, beta):
+    params = WalkParams(strategy=Strategy(strategy), n=6, d=6, alpha=alpha,
+                        beta=beta, seed=seed)
+    path = tmp_path / "walks.tsv"
+    write_corpus(generate_corpus(golden_graph(seed), params), path)
+    assert sha256(path.read_bytes()) == CORPUS_SHA256[
+        (seed, strategy, alpha, beta)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fingerprint_and_stats_are_pinned(seed):
+    g = golden_graph(seed)
+    assert g.fingerprint() == FINGERPRINT[seed]
+    text = stats_tsv(compute_stats(g)) + stats_tsv(
+        compute_stats(g, include_id_nesting=True))
+    assert sha256(text.encode("utf-8")) == STATS_SHA256[seed]
+
+
+def test_walk_train_embedding_bytes_are_pinned(tmp_path):
+    graph, corpus, emb = (tmp_path / name for name in
+                          ("graph.ttls", "walks.tsv", "emb.txt"))
+    assert main(["gen-fixture", str(graph), "--seed", "4", "--triples", "80",
+                 "--qt-probability", "0.4"]) == 0
+    assert main(["walk", str(graph), str(corpus), "--walks", "4",
+                 "--depth", "6", "--seed", "1"]) == 0
+    assert main(["train", str(corpus), str(emb), "--dim", "8",
+                 "--epochs", "2", "--seed", "1"]) == 0
+    assert sha256(emb.read_bytes()) == EMBEDDING_SHA256
