@@ -1,123 +1,259 @@
 """Immutable indexed store for RDF-star graphs.
 
-Besides subject/object adjacency over asserted triples, the store indexes
-every quoted triple occurring anywhere in the graph (any nesting level) by
-its subject and object components, which is what the QT-aware walks need.
+``build_graph`` interns every distinct term once and numbers the terms
+0..N-1 in canonical-string order, which is ``term_sort_key`` order.  The
+indexes are plain per-id tuples over those ints: outgoing ``(p, o)`` and
+incoming ``(s, p)`` pairs of the asserted triples, and every quoted
+triple occurring anywhere in the graph (any nesting level) by its
+subject and object ids, which is what the QT-aware walks need.  Because
+id order is text order, a candidate list sorted by ids is sorted by the
+candidates' canonical text (``<< s p o >>`` for a triple), so candidate
+order, and with it every random draw of a walk, does not depend on the
+order of the input triples.
+
+The term-level accessors (``triples_with_subject`` and the others) are
+thin views that find a term's id through its canonical string.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Set
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .terms import (
     ID_PREDICATE,
     Iri,
+    Literal,
     QuotedTriple,
     RDF_TYPE,
     Term,
     Triple,
-    iter_subterms,
-    qt_depth,
-    serialize_triple,
-    term_sort_key,
+    serialize_term,
 )
 
 _DEPTH_NAMES = {1: "Single", 2: "Double", 3: "Triple", 4: "Quadruple"}
 
+Pairs = tuple[tuple[int, int], ...]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """Interned terms and their per-id indexes.
+
+    ``terms[i]`` is term ``i`` and ``texts[i]`` its canonical string;
+    ``texts`` is sorted and ``ids`` inverts it.  ``triple_ids`` are the
+    asserted ``triples`` as ids, ``qt_ids`` the sorted ids of all quoted
+    triples and ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.  Per id: ``out_edges`` holds
+    the sorted ``(p, o)`` pairs of the asserted triples with that subject,
+    ``in_edges`` the sorted ``(s, p)`` pairs of those with that object,
+    ``qts_by_subject``/``qts_by_object`` the sorted ids of the quoted
+    triples with that subject/object, ``qt_parts`` the ``(s, p, o)`` of a
+    quoted triple (``None`` for other terms) and ``depths`` its nesting
+    depth (0 for other terms).  ``roots`` are the sorted ids of the IRIs
+    and quoted triples in a subject or object position, at any nesting
+    level.
+    """
+
     triples: tuple[Triple, ...]
-    subj_index: dict[Term, tuple[Triple, ...]] = field(repr=False)
-    obj_index: dict[Term, tuple[Triple, ...]] = field(repr=False)
-    qt_subj_index: dict[Term, tuple[QuotedTriple, ...]] = field(repr=False)
-    qt_obj_index: dict[Term, tuple[QuotedTriple, ...]] = field(repr=False)
-    node_set: frozenset[Term] = field(repr=False)
-    qt_set: frozenset[QuotedTriple] = field(repr=False)
+    triple_ids: tuple[tuple[int, int, int], ...] = field(repr=False)
+    terms: tuple[Term, ...] = field(repr=False)
+    texts: tuple[str, ...] = field(repr=False)
+    ids: dict[str, int] = field(repr=False)
+    out_edges: tuple[Pairs, ...] = field(repr=False)
+    in_edges: tuple[Pairs, ...] = field(repr=False)
+    qts_by_subject: tuple[tuple[int, ...], ...] = field(repr=False)
+    qts_by_object: tuple[tuple[int, ...], ...] = field(repr=False)
+    qt_parts: tuple[tuple[int, int, int] | None, ...] = field(repr=False)
+    qt_lookup: dict[tuple[int, int, int], int] = field(repr=False)
+    depths: tuple[int, ...] = field(repr=False)
+    qt_ids: tuple[int, ...] = field(repr=False)
+    roots: tuple[int, ...] = field(repr=False)
+
+    def id_of(self, t: Term) -> int | None:
+        """Id of a term, or None if it does not occur in the graph."""
+        return self.ids.get(serialize_term(t))
+
+    @cached_property
+    def node_set(self) -> TermSet:
+        """Every term, at any nesting level and in any position."""
+        return TermSet(self, range(len(self.terms)))
+
+    @cached_property
+    def qt_set(self) -> TermSet:
+        """Every quoted triple, at any nesting level."""
+        return TermSet(self, frozenset(self.qt_ids))
 
     def fingerprint(self) -> str:
         """sha256 over the sorted canonical triple serializations."""
+        texts = self.texts
         digest = hashlib.sha256()
-        for line in sorted(serialize_triple(t) for t in self.triples):
+        for line in sorted(f"{texts[s]} {texts[p]} {texts[o]} ."
+                           for s, p, o in self.triple_ids):
             digest.update(line.encode("utf-8"))
             digest.update(b"\n")
         return digest.hexdigest()
 
 
+class TermSet(Set):
+    """Read-only set of some of a graph's terms, looked up by canonical
+    string, so neither building nor probing it hashes a term."""
+
+    def __init__(self, graph: Graph, ids):
+        self._graph = graph
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        terms = self._graph.terms
+        return (terms[i] for i in self._ids)
+
+    def __contains__(self, t) -> bool:
+        i = self._graph.id_of(t)
+        return i is not None and i in self._ids
+
+
 def build_graph(triples) -> Graph:
-    """Index a triple collection.  Duplicate asserted triples are dropped."""
-    seen: set[Triple] = set()
-    ordered: list[Triple] = []
+    """Index a triple collection.  Duplicate asserted triples are dropped.
+
+    Each distinct term is interned once, bottom-up: an IRI is keyed by its
+    value, a literal by its fields and a quoted triple by the ids of its
+    parts, and each term object is visited once.  Its canonical string is
+    built from its parts' strings.  The ids are then renumbered in
+    canonical-string order.
+    """
+    triples = list(triples)  # keeps every term alive: ``seen`` keys on id()
+    keys: dict = {}
+    texts: list[str] = []
+    terms: list[Term] = []
+    parts: list[tuple[int, int, int] | None] = []
+    depths: list[int] = []
+    seen: dict[int, int] = {}
+
+    def intern(t: Term) -> int:
+        i = seen.get(id(t))
+        if i is not None:
+            return i
+        if isinstance(t, QuotedTriple):
+            key = (intern(t.subject), intern(t.predicate), intern(t.object))
+        elif isinstance(t, Iri):
+            key = t.value
+        elif isinstance(t, Literal):
+            key = (t.lexical, t.datatype, t.language)
+        else:
+            raise TypeError(f"not a Term: {t!r}")
+        i = keys.get(key)
+        if i is None:
+            i = keys[key] = len(texts)
+            terms.append(t)
+            if isinstance(t, QuotedTriple):
+                s, p, o = key
+                texts.append(f"<< {texts[s]} {texts[p]} {texts[o]} >>")
+                parts.append(key)
+                depths.append(1 + max(depths[s], depths[o]))
+            else:
+                texts.append(f"<{key}>" if isinstance(t, Iri)
+                             else serialize_term(t))
+                parts.append(None)
+                depths.append(0)
+        seen[id(t)] = i
+        return i
+
+    asserted: dict[tuple[int, int, int], Triple] = {}
     for t in triples:
-        if t not in seen:
-            seen.add(t)
-            ordered.append(t)
+        key = (intern(t.subject), intern(t.predicate), intern(t.object))
+        if key not in asserted:
+            asserted[key] = t
 
-    subj: dict[Term, list[Triple]] = {}
-    obj: dict[Term, list[Triple]] = {}
-    nodes: set[Term] = set()
-    qts: set[QuotedTriple] = set()
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
 
-    for t in ordered:
-        subj.setdefault(t.subject, []).append(t)
-        obj.setdefault(t.object, []).append(t)
-        for part in (t.subject, t.predicate, t.object):
-            for sub in iter_subterms(part):
-                nodes.add(sub)
-                if isinstance(sub, QuotedTriple):
-                    qts.add(sub)
+    def renumbered(spo):
+        return None if spo is None else (rank[spo[0]], rank[spo[1]],
+                                         rank[spo[2]])
 
-    qt_subj: dict[Term, list[QuotedTriple]] = {}
-    qt_obj: dict[Term, list[QuotedTriple]] = {}
-    for q in qts:
-        qt_subj.setdefault(q.subject, []).append(q)
-        qt_obj.setdefault(q.object, []).append(q)
+    n = len(order)
+    qt_parts = tuple(renumbered(parts[old]) for old in order)
+    triple_ids = tuple(renumbered(spo) for spo in asserted)
 
-    def _freeze(index):
-        return {
-            k: tuple(sorted(v, key=lambda x: term_sort_key(_as_term(x))))
-            for k, v in index.items()
-        }
+    out_edges: list[list] = [[] for _ in range(n)]
+    in_edges: list[list] = [[] for _ in range(n)]
+    is_node = bytearray(n)
+    for s, p, o in triple_ids:
+        out_edges[s].append((p, o))
+        in_edges[o].append((s, p))
+        is_node[s] = is_node[o] = 1
 
-    def _as_term(x):
-        return QuotedTriple(x.subject, x.predicate, x.object) if isinstance(
-            x, Triple
-        ) else x
+    qt_ids = tuple(q for q in range(n) if qt_parts[q] is not None)
+    by_subject: list[list] = [[] for _ in range(n)]
+    by_object: list[list] = [[] for _ in range(n)]
+    for q in qt_ids:  # ascending, so every list comes out sorted
+        s, _, o = qt_parts[q]
+        by_subject[s].append(q)
+        by_object[o].append(q)
+        is_node[s] = is_node[o] = 1
 
+    sorted_terms = tuple(terms[old] for old in order)
+    sorted_texts = tuple(texts[old] for old in order)
     return Graph(
-        triples=tuple(ordered),
-        subj_index=_freeze(subj),
-        obj_index=_freeze(obj),
-        qt_subj_index=_freeze(qt_subj),
-        qt_obj_index=_freeze(qt_obj),
-        node_set=frozenset(nodes),
-        qt_set=frozenset(qts),
+        triples=tuple(asserted.values()),
+        triple_ids=triple_ids,
+        terms=sorted_terms,
+        texts=sorted_texts,
+        ids={text: i for i, text in enumerate(sorted_texts)},
+        out_edges=tuple(tuple(sorted(e)) for e in out_edges),
+        in_edges=tuple(tuple(sorted(e)) for e in in_edges),
+        qts_by_subject=tuple(map(tuple, by_subject)),
+        qts_by_object=tuple(map(tuple, by_object)),
+        qt_parts=qt_parts,
+        qt_lookup={qt_parts[q]: q for q in qt_ids},
+        depths=tuple(depths[old] for old in order),
+        qt_ids=qt_ids,
+        roots=tuple(i for i in range(n) if is_node[i]
+                    and not isinstance(sorted_terms[i], Literal)),
     )
 
 
+def _triples(g: Graph, n: Term, index, make) -> tuple[Triple, ...]:
+    i = g.id_of(n)
+    if i is None:
+        return ()
+    terms = g.terms
+    return tuple(make(terms[i], terms[a], terms[b]) for a, b in index[i])
+
+
 def triples_with_subject(g: Graph, n: Term) -> tuple[Triple, ...]:
-    return g.subj_index.get(n, ())
+    return _triples(g, n, g.out_edges, Triple)
 
 
 def triples_with_object(g: Graph, n: Term) -> tuple[Triple, ...]:
-    return g.obj_index.get(n, ())
+    return _triples(g, n, g.in_edges, lambda o, s, p: Triple(s, p, o))
+
+
+def _qts(g: Graph, n: Term, index) -> tuple[QuotedTriple, ...]:
+    i = g.id_of(n)
+    return () if i is None else tuple(g.terms[q] for q in index[i])
 
 
 def qts_with_subject(g: Graph, n: Term) -> tuple[QuotedTriple, ...]:
-    return g.qt_subj_index.get(n, ())
+    return _qts(g, n, g.qts_by_subject)
 
 
 def qts_with_object(g: Graph, n: Term) -> tuple[QuotedTriple, ...]:
-    return g.qt_obj_index.get(n, ())
+    return _qts(g, n, g.qts_by_object)
 
 
 def get_qt(g: Graph, s: Term, p: Term, o: Term) -> QuotedTriple | None:
     """The quoted triple (s, p, o) if it occurs in the graph, else None."""
     if not isinstance(p, Iri):
         return None
-    candidate = QuotedTriple(s, p, o)
-    return candidate if candidate in g.qt_set else None
+    q = g.qt_lookup.get((g.id_of(s), g.id_of(p), g.id_of(o)))
+    return None if q is None else g.terms[q]
 
 
 @dataclass(frozen=True)
@@ -144,27 +280,29 @@ def compute_stats(g: Graph, include_id_nesting: bool = False,
     the reserved duplicate-disambiguation id property are excluded unless
     ``include_id_nesting`` is set.
     """
-    classes: set[Term] = set()
-    instances: set[Term] = set()
-    properties: set[Term] = set()
+    rdf_type = g.ids.get(f"<{RDF_TYPE}>")
+    id_pred = g.ids.get(f"<{id_predicate}>")
+    parts = g.qt_parts
+    classes: set[int] = set()
+    instances: set[int] = set()
+    properties: set[int] = set()
     standard = 0
 
-    for t in g.triples:
-        properties.add(t.predicate)
-        if t.predicate.value == RDF_TYPE:
-            classes.add(t.object)
-            instances.add(t.subject)
-        if not isinstance(t.subject, QuotedTriple) and not isinstance(
-            t.object, QuotedTriple
-        ):
+    for s, p, o in g.triple_ids:
+        properties.add(p)
+        if p == rdf_type:
+            classes.add(o)
+            instances.add(s)
+        if parts[s] is None and parts[o] is None:
             standard += 1
 
     by_depth: dict[int, int] = {}
-    for q in g.qt_set:
-        if not include_id_nesting and q.predicate.value == id_predicate:
+    for q in g.qt_ids:
+        p = parts[q][1]
+        if not include_id_nesting and p == id_pred:
             continue
-        properties.add(q.predicate)
-        d = qt_depth(q)
+        properties.add(p)
+        d = g.depths[q]
         by_depth[d] = by_depth.get(d, 0) + 1
 
     return GraphStats(

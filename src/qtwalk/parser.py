@@ -3,10 +3,12 @@
 Supported: ``@prefix``, absolute IRIs, prefixed names, ``a``, predicate
 lists (``;``), object lists (``,``), plain/typed/language-tagged string
 literals, integer and decimal literals, ``#`` comments, and quoted triples
-(``<< .. >>``) in subject or object position, nested to any depth.
+(``<< .. >>``) in subject or object position, nested up to
+``MAX_QT_DEPTH`` levels.
 
 Rejected with positioned diagnostics: blank nodes, collections, ``@base``,
-annotation syntax (``{| |}``), and anything else outside the subset.
+annotation syntax (``{| |}``), quoted triples nested deeper than
+``MAX_QT_DEPTH``, and anything else outside the subset.
 """
 
 from __future__ import annotations
@@ -51,8 +53,21 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics
 
 
+# Deepest quoted-triple nesting accepted.  Parsing, interning and
+# serialization recurse once per level, so this keeps a document well
+# inside Python's default recursion limit; deeper input is a positioned
+# ParseError.
+MAX_QT_DEPTH = 400
+
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_IRIREF_RE = re.compile(r'<([^ <>"{}|^`\\\n]*)>')
+_IRI_BODY_RE = re.compile(r'[^ <>"{}|^`\\\n]*')
 _PNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_\-.%]*")
+# A prefixed name; the local part never ends in '.', which belongs to the
+# statement instead.
+_PREFIXED_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_\-]*)?:((?:[A-Za-z0-9_\-.%]*[A-Za-z0-9_\-%])?)")
+_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
 _LANGTAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
@@ -70,13 +85,14 @@ _STRING_ESCAPES = {
 
 
 class _Scanner:
-    """Character scanner with line/column tracking."""
+    """Character scanner over one string; tracks only the offset.
+
+    Line and column are derived from an offset when a diagnostic is built.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
@@ -87,42 +103,38 @@ class _Scanner:
 
     def advance(self, count: int = 1) -> str:
         taken = self.text[self.pos : self.pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
         self.pos += count
         return taken
 
     def skip_ws(self) -> None:
-        while not self.eof():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
-    def error(self, kind: ErrorKind, message: str, line: int | None = None,
-              col: int | None = None) -> ParseError:
-        return ParseError(
-            ParseDiagnostics(
-                line=line if line is not None else self.line,
-                column=col if col is not None else self.col,
-                message=message,
-                kind=kind,
-            )
-        )
+    def line_col(self, pos: int) -> tuple[int, int]:
+        """1-based line and column of an offset."""
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return self.text.count("\n", 0, pos) + 1, pos - line_start + 1
+
+    def error(self, kind: ErrorKind, message: str,
+              at: int | None = None) -> ParseError:
+        """A diagnostic positioned at offset ``at`` (default: here)."""
+        line, column = self.line_col(self.pos if at is None else at)
+        return ParseError(ParseDiagnostics(line=line, column=column,
+                                           message=message, kind=kind))
 
 
 class _Parser:
     def __init__(self, source: str):
         self.sc = _Scanner(source)
         self.prefixes: dict[str, str] = {}
+        self.qt_depth = 0
+        self.iris: dict[str, Iri] = {}
+
+    def _iri(self, value: str) -> Iri:
+        """One shared ``Iri`` per distinct value in a document."""
+        iri = self.iris.get(value)
+        if iri is None:
+            iri = self.iris[value] = Iri(value)
+        return iri
 
     # -- entry -------------------------------------------------------------
 
@@ -142,11 +154,11 @@ class _Parser:
 
     def _parse_prefix_decl(self) -> None:
         sc = self.sc
-        line, col = sc.line, sc.col
+        start = sc.pos
         word = sc.advance(7)
         if word != "@prefix":
             raise sc.error(ErrorKind.SYNTAX, f"unknown directive {word!r}",
-                           line, col)
+                           start)
         sc.skip_ws()
         name = self._parse_prefix_name()
         sc.skip_ws()
@@ -252,85 +264,85 @@ class _Parser:
 
     def _parse_quoted_triple(self) -> QuotedTriple:
         sc = self.sc
-        line, col = sc.line, sc.col
+        start = sc.pos
+        if self.qt_depth == MAX_QT_DEPTH:
+            raise sc.error(ErrorKind.SYNTAX, "quoted triples nested deeper "
+                           f"than {MAX_QT_DEPTH} levels", start)
+        self.qt_depth += 1
         sc.advance(2)  # '<<'
         sc.skip_ws()
         if sc.eof():
             raise sc.error(ErrorKind.UNBALANCED_QUOTE,
-                           "'<<' without matching '>>'", line, col)
-        subject = self._parse_subject()
+                           "'<<' without matching '>>'", start)
+        # A nested QT recurses here directly: one stack frame per level.
+        nested = sc.text.startswith
+        subject = (self._parse_quoted_triple() if nested("<<", sc.pos)
+                   else self._parse_subject())
         sc.skip_ws()
         predicate = self._parse_predicate()
         sc.skip_ws()
-        obj = self._parse_object()
+        obj = (self._parse_quoted_triple() if nested("<<", sc.pos)
+               else self._parse_object())
         sc.skip_ws()
         if sc.peek() == ">" and sc.peek(1) == ">":
             sc.advance(2)
+            self.qt_depth -= 1
             return QuotedTriple(subject, predicate, obj)
         raise sc.error(ErrorKind.UNBALANCED_QUOTE,
-                       "'<<' without matching '>>'", line, col)
+                       "'<<' without matching '>>'", start)
 
     def _parse_iriref(self) -> Iri:
         sc = self.sc
-        line, col = sc.line, sc.col
-        sc.advance()  # '<'
-        chars: list[str] = []
-        while True:
-            if sc.eof():
-                raise sc.error(ErrorKind.SYNTAX, "unterminated IRI", line, col)
-            ch = sc.advance()
-            if ch == ">":
-                return Iri("".join(chars))
-            if ch in ' <"{}|^`\\' or ch == "\n":
-                raise sc.error(ErrorKind.SYNTAX,
-                               f"illegal character {ch!r} in IRI", line, col)
-            chars.append(ch)
+        start = sc.pos
+        m = _IRIREF_RE.match(sc.text, start)
+        if m:
+            sc.pos = m.end()
+            return self._iri(m.group(1))
+        end = _IRI_BODY_RE.match(sc.text, start + 1).end()
+        if end == len(sc.text):
+            raise sc.error(ErrorKind.SYNTAX, "unterminated IRI", start)
+        raise sc.error(ErrorKind.SYNTAX,
+                       f"illegal character {sc.text[end]!r} in IRI", start)
 
     def _parse_prefixed_name(self, allow_a: bool) -> Iri:
         sc = self.sc
-        line, col = sc.line, sc.col
-        m = _PNAME_RE.match(sc.text, sc.pos)
-        name = m.group(0) if m else ""
-        after = sc.pos + len(name)
-        next_ch = sc.text[after] if after < len(sc.text) else ""
-        if name == "a" and allow_a and next_ch != ":":
-            sc.advance(1)
-            return Iri(RDF_TYPE)
-        if next_ch != ":":
+        start = sc.pos
+        m = _PREFIXED_RE.match(sc.text, start)
+        if m is None:
+            m = _PNAME_RE.match(sc.text, start)
+            name = m.group(0) if m else ""
+            if name == "a" and allow_a:
+                sc.advance(1)
+                return self._iri(RDF_TYPE)
             raise sc.error(ErrorKind.SYNTAX,
                            f"expected a term, found {name or sc.peek()!r}",
-                           line, col)
-        sc.advance(len(name) + 1)
-        m = _PN_LOCAL_RE.match(sc.text, sc.pos)
-        local = m.group(0) if m else ""
-        # a trailing '.' belongs to the statement, not the name
-        while local.endswith("."):
-            local = local[:-1]
-        sc.advance(len(local))
+                           start)
+        sc.pos = m.end()
+        name, local = m.group(1) or "", m.group(2)
         if name not in self.prefixes:
             raise sc.error(ErrorKind.UNDEFINED_PREFIX,
-                           f"prefix {name + ':'!r} is not declared", line, col)
-        return Iri(self.prefixes[name] + local)
+                           f"prefix {name + ':'!r} is not declared", start)
+        return self._iri(self.prefixes[name] + local)
 
     def _parse_string_literal(self) -> Literal:
         sc = self.sc
-        line, col = sc.line, sc.col
+        start = sc.pos
         sc.advance()  # opening quote
         chars: list[str] = []
         while True:
+            run = _STRING_RUN_RE.match(sc.text, sc.pos).group(0)
+            chars.append(run)
+            sc.pos += len(run)
             if sc.eof():
                 raise sc.error(ErrorKind.BAD_LITERAL,
-                               "unterminated string literal", line, col)
+                               "unterminated string literal", start)
             ch = sc.advance()
             if ch == '"':
                 break
             if ch == "\n":
                 raise sc.error(ErrorKind.BAD_LITERAL,
-                               "newline in string literal", line, col)
-            if ch == "\\":
-                chars.append(self._parse_escape(line, col))
-            else:
-                chars.append(ch)
+                               "newline in string literal", start)
+            chars.append(self._parse_escape(start))
         lexical = "".join(chars)
         if sc.peek() == "@":
             sc.advance()
@@ -350,11 +362,11 @@ class _Parser:
             return Literal(lexical, datatype=dt.value)
         return Literal(lexical)
 
-    def _parse_escape(self, line: int, col: int) -> str:
+    def _parse_escape(self, start: int) -> str:
         sc = self.sc
         if sc.eof():
             raise sc.error(ErrorKind.BAD_LITERAL, "unterminated escape",
-                           line, col)
+                           start)
         ch = sc.advance()
         if ch in _STRING_ESCAPES:
             return _STRING_ESCAPES[ch]
@@ -365,14 +377,14 @@ class _Parser:
                 c not in "0123456789abcdefABCDEF" for c in digits
             ):
                 raise sc.error(ErrorKind.BAD_LITERAL,
-                               "malformed unicode escape", line, col)
+                               "malformed unicode escape", start)
             return chr(int(digits, 16))
         raise sc.error(ErrorKind.BAD_LITERAL, f"unknown escape '\\{ch}'",
-                       line, col)
+                       start)
 
     def _parse_numeric_literal(self) -> Literal:
         sc = self.sc
-        line, col = sc.line, sc.col
+        start = sc.pos
         m = _DECIMAL_RE.match(sc.text, sc.pos)
         if m:
             text = m.group(0)
@@ -388,10 +400,10 @@ class _Parser:
                 end + 1 < len(sc.text) and sc.text[end + 1] not in " \t\r\n"
             ):
                 raise sc.error(ErrorKind.BAD_LITERAL, "malformed number",
-                               line, col)
+                               start)
             sc.advance(len(text))
             return Literal(text, datatype=XSD_INTEGER)
-        raise sc.error(ErrorKind.BAD_LITERAL, "malformed number", line, col)
+        raise sc.error(ErrorKind.BAD_LITERAL, "malformed number", start)
 
 
 def parse_document(source: str) -> list[Triple]:

@@ -8,7 +8,6 @@ long as serialization is injective (see ``serialize_term``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -107,14 +106,13 @@ def serialize_triple(t: Triple) -> str:
     )
 
 
-@lru_cache(maxsize=65536)
-def _cached_key(t: Term) -> str:
-    return serialize_term(t)
-
-
 def term_sort_key(t: Term) -> str:
-    """Stable ordering key; used everywhere candidate order matters."""
-    return _cached_key(t)
+    """Stable ordering key; used everywhere candidate order matters.
+
+    It is the canonical string, so sorting by it is the order in which
+    ``graph.build_graph`` numbers a graph's terms.
+    """
+    return serialize_term(t)
 
 
 def qt_depth(t: Term) -> int:

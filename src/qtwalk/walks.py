@@ -20,18 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import (
-    Graph,
-    get_qt,
-    qts_with_object,
-    qts_with_subject,
-    triples_with_subject,
-    triples_with_object,
-)
-from .terms import Iri, QuotedTriple, Term, serialize_term, term_sort_key
+from .graph import Graph
+from .terms import Term, serialize_term
 
 
 class Strategy(Enum):
@@ -61,10 +54,19 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class Walk:
-    tokens: tuple[Term, ...]
+    """A token sequence as term ids of ``graph``."""
+
+    ids: tuple[int, ...]
+    graph: Graph = field(compare=False, repr=False)
+
+    @property
+    def tokens(self) -> tuple[Term, ...]:
+        terms = self.graph.terms
+        return tuple(terms[i] for i in self.ids)
 
     def texts(self) -> list[str]:
-        return [serialize_term(t) for t in self.tokens]
+        texts = self.graph.texts
+        return [texts[i] for i in self.ids]
 
 
 @dataclass(frozen=True)
@@ -79,20 +81,26 @@ def _derive_seed(master: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _root_rng(params: WalkParams, root: Term) -> random.Random:
-    return random.Random(_derive_seed(params.seed, serialize_term(root)))
+def _root_rng(g: Graph, params: WalkParams, root: int) -> random.Random:
+    return random.Random(_derive_seed(params.seed, g.texts[root]))
 
 
-def _qs_candidate(g: Graph, node: Term, rng: random.Random
-                  ) -> QuotedTriple | None:
+def _root_id(g: Graph, root: Term) -> int:
+    i = g.id_of(root)
+    if i is None:
+        raise UnknownRoot(serialize_term(root))
+    return i
+
+
+def _qs_candidate(g: Graph, node: int, rng: random.Random) -> int | None:
     """QT whose decomposition may follow ``node`` in a walk.
 
     A QT node decomposes into itself; for other nodes a uniformly chosen
     QT having the node in its subject role qualifies.
     """
-    if isinstance(node, QuotedTriple):
+    if g.qt_parts[node] is not None:
         return node
-    candidates = qts_with_subject(g, node)
+    candidates = g.qts_by_subject[node]
     return rng.choice(candidates) if candidates else None
 
 
@@ -100,22 +108,28 @@ def random_walks(g: Graph, root: Term, params: WalkParams,
                  rng: random.Random | None = None,
                  step_log: list | None = None) -> list[Walk]:
     """Walks rooted at ``root`` per the combined random-walk procedure."""
-    if root not in g.node_set:
-        raise UnknownRoot(serialize_term(root))
-    if rng is None:
-        rng = _root_rng(params, root)
+    return [Walk(w, g) for w in _random_walk_ids(
+        g, _root_id(g, root), params, rng, step_log)]
 
-    wl: list[list[Term]] = [[]]
+
+def _random_walk_ids(g: Graph, root: int, params: WalkParams,
+                     rng: random.Random | None = None,
+                     step_log: list | None = None) -> list[tuple[int, ...]]:
+    if rng is None:
+        rng = _root_rng(g, params, root)
+    parts, out_edges, qt_lookup = g.qt_parts, g.out_edges, g.qt_lookup
+
+    wl: list[list[int]] = [[]]
     for _ in range(params.d):
-        new_wl: list[list[Term]] = []
+        new_wl: list[list[int]] = []
         for walk in wl:
             cur = walk[-1] if walk else root
 
             if not walk:
-                oq_options = qts_with_object(g, root)
+                oq_options = g.qts_by_object[root]
                 oq = rng.choice(oq_options) if oq_options else None
-            elif not isinstance(cur, QuotedTriple) and len(walk) >= 3:
-                oq = get_qt(g, walk[-3], walk[-2], walk[-1])
+            elif parts[cur] is None and len(walk) >= 3:
+                oq = qt_lookup.get((walk[-3], walk[-2], cur))
             else:
                 oq = None
             qs = _qs_candidate(g, cur, rng)
@@ -125,7 +139,7 @@ def random_walks(g: Graph, root: Term, params: WalkParams,
             if oq is not None and rand_oq < params.beta:
                 nw = list(walk)
                 if not walk:
-                    nw.append(oq.object)  # the root, in its object role
+                    nw.append(root)  # the root, in its object role
                 nw.append(oq)
                 new_wl.append(nw)
                 branch = "oq"
@@ -133,20 +147,20 @@ def random_walks(g: Graph, root: Term, params: WalkParams,
                 nw = list(walk)
                 if not walk:
                     nw.append(qs)
-                nw.extend((qs.subject, qs.predicate, qs.object))
+                nw.extend(parts[qs])
                 if walk:
                     new_wl.append(walk)  # the undecomposed walk survives
                 new_wl.append(nw)
                 branch = "qs"
             else:
-                outgoing = triples_with_subject(g, cur)
+                outgoing = out_edges[cur]
                 if not outgoing:
                     new_wl.append(walk if walk else [root])
                     branch = "dead-end"
                 else:
-                    for t in outgoing:
+                    for edge in outgoing:
                         nw = list(walk) if walk else [root]
-                        nw.extend((t.predicate, t.object))
+                        nw.extend(edge)
                         new_wl.append(nw)
                     branch = "default"
             if step_log is not None:
@@ -160,7 +174,7 @@ def random_walks(g: Graph, root: Term, params: WalkParams,
         wl = new_wl
         while len(wl) > params.n:
             wl.pop(rng.randrange(len(wl)))
-    return [Walk(tuple(w)) for w in wl]
+    return [tuple(w) for w in wl]
 
 
 def mid_walks(g: Graph, focus: Term, params: WalkParams,
@@ -172,58 +186,61 @@ def mid_walks(g: Graph, focus: Term, params: WalkParams,
     its successor frontier, so extensions splice on without repeating the
     joining token.
     """
-    if focus not in g.node_set:
-        raise UnknownRoot(serialize_term(focus))
-    if rng is None:
-        rng = _root_rng(params, focus)
+    return [Walk(w, g) for w in _mid_walk_ids(
+        g, _root_id(g, focus), params, rng)]
 
-    walks: list[Walk] = []
+
+def _mid_walk_ids(g: Graph, focus: int, params: WalkParams,
+                  rng: random.Random | None = None) -> list[tuple[int, ...]]:
+    if rng is None:
+        rng = _root_rng(g, params, focus)
+    parts, out_edges, in_edges = g.qt_parts, g.out_edges, g.in_edges
+    qts_by_object = g.qts_by_object
+    alpha, beta = params.alpha, params.beta
+    random_, randrange, choice = rng.random, rng.randrange, rng.choice
+
+    walks: list[tuple[int, ...]] = []
     for _ in range(params.n):
-        walk: list[Term] = [focus]
-        np_node: Term = focus
-        ns_node: Term = focus
+        # the walk is front[::-1] + back; front holds focus's predecessors
+        front: list[int] = []
+        back: list[int] = [focus]
+        np_node = ns_node = focus
         for _ in range(params.d):
-            rand_oq = rng.random()
-            rand_qs = rng.random()
-            backward = rng.randrange(2) == 0
-            if backward:
-                oq_options = qts_with_object(g, np_node)
-                oq = rng.choice(oq_options) if oq_options else None
-                if oq is not None and rand_oq < params.beta:
+            rand_oq = random_()
+            rand_qs = random_()
+            if randrange(2) == 0:  # backward
+                oq_options = qts_by_object[np_node]
+                oq = choice(oq_options) if oq_options else None
+                if oq is not None and rand_oq < beta:
                     # object token is already at the front of the walk
-                    walk[:0] = [oq.subject, oq.predicate]
-                    np_node = oq.subject
+                    s, p, _ = parts[oq]
+                    front += (p, s)
+                    np_node = s
                 else:
-                    incoming = triples_with_object(g, np_node)
+                    incoming = in_edges[np_node]
                     if incoming:
-                        t = rng.choice(incoming)
-                        walk[:0] = [t.subject, t.predicate]
-                        np_node = t.subject
+                        s, p = choice(incoming)
+                        front += (p, s)
+                        np_node = s
             else:
                 qs = _qs_candidate(g, ns_node, rng)
-                if qs is not None and rand_qs < params.alpha:
-                    if qs is ns_node:
-                        walk.extend((qs.subject, qs.predicate, qs.object))
+                if qs is not None and rand_qs < alpha:
+                    s, p, o = parts[qs]
+                    if qs == ns_node:
+                        back += (s, p, o)
                     else:
                         # subject token is already at the end of the walk
-                        walk.extend((qs.predicate, qs.object))
-                    ns_node = qs.object
+                        back += (p, o)
+                    ns_node = o
                 else:
-                    outgoing = triples_with_subject(g, ns_node)
+                    outgoing = out_edges[ns_node]
                     if outgoing:
-                        t = rng.choice(outgoing)
-                        walk.extend((t.predicate, t.object))
-                        ns_node = t.object
-        walks.append(Walk(tuple(walk)))
+                        p, o = choice(outgoing)
+                        back += (p, o)
+                        ns_node = o
+        front.reverse()
+        walks.append(tuple(front + back))
     return walks
-
-
-def _walk_nodes(term: Term):
-    """Subject/object-position terms of a triple part, QTs included."""
-    yield term
-    if isinstance(term, QuotedTriple):
-        yield from _walk_nodes(term.subject)
-        yield from _walk_nodes(term.object)
 
 
 def corpus_roots(g: Graph) -> list[Term]:
@@ -231,25 +248,21 @@ def corpus_roots(g: Graph) -> list[Term]:
 
     Predicate-only IRIs and literals are not roots.
     """
-    roots: set[Term] = set()
-    for t in g.triples:
-        for part in (t.subject, t.object):
-            for node in _walk_nodes(part):
-                if isinstance(node, Iri | QuotedTriple):
-                    roots.add(node)
-    return sorted(roots, key=term_sort_key)
+    return [g.terms[i] for i in g.roots]
 
 
 def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
     """Apply the configured strategy to every root node of the graph.
 
     Each root draws from an independent seeded substream, so the corpus is
-    reproducible regardless of the order roots are processed in.
+    reproducible regardless of the order roots are processed in.  Walks
+    stay id sequences; text appears only when they are written out.
     """
-    walker = random_walks if params.strategy is Strategy.RANDOM_WALK else mid_walks
+    walker = (_random_walk_ids if params.strategy is Strategy.RANDOM_WALK
+              else _mid_walk_ids)
     walks: list[Walk] = []
-    for root in corpus_roots(g):
-        walks.extend(walker(g, root, params))
+    for root in g.roots:
+        walks.extend(Walk(w, g) for w in walker(g, root, params))
     return WalkCorpus(
         walks=tuple(walks),
         params=params,

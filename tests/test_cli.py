@@ -1,6 +1,7 @@
 import pytest
 
 from qtwalk.cli import main, read_manifest
+from qtwalk.parser import MAX_QT_DEPTH
 from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import RDF_TYPE
 from qtwalk.walks import read_corpus_lines
@@ -182,6 +183,44 @@ def test_parse_error_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("this is not turtle", encoding="utf-8")
     assert main(["stats", str(bad)]) == 1
+
+
+def nested_qt_document(depth: int) -> str:
+    """One asserted triple whose subject is a QT nested ``depth`` deep,
+    alternating between the subject and the object side."""
+    term = "<urn:x:a>"
+    for level in range(depth):
+        term = (f"<< {term} <urn:x:p> <urn:x:b> >>" if level % 2 == 0
+                else f"<< <urn:x:b> <urn:x:p> {term} >>")
+    return f"{term} <urn:x:q> <urn:x:c> .\n"
+
+
+def test_qt_deeper_than_limit_is_exit_code_one(tmp_path, capsys):
+    deep = tmp_path / "deep.ttls"
+    deep.write_text(nested_qt_document(1200), encoding="utf-8")
+    for argv in (["stats", str(deep)],
+                 ["walk", str(deep), str(tmp_path / "walks.tsv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qtwalk: error: 1:")
+        assert f"deeper than {MAX_QT_DEPTH}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "walks.tsv").exists()
+
+
+def test_qt_at_depth_limit_passes_stats_and_walk(tmp_path, capsys):
+    assert MAX_QT_DEPTH >= 400
+    deep = tmp_path / "deep.ttls"
+    deep.write_text(nested_qt_document(MAX_QT_DEPTH), encoding="utf-8")
+    assert main(["stats", str(deep)]) == 0
+    assert f"{MAX_QT_DEPTH}-fold-nested QT\t1\n" in capsys.readouterr().out
+    corpus = tmp_path / "walks.tsv"
+    for strategy in ("mid", "random"):
+        assert main(["walk", str(deep), str(corpus), "--walks", "3",
+                     "--depth", "6", "--alpha", "1", "--beta", "1",
+                     "--strategy", strategy]) == 0
+        _, rows = read_corpus_lines(corpus)
+        assert rows
 
 
 def test_unknown_task_is_exit_code_one(tmp_path, fixture_graph, capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtwalk.fixtures import chain_graph, random_graph
 from qtwalk.graph import build_graph
@@ -113,6 +114,43 @@ def test_mid_walks_are_legal_forward_and_backward():
         for root in corpus_roots(g)[:10]:
             for walk in mid_walks(g, root, p):
                 assert legal_walk(walk.tokens, g), walk.texts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph_seed=st.integers(0, 10_000),
+    triples=st.integers(1, 40),
+    qt_probability=st.floats(0.0, 0.8),
+    max_depth=st.integers(1, 4),
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 1.0),
+    n=st.integers(1, 6),
+    d=st.integers(1, 6),
+)
+def test_walk_properties_on_random_graphs(graph_seed, triples, qt_probability,
+                                          max_depth, alpha, beta, n, d):
+    """For both strategies: every walk is legal, mid walks come n per root,
+    random walks at most n per root, and a fixed seed fixes the corpus."""
+    triples = random_graph(graph_seed, triples=triples,
+                           qt_probability=qt_probability, max_depth=max_depth)
+    g = build_graph(triples)
+    roots = corpus_roots(g)
+    for strategy in Strategy:
+        p = WalkParams(strategy=strategy, n=n, d=d, alpha=alpha, beta=beta,
+                       seed=graph_seed)
+        corpus = generate_corpus(g, p)
+        for walk in corpus.walks:
+            assert legal_walk(walk.tokens, g), walk.texts()
+        for root in roots:
+            if strategy is Strategy.MID_WALK:
+                assert len(mid_walks(g, root, p)) == n
+            else:
+                assert 1 <= len(random_walks(g, root, p)) <= n
+        if strategy is Strategy.MID_WALK:
+            assert len(corpus.walks) == n * len(roots)
+        again = generate_corpus(build_graph(list(reversed(triples))), p)
+        assert [w.texts() for w in again.walks] == [
+            w.texts() for w in corpus.walks]
 
 
 # -- structure around quoted triples -----------------------------------------------
