@@ -45,15 +45,16 @@ class Graph:
     ``terms[i]`` is term ``i`` and ``texts[i]`` its canonical string;
     ``texts`` is sorted and ``ids`` inverts it.  ``triple_ids`` are the
     asserted ``triples`` as ids, ``qt_ids`` the sorted ids of all quoted
-    triples and ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.  Per id: ``out_edges`` holds
-    the sorted ``(p, o)`` pairs of the asserted triples with that subject,
-    ``in_edges`` the sorted ``(s, p)`` pairs of those with that object,
-    ``qts_by_subject``/``qts_by_object`` the sorted ids of the quoted
-    triples with that subject/object, ``qt_parts`` the ``(s, p, o)`` of a
-    quoted triple (``None`` for other terms) and ``depths`` its nesting
-    depth (0 for other terms).  ``roots`` are the sorted ids of the IRIs
-    and quoted triples in a subject or object position, at any nesting
-    level.
+    triples and ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
+
+    Per id: ``out_edges`` holds the sorted ``(p, o)`` pairs of the
+    asserted triples with that subject, ``in_edges`` the sorted ``(s, p)``
+    pairs of those with that object, ``qts_by_subject``/``qts_by_object``
+    the sorted ids of the quoted triples with that subject/object,
+    ``qt_parts`` the ``(s, p, o)`` of a quoted triple (``None`` for other
+    terms) and ``depths`` its nesting depth (0 for other terms).  ``roots``
+    are the sorted ids of the IRIs and quoted triples in a subject or
+    object position, at any nesting level.
     """
 
     triples: tuple[Triple, ...]
@@ -219,20 +220,22 @@ def build_graph(triples) -> Graph:
     )
 
 
-def _triples(g: Graph, n: Term, index, make) -> tuple[Triple, ...]:
+def triples_with_subject(g: Graph, n: Term) -> tuple[Triple, ...]:
     i = g.id_of(n)
     if i is None:
         return ()
     terms = g.terms
-    return tuple(make(terms[i], terms[a], terms[b]) for a, b in index[i])
-
-
-def triples_with_subject(g: Graph, n: Term) -> tuple[Triple, ...]:
-    return _triples(g, n, g.out_edges, Triple)
+    return tuple(Triple(terms[i], terms[p], terms[o])
+                 for p, o in g.out_edges[i])
 
 
 def triples_with_object(g: Graph, n: Term) -> tuple[Triple, ...]:
-    return _triples(g, n, g.in_edges, lambda o, s, p: Triple(s, p, o))
+    i = g.id_of(n)
+    if i is None:
+        return ()
+    terms = g.terms
+    return tuple(Triple(terms[s], terms[p], terms[i])
+                 for s, p in g.in_edges[i])
 
 
 def _qts(g: Graph, n: Term, index) -> tuple[QuotedTriple, ...]:
