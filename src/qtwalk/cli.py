@@ -20,8 +20,8 @@ from . import graph as gr
 from . import skipgram as sg
 from . import walks as wk
 from .fixtures import random_graph
-from .parser import ParseError, parse_document
-from .terms import RDF_TYPE, Triple, serialize_triple
+from .parser import ParseError, parse_document, parse_term
+from .terms import RDF_TYPE, Iri, Triple, serialize_triple
 
 
 class InputError(Exception):
@@ -60,6 +60,19 @@ def load_graph(path: str, exclude_predicates: tuple[str, ...] = ()) -> gr.Graph:
         excluded = set(exclude_predicates)
         triples = [t for t in triples if t.predicate.value not in excluded]
     return gr.build_graph(triples)
+
+
+def _excluded_predicates(args) -> tuple[str, ...]:
+    """The ``--exclude-predicate`` IRIs.  Each must be a valid IRI, so none
+    holds the space that separates them in a manifest."""
+    for value in args.exclude_predicate:
+        try:
+            valid = parse_term(f"<{value}>") == Iri(value)
+        except ParseError:
+            valid = False
+        if not valid:
+            raise InputError(f"--exclude-predicate: not an IRI: {value!r}")
+    return tuple(args.exclude_predicate)
 
 
 def write_triples(triples, path: str) -> None:
@@ -104,7 +117,8 @@ def _walk_params(args) -> wk.WalkParams:
 
 
 def cmd_walk(args) -> int:
-    g = load_graph(args.input, tuple(args.exclude_predicate))
+    excluded = _excluded_predicates(args)
+    g = load_graph(args.input, excluded)
     params = _walk_params(args)
     corpus = wk.generate_corpus(g, params)
     wk.write_corpus(corpus, args.output)
@@ -116,7 +130,7 @@ def cmd_walk(args) -> int:
         "alpha": repr(params.alpha),
         "beta": repr(params.beta),
         "walk_seed": str(params.seed),
-        "excluded_predicates": ",".join(args.exclude_predicate),
+        "excluded_predicates": " ".join(excluded),
     })
     return 0
 
@@ -178,30 +192,27 @@ def cmd_eval(args) -> int:
         if task not in _TASKS:
             raise InputError(f"unknown task {task!r}")
     if "classification" in tasks and not args.allow_leak:
-        excluded = manifest.get("excluded_predicates", "").split(",")
+        excluded = manifest.get("excluded_predicates", "").split(" ")
         if RDF_TYPE not in excluded:
             raise InputError(
                 "classification on embeddings trained without excluding "
                 "rdf:type leaks labels; pass --allow-leak to override"
             )
-    echo = {"manifest": manifest}
     reports = []
     for task in tasks:
         path = _gold_path(args.gold_dir, task)
         if task == "classification":
             reports.append(ev.eval_classification(
-                emb, ev.load_labeled_tsv(path), seed=args.seed,
-                config_echo=echo))
+                emb, ev.load_labeled_tsv(path), seed=args.seed))
         elif task == "clustering":
             reports.append(ev.eval_clustering(
-                emb, ev.load_labeled_tsv(path), seed=args.seed,
-                config_echo=echo))
+                emb, ev.load_labeled_tsv(path), seed=args.seed))
         elif task == "relatedness":
             reports.append(ev.eval_relatedness(
-                emb, ev.load_relatedness(path), config_echo=echo))
+                emb, ev.load_relatedness(path)))
         else:
             reports.append(ev.eval_qt_similarity(
-                emb, ev.load_similarity(path), config_echo=echo))
+                emb, ev.load_similarity(path)))
     text = ev.reports_tsv(reports)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -219,16 +230,8 @@ def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
     return sg.train(rows, vocab, cfg)
 
 
-def _model_vectors(model: sg.EmbeddingModel) -> sg.WordVectors:
-    return sg.WordVectors(
-        tokens=model.vocab.tokens,
-        vectors=model.input_vectors,
-        index=dict(model.vocab.index),
-    )
-
-
 def cmd_sweep(args) -> int:
-    g = load_graph(args.input, tuple(args.exclude_predicate))
+    g = load_graph(args.input, _excluded_predicates(args))
     gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
     alphas = [float(x) for x in args.grid_alpha.split(",")] if args.grid_alpha else [args.alpha]
     betas = [float(x) for x in args.grid_beta.split(",")] if args.grid_beta else [args.beta]
@@ -243,8 +246,7 @@ def cmd_sweep(args) -> int:
                 )
                 cfg = _train_config(args)
                 model = run_pipeline(g, params, cfg)
-                report = ev.eval_classification(
-                    _model_vectors(model), gold, seed=args.seed)
+                report = ev.eval_classification(model, gold, seed=args.seed)
                 for metric, value in report.metrics.items():
                     rows.append(
                         f"{alpha!r}\t{beta!r}\t{depth}\tclassification"

@@ -25,7 +25,7 @@ from .terms import (
     Term,
     Triple,
     XSD_INTEGER,
-    term_sort_key,
+    serialize_term,
 )
 
 HAS_PREDICATE = f"{KGC_NS}hasPredicate"
@@ -109,15 +109,8 @@ def collect_scenes(triples) -> tuple[dict[Iri, SceneRecord], list[Triple]]:
     return scenes, passthrough
 
 
-def select_object(rec: SceneRecord) -> Term:
-    """The highest-priority populated object role, else ``owl:Nothing``."""
-    for role in OBJECT_ROLE_PRIORITY:
-        if role in rec.role_map:
-            return rec.role_map[role]
-    return Iri(OWL_NOTHING)
-
-
-def _chosen_object_role(rec: SceneRecord) -> str | None:
+def object_role(rec: SceneRecord) -> str | None:
+    """The highest-priority populated object role, if any."""
     for role in OBJECT_ROLE_PRIORITY:
         if role in rec.role_map:
             return role
@@ -136,7 +129,7 @@ def convert_scene(rec: SceneRecord
     subject = rec.role_map.get("subject", Iri(OWL_NOTHING))
     if isinstance(subject, Literal):
         subject = Iri(OWL_NOTHING)
-    consumed = _chosen_object_role(rec)
+    consumed = object_role(rec)
     obj = rec.role_map[consumed] if consumed else Iri(OWL_NOTHING)
     qt = QuotedTriple(subject, rec.predicate, obj)
 
@@ -151,8 +144,7 @@ def convert_scene(rec: SceneRecord
     return qt, metadata
 
 
-def assign_subjects(qts: list[QuotedTriple],
-                    id_predicate: str = ID_PREDICATE) -> list[Term]:
+def assign_subjects(qts: list[QuotedTriple]) -> list[Term]:
     """Metadata subject for each QT occurrence, in input order.
 
     Combinations occurring more than once get a wrapper QT with a distinct
@@ -168,7 +160,7 @@ def assign_subjects(qts: list[QuotedTriple],
             next_id[qt] = next_id.get(qt, 0) + 1
             wrapper = QuotedTriple(
                 qt,
-                Iri(id_predicate),
+                Iri(ID_PREDICATE),
                 Literal(str(next_id[qt]), datatype=XSD_INTEGER),
             )
             subjects.append(wrapper)
@@ -177,26 +169,13 @@ def assign_subjects(qts: list[QuotedTriple],
     return subjects
 
 
-def disambiguate_duplicates(converted,
-                            id_predicate: str = ID_PREDICATE) -> list[Triple]:
-    """Emit metadata triples with duplicate QTs nested under unique ids."""
-    converted = list(converted)
-    subjects = assign_subjects([qt for qt, _ in converted], id_predicate)
-    out: list[Triple] = []
-    for subject, (_, metadata) in zip(subjects, converted):
-        for pred, obj in metadata:
-            out.append(Triple(subject, pred, obj))
-    return out
-
-
-def convert_document(triples, link_to_wrapper: bool = True,
-                     id_predicate: str = ID_PREDICATE
+def convert_document(triples, link_to_wrapper: bool = True
                      ) -> tuple[list[Triple], ConversionReport]:
     """Full conversion: scenes folded, links resolved, duplicates split."""
     report = ConversionReport()
     scenes, passthrough = collect_scenes(triples)
 
-    ordered = sorted(scenes.values(), key=lambda r: term_sort_key(r.scene_id))
+    ordered = sorted(scenes.values(), key=lambda r: serialize_term(r.scene_id))
     converted: list[tuple[Iri, QuotedTriple, list[tuple[Iri, Term]]]] = []
     for rec in ordered:
         try:
@@ -213,10 +192,10 @@ def convert_document(triples, link_to_wrapper: bool = True,
         )
         converted.append((rec.scene_id, qt, metadata))
 
-    subjects = assign_subjects([qt for _, qt, _ in converted], id_predicate)
+    subjects = assign_subjects([qt for _, qt, _ in converted])
     report.duplicates_disambiguated = sum(
         1 for s in subjects if isinstance(s, QuotedTriple)
-        and s.predicate.value == id_predicate
+        and s.predicate.value == ID_PREDICATE
     )
 
     scene_target: dict[Term, Term] = {}

@@ -17,7 +17,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import kendalltau, pearsonr, spearmanr
 
-from .skipgram import DimensionMismatch, WordVectors
+from .skipgram import DimensionMismatch, EmbeddingModel, WordVectors
+
+# Token -> vector lookup: vectors loaded from a file, or a trained model.
+Vectors = WordVectors | EmbeddingModel
 
 
 class MissingSeed(KeyError):
@@ -56,7 +59,6 @@ class EvalReport:
     task: str
     metrics: dict[str, float]
     details: dict[str, object] = field(default_factory=dict)
-    config_echo: dict[str, object] = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, str, str]]:
         return [(self.task, name, repr(value))
@@ -73,6 +75,12 @@ def reports_tsv(reports) -> str:
 
 # -- gold-standard files -----------------------------------------------------
 
+def _nonempty(path, records: list) -> tuple:
+    if not records:
+        raise ValueError(f"{path}: no records")
+    return tuple(records)
+
+
 def load_labeled_tsv(path) -> LabeledSet:
     records: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -86,7 +94,7 @@ def load_labeled_tsv(path) -> LabeledSet:
                 raise ValueError(f"{path}: duplicate token {token!r}")
             seen.add(token)
             records.append((token, label))
-    return LabeledSet(tuple(records))
+    return LabeledSet(_nonempty(path, records))
 
 
 def load_relatedness(path) -> RelatednessGold:
@@ -118,7 +126,7 @@ def load_relatedness(path) -> RelatednessGold:
                 seed = line.strip()
                 candidates = []
     _flush()
-    return RelatednessGold(tuple(records))
+    return RelatednessGold(_nonempty(path, records))
 
 
 def load_similarity(path) -> SimilarityGold:
@@ -130,7 +138,7 @@ def load_similarity(path) -> SimilarityGold:
                 continue
             qt1, qt2, score = line.split("\t")
             records.append((qt1, qt2, float(score)))
-    return SimilarityGold(tuple(records))
+    return SimilarityGold(_nonempty(path, records))
 
 
 # -- metrics -----------------------------------------------------------------
@@ -284,7 +292,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def _resolve_tokens(emb: WordVectors, tokens) -> tuple[list[str], list[str]]:
+def _resolve_tokens(emb: Vectors, tokens) -> tuple[list[str], list[str]]:
     present = [t for t in tokens if t in emb]
     missing = [t for t in tokens if t not in emb]
     if len(present) < 0.9 * len(tokens):
@@ -297,9 +305,8 @@ def _resolve_tokens(emb: WordVectors, tokens) -> tuple[list[str], list[str]]:
 
 # -- tasks ----------------------------------------------------------------------
 
-def eval_classification(emb: WordVectors, gold: LabeledSet, seed: int = 0,
-                        folds: int = 10, k: int = 3,
-                        config_echo: dict | None = None) -> EvalReport:
+def eval_classification(emb: Vectors, gold: LabeledSet, seed: int = 0,
+                        folds: int = 10, k: int = 3) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens)
     label_of = dict(gold.records)
@@ -324,13 +331,11 @@ def eval_classification(emb: WordVectors, gold: LabeledSet, seed: int = 0,
         task="classification",
         metrics={"accuracy": correct / len(present)},
         details={"missing_tokens": missing, "folds": folds, "k": k},
-        config_echo=dict(config_echo or {}),
     )
 
 
-def eval_clustering(emb: WordVectors, gold: LabeledSet, seed: int = 0,
-                    restarts: int = 10,
-                    config_echo: dict | None = None) -> EvalReport:
+def eval_clustering(emb: Vectors, gold: LabeledSet, seed: int = 0,
+                    restarts: int = 10) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens)
     label_of = dict(gold.records)
@@ -345,12 +350,10 @@ def eval_clustering(emb: WordVectors, gold: LabeledSet, seed: int = 0,
             "adjusted_rand_index": adjusted_rand_index(list(assign), labels),
         },
         details={"missing_tokens": missing, "k": k},
-        config_echo=dict(config_echo or {}),
     )
 
 
-def eval_relatedness(emb: WordVectors, gold: RelatednessGold,
-                     config_echo: dict | None = None) -> EvalReport:
+def eval_relatedness(emb: Vectors, gold: RelatednessGold) -> EvalReport:
     taus: list[float] = []
     for seed_token, candidates in gold.records:
         if seed_token not in emb:
@@ -369,12 +372,10 @@ def eval_relatedness(emb: WordVectors, gold: RelatednessGold,
         task="entity_relatedness",
         metrics={"kendall_tau": float(np.mean(taus))},
         details={"seeds": len(gold.records), "variant": "tau-b"},
-        config_echo=dict(config_echo or {}),
     )
 
 
-def eval_qt_similarity(emb: WordVectors, gold: SimilarityGold,
-                       config_echo: dict | None = None) -> EvalReport:
+def eval_qt_similarity(emb: Vectors, gold: SimilarityGold) -> EvalReport:
     predicted: list[float] = []
     expected: list[float] = []
     for qt1, qt2, score in gold.records:
@@ -390,5 +391,4 @@ def eval_qt_similarity(emb: WordVectors, gold: SimilarityGold,
         task="qt_similarity",
         metrics={"pearson": p, "spearman": s, "harmonic_mean": hmean},
         details={"pairs": len(gold.records), "degenerate": degenerate},
-        config_echo=dict(config_echo or {}),
     )

@@ -1,18 +1,15 @@
 """Immutable indexed store for RDF-star graphs.
 
 ``build_graph`` interns every distinct term once and numbers the terms
-0..N-1 in canonical-string order, which is ``term_sort_key`` order.  The
-indexes are plain per-id tuples over those ints: outgoing ``(p, o)`` and
-incoming ``(s, p)`` pairs of the asserted triples, and every quoted
-triple occurring anywhere in the graph (any nesting level) by its
-subject and object ids, which is what the QT-aware walks need.  Because
+0..N-1 in canonical-string order.  The indexes are plain per-id tuples
+over those ints: outgoing ``(p, o)`` and incoming ``(s, p)`` pairs of the
+asserted triples, and every quoted triple occurring anywhere in the graph
+(any nesting level) by its subject and object ids, which is what the
+QT-aware walks need.  ``Graph.id_of`` maps a term to its id.  Because
 id order is text order, a candidate list sorted by ids is sorted by the
 candidates' canonical text (``<< s p o >>`` for a triple), so candidate
 order, and with it every random draw of a walk, does not depend on the
 order of the input triples.
-
-The term-level accessors (``triples_with_subject`` and the others) are
-thin views that find a term's id through its canonical string.
 """
 
 from __future__ import annotations
@@ -220,45 +217,6 @@ def build_graph(triples) -> Graph:
     )
 
 
-def triples_with_subject(g: Graph, n: Term) -> tuple[Triple, ...]:
-    i = g.id_of(n)
-    if i is None:
-        return ()
-    terms = g.terms
-    return tuple(Triple(terms[i], terms[p], terms[o])
-                 for p, o in g.out_edges[i])
-
-
-def triples_with_object(g: Graph, n: Term) -> tuple[Triple, ...]:
-    i = g.id_of(n)
-    if i is None:
-        return ()
-    terms = g.terms
-    return tuple(Triple(terms[s], terms[p], terms[i])
-                 for s, p in g.in_edges[i])
-
-
-def _qts(g: Graph, n: Term, index) -> tuple[QuotedTriple, ...]:
-    i = g.id_of(n)
-    return () if i is None else tuple(g.terms[q] for q in index[i])
-
-
-def qts_with_subject(g: Graph, n: Term) -> tuple[QuotedTriple, ...]:
-    return _qts(g, n, g.qts_by_subject)
-
-
-def qts_with_object(g: Graph, n: Term) -> tuple[QuotedTriple, ...]:
-    return _qts(g, n, g.qts_by_object)
-
-
-def get_qt(g: Graph, s: Term, p: Term, o: Term) -> QuotedTriple | None:
-    """The quoted triple (s, p, o) if it occurs in the graph, else None."""
-    if not isinstance(p, Iri):
-        return None
-    q = g.qt_lookup.get((g.id_of(s), g.id_of(p), g.id_of(o)))
-    return None if q is None else g.terms[q]
-
-
 @dataclass(frozen=True)
 class GraphStats:
     class_count: int
@@ -272,8 +230,7 @@ class GraphStats:
         return self.standard_triple_count + sum(self.qt_count_by_depth.values())
 
 
-def compute_stats(g: Graph, include_id_nesting: bool = False,
-                  id_predicate: str = ID_PREDICATE) -> GraphStats:
+def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
     """Structural statistics of the graph.
 
     Classes are distinct rdf:type objects, instances distinct rdf:type
@@ -284,7 +241,7 @@ def compute_stats(g: Graph, include_id_nesting: bool = False,
     ``include_id_nesting`` is set.
     """
     rdf_type = g.ids.get(f"<{RDF_TYPE}>")
-    id_pred = g.ids.get(f"<{id_predicate}>")
+    id_pred = g.ids.get(f"<{ID_PREDICATE}>")
     parts = g.qt_parts
     classes: set[int] = set()
     instances: set[int] = set()

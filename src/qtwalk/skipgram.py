@@ -79,6 +79,11 @@ def build_vocabulary(corpus_rows, min_count: int = 1) -> Vocabulary:
     )
 
 
+# The exact softmax scores the whole vocabulary for every pair, so it is
+# only offered as a verification path on small vocabularies.
+FULL_SOFTMAX_CAP = 2000
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     dim: int = 100
@@ -90,7 +95,6 @@ class TrainConfig:
     seed: int = 0
     mode: Mode = Mode.CLASSIC
     softmax_mode: SoftmaxMode = SoftmaxMode.NEGATIVE_SAMPLING
-    full_softmax_cap: int = 2000
 
     def __post_init__(self):
         if min(self.dim, self.window, self.negatives) <= 0:
@@ -116,7 +120,10 @@ class EmbeddingModel:
             return 0
         return position_slot(relative_position, self.window)
 
-    def vector(self, token: str) -> np.ndarray:
+    def __contains__(self, token: str) -> bool:
+        return token in self.vocab.index
+
+    def __getitem__(self, token: str) -> np.ndarray:
         return self.input_vectors[self.vocab.index[token]]
 
 
@@ -319,9 +326,9 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     model = _init_model(vocab, cfg)
     if len(centers) == 0 or cfg.epochs == 0:
         return model
-    if cfg.softmax_mode is SoftmaxMode.FULL_SOFTMAX and len(vocab) > cfg.full_softmax_cap:
+    if cfg.softmax_mode is SoftmaxMode.FULL_SOFTMAX and len(vocab) > FULL_SOFTMAX_CAP:
         raise ValueError(
-            f"full softmax limited to {cfg.full_softmax_cap} tokens, "
+            f"full softmax limited to {FULL_SOFTMAX_CAP} tokens, "
             f"vocabulary has {len(vocab)}"
         )
     if cfg.mode is Mode.CLASSIC:

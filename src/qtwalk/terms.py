@@ -106,15 +106,6 @@ def serialize_triple(t: Triple) -> str:
     )
 
 
-def term_sort_key(t: Term) -> str:
-    """Stable ordering key; used everywhere candidate order matters.
-
-    It is the canonical string, so sorting by it is the order in which
-    ``graph.build_graph`` numbers a graph's terms.
-    """
-    return serialize_term(t)
-
-
 def qt_depth(t: Term) -> int:
     """Nesting depth of a quoted triple; non-QT terms have depth 0."""
     if not isinstance(t, QuotedTriple):

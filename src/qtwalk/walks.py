@@ -1,6 +1,7 @@
 """Quoted-triple-aware walk corpus generation.
 
-Two strategies over an indexed RDF-star graph:
+Two strategies over an indexed RDF-star graph, each rooted at a term id
+(``Graph.roots`` lists the ids ``generate_corpus`` walks from):
 
 * random walks: breadth-wise expansion from a root, trimmed to at most
   ``n`` partial walks after each depth iteration;
@@ -24,16 +25,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .graph import Graph
-from .terms import Term, serialize_term
+from .terms import Term
 
 
 class Strategy(Enum):
     RANDOM_WALK = "random"
     MID_WALK = "mid"
-
-
-class UnknownRoot(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,6 @@ def _root_rng(g: Graph, params: WalkParams, root: int) -> random.Random:
     return random.Random(_derive_seed(params.seed, g.texts[root]))
 
 
-def _root_id(g: Graph, root: Term) -> int:
-    i = g.id_of(root)
-    if i is None:
-        raise UnknownRoot(serialize_term(root))
-    return i
-
-
 def _qs_candidate(g: Graph, node: int, rng: random.Random) -> int | None:
     """QT whose decomposition may follow ``node`` in a walk.
 
@@ -104,19 +94,11 @@ def _qs_candidate(g: Graph, node: int, rng: random.Random) -> int | None:
     return rng.choice(candidates) if candidates else None
 
 
-def random_walks(g: Graph, root: Term, params: WalkParams,
-                 rng: random.Random | None = None,
+def random_walks(g: Graph, root: int, params: WalkParams,
                  step_log: list | None = None) -> list[Walk]:
-    """Walks rooted at ``root`` per the combined random-walk procedure."""
-    return [Walk(w, g) for w in _random_walk_ids(
-        g, _root_id(g, root), params, rng, step_log)]
-
-
-def _random_walk_ids(g: Graph, root: int, params: WalkParams,
-                     rng: random.Random | None = None,
-                     step_log: list | None = None) -> list[tuple[int, ...]]:
-    if rng is None:
-        rng = _root_rng(g, params, root)
+    """Walks rooted at term id ``root`` per the combined random-walk
+    procedure."""
+    rng = _root_rng(g, params, root)
     parts, out_edges, qt_lookup = g.qt_parts, g.out_edges, g.qt_lookup
 
     wl: list[list[int]] = [[]]
@@ -174,32 +156,24 @@ def _random_walk_ids(g: Graph, root: int, params: WalkParams,
         wl = new_wl
         while len(wl) > params.n:
             wl.pop(rng.randrange(len(wl)))
-    return [tuple(w) for w in wl]
+    return [Walk(tuple(w), g) for w in wl]
 
 
-def mid_walks(g: Graph, focus: Term, params: WalkParams,
-              rng: random.Random | None = None) -> list[Walk]:
-    """``n`` walks grown around ``focus``, extending either end per depth
-    iteration.
+def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
+    """``n`` walks grown around term id ``focus``, extending either end per
+    depth iteration.
 
     The walk always starts at its current predecessor frontier and ends at
     its successor frontier, so extensions splice on without repeating the
     joining token.
     """
-    return [Walk(w, g) for w in _mid_walk_ids(
-        g, _root_id(g, focus), params, rng)]
-
-
-def _mid_walk_ids(g: Graph, focus: int, params: WalkParams,
-                  rng: random.Random | None = None) -> list[tuple[int, ...]]:
-    if rng is None:
-        rng = _root_rng(g, params, focus)
+    rng = _root_rng(g, params, focus)
     parts, out_edges, in_edges = g.qt_parts, g.out_edges, g.in_edges
     qts_by_object = g.qts_by_object
     alpha, beta = params.alpha, params.beta
     random_, randrange, choice = rng.random, rng.randrange, rng.choice
 
-    walks: list[tuple[int, ...]] = []
+    walks: list[Walk] = []
     for _ in range(params.n):
         # the walk is front[::-1] + back; front holds focus's predecessors
         front: list[int] = []
@@ -239,7 +213,7 @@ def _mid_walk_ids(g: Graph, focus: int, params: WalkParams,
                         back += (p, o)
                         ns_node = o
         front.reverse()
-        walks.append(tuple(front + back))
+        walks.append(Walk(tuple(front + back), g))
     return walks
 
 
@@ -258,11 +232,11 @@ def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
     reproducible regardless of the order roots are processed in.  Walks
     stay id sequences; text appears only when they are written out.
     """
-    walker = (_random_walk_ids if params.strategy is Strategy.RANDOM_WALK
-              else _mid_walk_ids)
+    walker = (random_walks if params.strategy is Strategy.RANDOM_WALK
+              else mid_walks)
     walks: list[Walk] = []
     for root in g.roots:
-        walks.extend(Walk(w, g) for w in walker(g, root, params))
+        walks.extend(walker(g, root, params))
     return WalkCorpus(
         walks=tuple(walks),
         params=params,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from qtwalk.cli import main, run_pipeline, _model_vectors
+from qtwalk.cli import main, run_pipeline
 from qtwalk.evaluate import (
     clustering_accuracy,
     eval_classification,
@@ -28,7 +28,7 @@ from qtwalk.evaluate import (
     spearman,
 )
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import build_graph, compute_stats, triples_with_subject
+from qtwalk.graph import build_graph, compute_stats
 from qtwalk.parser import ParseError, parse_document
 from qtwalk.skipgram import (
     Mode,
@@ -38,7 +38,7 @@ from qtwalk.skipgram import (
     load_embeddings,
 )
 from qtwalk.terms import QuotedTriple, RDF_TYPE, serialize_term, serialize_triple
-from qtwalk.walks import Strategy, WalkParams, corpus_roots, random_walks
+from qtwalk.walks import Strategy, WalkParams, random_walks
 
 from test_cli import run_walk_train, write_gold
 from test_evaluate import (
@@ -93,7 +93,7 @@ def test_criterion_1_dataset_statistics_exact():
 def test_criterion_2_plain_mode_equals_independent_walker():
     g = build_graph(random_graph(0, triples=20, qt_probability=0.3))
     asserted = {(t.subject, t.predicate, t.object) for t in g.triples}
-    roots = corpus_roots(g)
+    roots = g.roots
     depth = 4
     samples = 10_000
 
@@ -115,13 +115,17 @@ def test_criterion_2_plain_mode_equals_independent_walker():
         for token in walk.texts():
             ours[token] = ours.get(token, 0) + 1
 
+    # the independent walker reads only the asserted triples, no index
+    by_subject: dict = {}
+    for t in g.triples:
+        by_subject.setdefault(t.subject, []).append(t)
     theirs: dict[str, int] = {}
     rng = random.Random(987654321)
     for i in range(samples):
-        cur = roots[i % len(roots)]
+        cur = g.terms[roots[i % len(roots)]]
         walk = [cur]
         for _ in range(depth):
-            outgoing = triples_with_subject(g, cur)
+            outgoing = by_subject.get(cur)
             if not outgoing:
                 break
             t = outgoing[rng.randrange(len(outgoing))]
@@ -147,7 +151,7 @@ def _pipeline_tau(g, alpha, beta, seed, gold):
                         alpha=alpha, beta=beta, seed=seed)
     cfg = TrainConfig(dim=100, window=5, epochs=5, seed=seed)
     model = run_pipeline(g, params, cfg)
-    report = eval_relatedness(_model_vectors(model), gold)
+    report = eval_relatedness(model, gold)
     return report.metrics["kendall_tau"]
 
 
@@ -170,7 +174,7 @@ def _classification_accuracy(g, gold_file, seed=0):
                       mode=Mode.STRUCTURED)
     model = run_pipeline(g, params, cfg)
     report = eval_classification(
-        _model_vectors(model), load_labeled_tsv(gold_file), seed=seed
+        model, load_labeled_tsv(gold_file), seed=seed
     )
     return report.metrics["accuracy"]
 
@@ -199,7 +203,7 @@ def test_criterion_5_sweep_shape():
                               mode=Mode.STRUCTURED)
             model = run_pipeline(g, params, cfg)
             accs.append(eval_classification(
-                _model_vectors(model), load_labeled_tsv(gold_file), seed=seed
+                model, load_labeled_tsv(gold_file), seed=seed
             ).metrics["accuracy"])
         return sum(accs) / len(accs)
 

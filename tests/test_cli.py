@@ -112,6 +112,67 @@ def test_label_leak_guard(tmp_path, fixture_graph, capsys):
                  "--tasks", "clustering"]) == 0
 
 
+def test_leak_guard_holds_for_iri_with_comma(tmp_path, fixture_graph,
+                                             capsys):
+    # a comma is legal inside an IRI, so this excludes one predicate that
+    # is not rdf:type; the manifest must not read as excluding rdf:type
+    graph = tmp_path / "typed.ttls"
+    graph.write_text(fixture_graph.read_text(encoding="utf-8") + "".join(
+        f"<urn:t:a{i}> <{RDF_TYPE}> <urn:t:C> .\n" for i in range(3)),
+        encoding="utf-8")
+    corpus = tmp_path / "walks.tsv"
+    emb = tmp_path / "vectors.tsv"
+    assert main(["walk", str(graph), str(corpus), *small_walk_flags(),
+                 "--exclude-predicate", f"urn:x,{RDF_TYPE}"]) == 0
+    _, rows = read_corpus_lines(corpus)
+    assert any(f"<{RDF_TYPE}>" in row for row in rows)
+    assert main(["train", str(corpus), str(emb), *small_train_flags()]) == 0
+    gold_dir = write_gold(tmp_path, emb)
+    args = ["eval", str(emb), "--gold-dir", str(gold_dir),
+            "--tasks", "classification"]
+    assert main(args) == 1
+    assert "leak" in capsys.readouterr().err
+
+    # several excluded IRIs, rdf:type among them, pass the guard
+    assert main(["walk", str(graph), str(corpus), *small_walk_flags(),
+                 "--exclude-predicate", "urn:x,y",
+                 "--exclude-predicate", RDF_TYPE]) == 0
+    _, rows = read_corpus_lines(corpus)
+    assert not any(f"<{RDF_TYPE}>" in row for row in rows)
+    assert main(["train", str(corpus), str(emb), *small_train_flags()]) == 0
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("value", [
+    f"urn:x {RDF_TYPE}", "urn:x\ny", "urn:x>", "urn:<x>", "urn:x\\y",
+    "< <urn:a> <urn:p> <urn:b> >",
+])
+def test_exclude_predicate_must_be_an_iri(tmp_path, fixture_graph, capsys,
+                                          value):
+    corpus = tmp_path / "walks.tsv"
+    for command in (["walk", str(fixture_graph), str(corpus)],
+                    ["sweep", str(fixture_graph), "--gold-dir",
+                     str(tmp_path)]):
+        assert main([*command, "--exclude-predicate", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qtwalk: error: --exclude-predicate")
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("content", ["", "# only a comment\n"])
+@pytest.mark.parametrize("task", ["classification", "clustering",
+                                  "relatedness", "qt_similarity"])
+def test_empty_gold_file_is_exit_code_one(tmp_path, fixture_graph, capsys,
+                                          task, content):
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    gold = gold_dir / f"{task}.tsv"
+    gold.write_text(content, encoding="utf-8")
+    assert main(["eval", str(emb), "--gold-dir", str(gold_dir),
+                 "--tasks", task]) == 1
+    assert capsys.readouterr().err == f"qtwalk: error: {gold}: no records\n"
+
+
 def test_pipeline_is_byte_reproducible(tmp_path, fixture_graph):
     out = []
     for run in ("one", "two"):

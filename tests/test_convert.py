@@ -6,8 +6,8 @@ from qtwalk.convert import (
     assign_subjects,
     collect_scenes,
     convert_document,
-    disambiguate_duplicates,
-    select_object,
+    convert_scene,
+    object_role,
 )
 from qtwalk.parser import parse_document
 from qtwalk.terms import (
@@ -49,23 +49,32 @@ def scene(name: str, predicate: str, **roles) -> SceneRecord:
 
 # -- object-role selection -------------------------------------------------------
 
+def scene_object(rec: SceneRecord):
+    return convert_scene(rec)[0].object
+
+
 def test_object_priority_prefers_what():
     rec = scene("1", "see", what=("bed"), where=("room"))
-    assert select_object(rec) == kd("bed")
+    assert object_role(rec) == "what"
+    assert scene_object(rec) == kd("bed")
 
 
 def test_object_priority_falls_through_in_order():
     rec = scene("2", "meet", whom="Julia", on="road", to="town", frm="home")
-    assert select_object(rec) == kd("Julia")
+    assert object_role(rec) == "whom"
+    assert scene_object(rec) == kd("Julia")
     del rec.role_map["whom"]
-    assert select_object(rec) == kd("road")
+    assert object_role(rec) == "on"
+    assert scene_object(rec) == kd("road")
     del rec.role_map["on"]
-    assert select_object(rec) == kd("town")
+    assert object_role(rec) == "to"
+    assert scene_object(rec) == kd("town")
 
 
 def test_object_priority_exhausted_yields_nothing():
     rec = scene("3", "sleep")
-    assert select_object(rec) == Iri(OWL_NOTHING)
+    assert object_role(rec) is None
+    assert scene_object(rec) == Iri(OWL_NOTHING)
 
 
 # -- full-document conversion -----------------------------------------------------
@@ -171,12 +180,17 @@ def test_duplicates_get_distinct_integer_ids_in_order():
 
 
 def test_disambiguated_metadata_round_trips_multiset():
-    dup = QuotedTriple(kd("a"), kp("p"), kd("b"))
-    converted = [
-        (dup, [(kgc("when"), kd("t1"))]),
-        (dup, [(kgc("when"), kd("t2"))]),
-    ]
-    out = disambiguate_duplicates(converted)
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    kdsb:1 kgc:hasPredicate kdp:p ; kgc:subject kdsb:a ; kgc:what kdsb:b ;
+        kgc:when kdsb:t1 .
+    kdsb:2 kgc:hasPredicate kdp:p ; kgc:subject kdsb:a ; kgc:what kdsb:b ;
+        kgc:when kdsb:t2 .
+    """
+    out, report = convert_document(parse_document(doc))
+    assert report.duplicates_disambiguated == 2
     # each metadata pair survives exactly once, under distinct subjects
     assert Counter((t.predicate, t.object) for t in out) == Counter(
         [(kgc("when"), kd("t1")), (kgc("when"), kd("t2"))]

@@ -31,7 +31,15 @@ from qtwalk.evaluate import (
     spearman,
     stratified_folds,
 )
-from qtwalk.skipgram import DimensionMismatch, WordVectors
+from qtwalk.skipgram import (
+    DimensionMismatch,
+    TrainConfig,
+    WordVectors,
+    build_vocabulary,
+    load_embeddings,
+    save_embeddings,
+    train,
+)
 
 
 def vectors(mapping: dict[str, list[float]]) -> WordVectors:
@@ -426,3 +434,26 @@ def test_reports_tsv_one_line_per_metric():
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("classification\taccuracy\t")
+
+
+def test_trained_model_scores_like_its_saved_file(tmp_path):
+    # the eval tasks take a trained model as it is, and score it exactly
+    # as the embedding file it saves
+    rng = random.Random(0)
+    rows = [[f"g{r % 3}t{rng.randrange(10)}" for _ in range(8)]
+            for r in range(120)]
+    model = train(rows, build_vocabulary(rows),
+                  TrainConfig(dim=8, window=2, epochs=2, seed=1))
+    path = tmp_path / "vectors.tsv"
+    save_embeddings(model, path)
+    loaded = load_embeddings(path)
+    tokens = sorted(model.vocab.tokens)
+    labeled = LabeledSet(tuple((t, t[:2]) for t in tokens))
+    related = RelatednessGold(((tokens[0], tuple(tokens[1:11])),))
+    similar = SimilarityGold(tuple(
+        (a, b, float(i)) for i, (a, b) in enumerate(zip(tokens, tokens[5:]))))
+    for task, gold in ((eval_classification, labeled),
+                       (eval_clustering, labeled),
+                       (eval_relatedness, related),
+                       (eval_qt_similarity, similar)):
+        assert task(model, gold) == task(loaded, gold)

@@ -1,17 +1,7 @@
 import random
 
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import (
-    build_graph,
-    compute_stats,
-    get_qt,
-    qts_with_object,
-    qts_with_subject,
-    stats_rows,
-    stats_tsv,
-    triples_with_object,
-    triples_with_subject,
-)
+from qtwalk.graph import build_graph, compute_stats, stats_rows, stats_tsv
 from qtwalk.parser import parse_document
 from qtwalk.terms import (
     ID_PREDICATE,
@@ -24,26 +14,42 @@ from qtwalk.terms import (
 from conftest import iri
 
 
+def out_triples(g, i):
+    """The asserted triples with subject id ``i``, from ``out_edges``."""
+    terms = g.terms
+    return tuple(Triple(terms[i], terms[p], terms[o])
+                 for p, o in g.out_edges[i])
+
+
+def in_triples(g, i):
+    """The asserted triples with object id ``i``, from ``in_edges``."""
+    terms = g.terms
+    return tuple(Triple(terms[s], terms[p], terms[i])
+                 for s, p in g.in_edges[i])
+
+
+def qts(g, index, i):
+    return tuple(g.terms[q] for q in index[i])
+
+
 def test_nested_example_indexes(nested_example):
     g = nested_example["graph"]
     inner, outer = nested_example["inner"], nested_example["outer"]
-    assert qts_with_subject(g, nested_example["e2"]) == (inner,)
-    assert qts_with_object(g, nested_example["e3"]) == (inner,)
-    assert qts_with_subject(g, inner) == (outer,)
-    assert qts_with_object(g, nested_example["e4"]) == (outer,)
-    assert triples_with_subject(g, nested_example["e1"]) == (
+    ids = {name: g.id_of(term) for name, term in nested_example.items()
+           if name not in ("graph", "triples")}
+    assert qts(g, g.qts_by_subject, ids["e2"]) == (inner,)
+    assert qts(g, g.qts_by_object, ids["e3"]) == (inner,)
+    assert qts(g, g.qts_by_subject, ids["inner"]) == (outer,)
+    assert qts(g, g.qts_by_object, ids["e4"]) == (outer,)
+    assert out_triples(g, ids["e1"]) == (
         Triple(nested_example["e1"], nested_example["r1"], outer),
     )
-    assert triples_with_object(g, nested_example["e7"]) == (
+    assert in_triples(g, ids["e7"]) == (
         Triple(outer, nested_example["r6"], nested_example["e7"]),
     )
-    assert qts_with_subject(g, iri("unknown")) == ()
-    assert get_qt(g, nested_example["e2"], nested_example["r2"],
-                  nested_example["e3"]) is inner or get_qt(
-        g, nested_example["e2"], nested_example["r2"], nested_example["e3"]
-    ) == inner
-    assert get_qt(g, nested_example["e2"], nested_example["r2"],
-                  nested_example["e4"]) is None
+    assert g.id_of(iri("unknown")) is None
+    assert g.terms[g.qt_lookup[(ids["e2"], ids["r2"], ids["e3"])]] == inner
+    assert (ids["e2"], ids["r2"], ids["e4"]) not in g.qt_lookup
 
 
 def test_build_graph_deduplicates():
@@ -91,17 +97,24 @@ def test_indexes_agree_with_linear_scan():
                         all_qts.add(sub)
         assert set(g.qt_set) == all_qts
 
-        for node in g.node_set:
-            assert set(triples_with_subject(g, node)) == {
+        assert {q: g.terms[i] for q, i in g.qt_lookup.items()} == {
+            tuple(g.id_of(part) for part in (q.subject, q.predicate,
+                                             q.object)): q
+            for q in all_qts
+        }
+
+        for i, node in enumerate(g.terms):
+            assert g.ids[g.texts[i]] == i
+            assert set(out_triples(g, i)) == {
                 t for t in dedup if t.subject == node
             }
-            assert set(triples_with_object(g, node)) == {
+            assert set(in_triples(g, i)) == {
                 t for t in dedup if t.object == node
             }
-            assert set(qts_with_subject(g, node)) == {
+            assert set(qts(g, g.qts_by_subject, i)) == {
                 q for q in all_qts if q.subject == node
             }
-            assert set(qts_with_object(g, node)) == {
+            assert set(qts(g, g.qts_by_object, i)) == {
                 q for q in all_qts if q.object == node
             }
 
@@ -113,9 +126,10 @@ def test_index_tuples_are_deterministically_ordered():
     shuffled = list(triples)
     rng.shuffle(shuffled)
     g2 = build_graph(shuffled)
-    for node in g1.node_set:
-        assert triples_with_subject(g1, node) == triples_with_subject(g2, node)
-        assert qts_with_object(g1, node) == qts_with_object(g2, node)
+    assert g1.texts == g2.texts
+    for i in range(len(g1.terms)):
+        assert out_triples(g1, i) == out_triples(g2, i)
+        assert qts(g1, g1.qts_by_object, i) == qts(g2, g2.qts_by_object, i)
 
 
 # -- statistics ----------------------------------------------------------------

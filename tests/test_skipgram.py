@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtwalk.skipgram import (
+    FULL_SOFTMAX_CAP,
     MAX_BATCH,
     DimensionMismatch,
     EmptyCorpus,
@@ -179,7 +180,7 @@ def test_tokens_sharing_contexts_end_up_closer():
     model = train(rows, v, cfg(dim=8, window=1, epochs=20, seed=3))
 
     def cos(s, t):
-        u, w = model.vector(s), model.vector(t)
+        u, w = model[s], model[t]
         return float(u @ w / (np.linalg.norm(u) * np.linalg.norm(w)))
 
     assert cos("x", "y") > cos("x", "p")
@@ -212,12 +213,11 @@ def test_empty_vocabulary_raises():
         train([], build_vocabulary([]), cfg())
 
 
-def test_full_softmax_capped_by_vocabulary_size():
-    rows = [[f"t{i}" for i in range(30)]]
+def test_full_softmax_limited_by_vocabulary_size():
+    rows = [[f"t{i}" for i in range(FULL_SOFTMAX_CAP + 1)]]
     v = build_vocabulary(rows)
-    with pytest.raises(ValueError):
-        train(rows, v, cfg(softmax_mode=SoftmaxMode.FULL_SOFTMAX,
-                           full_softmax_cap=10))
+    with pytest.raises(ValueError, match="full softmax limited"):
+        train(rows, v, cfg(softmax_mode=SoftmaxMode.FULL_SOFTMAX))
 
 
 def test_negative_sampling_agrees_with_full_softmax_rankings():
@@ -290,7 +290,7 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
     assert _batch_size(contexts, _noise_probabilities(v), 10) < 128
     model = train(rows, v, cfg(dim=16, window=2, epochs=3, negatives=10))
     tokens = [t for t in v.tokens if t != "hot"]
-    x = np.array([model.vector(t) for t in tokens])
+    x = np.array([model[t] for t in tokens])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     sims = x @ x.T
     np.fill_diagonal(sims, -np.inf)

@@ -8,7 +8,6 @@ from qtwalk.graph import build_graph
 from qtwalk.terms import Iri, QuotedTriple, Term, Triple
 from qtwalk.walks import (
     Strategy,
-    UnknownRoot,
     Walk,
     WalkParams,
     corpus_roots,
@@ -101,7 +100,7 @@ def test_random_walks_are_legal(alpha, beta):
     for seed in range(4):
         g = build_graph(random_graph(seed, triples=40, qt_probability=0.4))
         p = params(alpha=alpha, beta=beta, n=30, d=6, seed=seed)
-        for root in corpus_roots(g)[:20]:
+        for root in g.roots[:20]:
             for walk in random_walks(g, root, p):
                 assert legal_walk(walk.tokens, g), walk.texts()
 
@@ -111,7 +110,7 @@ def test_mid_walks_are_legal_forward_and_backward():
         g = build_graph(random_graph(seed, triples=40, qt_probability=0.4))
         p = params(strategy=Strategy.MID_WALK, alpha=0.5, beta=0.5,
                    n=10, d=5, seed=seed)
-        for root in corpus_roots(g)[:10]:
+        for root in g.roots[:10]:
             for walk in mid_walks(g, root, p):
                 assert legal_walk(walk.tokens, g), walk.texts()
 
@@ -134,7 +133,7 @@ def test_walk_properties_on_random_graphs(graph_seed, triples, qt_probability,
     triples = random_graph(graph_seed, triples=triples,
                            qt_probability=qt_probability, max_depth=max_depth)
     g = build_graph(triples)
-    roots = corpus_roots(g)
+    roots = g.roots
     for strategy in Strategy:
         p = WalkParams(strategy=strategy, n=n, d=d, alpha=alpha, beta=beta,
                        seed=graph_seed)
@@ -158,7 +157,7 @@ def test_walk_properties_on_random_graphs(graph_seed, triples, qt_probability,
 def test_plain_mode_keeps_qts_opaque(nested_example):
     g = nested_example["graph"]
     p = params(alpha=0.0, beta=0.0, n=50, d=6)
-    walks = random_walks(g, nested_example["e1"], p)
+    walks = random_walks(g, g.id_of(nested_example["e1"]), p)
     expected = (
         nested_example["e1"], nested_example["r1"], nested_example["outer"],
         nested_example["r6"], nested_example["e7"],
@@ -173,7 +172,7 @@ def test_plain_mode_keeps_qts_opaque(nested_example):
 def test_decomposition_exposes_qt_components(nested_example):
     g = nested_example["graph"]
     p = params(alpha=1.0, beta=0.0, n=400, d=6)
-    walks = random_walks(g, nested_example["e1"], p)
+    walks = random_walks(g, g.id_of(nested_example["e1"]), p)
     flat = [w.tokens for w in walks]
     outer, inner = nested_example["outer"], nested_example["inner"]
     # the outer QT decomposes into (inner, r3, e4) right after it
@@ -187,7 +186,7 @@ def test_decomposition_exposes_qt_components(nested_example):
 def test_object_to_qt_hop_from_root(nested_example):
     g = nested_example["graph"]
     p = params(alpha=0.0, beta=1.0, n=50, d=4)
-    walks = random_walks(g, nested_example["e4"], p)
+    walks = random_walks(g, g.id_of(nested_example["e4"]), p)
     # e4 sits in the object role of the outer QT, so every walk hops there
     for w in walks:
         assert w.tokens[:2] == (nested_example["e4"], nested_example["outer"])
@@ -204,8 +203,8 @@ def test_hop_has_priority_over_decomposition():
         Triple(q_subj, iri("m2"), iri("y")),
     ])
     log: list[dict] = []
-    walks = random_walks(g, e, params(alpha=1.0, beta=1.0, n=20, d=1),
-                         step_log=log)
+    walks = random_walks(g, g.id_of(e),
+                         params(alpha=1.0, beta=1.0, n=20, d=1), step_log=log)
     assert log[0]["oq_possible"] and log[0]["qs_possible"]
     assert log[0]["branch"] == "oq"
     assert all(w.tokens[:2] == (e, q_obj) for w in walks)
@@ -214,7 +213,8 @@ def test_hop_has_priority_over_decomposition():
 def test_step_log_records_draws(nested_example):
     g = nested_example["graph"]
     log: list[dict] = []
-    random_walks(g, nested_example["e1"], params(n=10, d=3), step_log=log)
+    random_walks(g, g.id_of(nested_example["e1"]), params(n=10, d=3),
+                 step_log=log)
     for entry in log:
         assert 0.0 <= entry["rand_oq"] < 1.0
         assert 0.0 <= entry["rand_qs"] < 1.0
@@ -226,28 +226,21 @@ def test_step_log_records_draws(nested_example):
 def test_walk_count_never_exceeds_n():
     g = build_graph(random_graph(5, triples=80, qt_probability=0.4))
     p = params(n=7, d=6, alpha=0.7, beta=0.7)
-    for root in corpus_roots(g)[:25]:
+    for root in g.roots[:25]:
         assert len(random_walks(g, root, p)) <= 7
 
 
 def test_isolated_root_walks_to_itself():
     lone = iri("lone")
     g = build_graph([Triple(iri("a"), iri("p"), lone)])
-    walks = random_walks(g, lone, params(alpha=0.0, beta=0.0, n=5, d=4))
+    walks = random_walks(g, g.id_of(lone),
+                         params(alpha=0.0, beta=0.0, n=5, d=4))
     assert [w.tokens for w in walks] == [(lone,)]
-    mids = mid_walks(g, lone, params(strategy=Strategy.MID_WALK, alpha=0.0,
-                                     beta=0.0, n=3, d=4))
+    mids = mid_walks(g, g.id_of(lone), params(
+        strategy=Strategy.MID_WALK, alpha=0.0, beta=0.0, n=3, d=4))
     # backward extension is still possible via the incoming triple
     for w in mids:
         assert w.tokens[-1] == lone
-
-
-def test_unknown_root_raises():
-    g = build_graph(chain_graph(3))
-    with pytest.raises(UnknownRoot):
-        random_walks(g, iri("ghost"), params())
-    with pytest.raises(UnknownRoot):
-        mid_walks(g, iri("ghost"), params(strategy=Strategy.MID_WALK))
 
 
 def test_same_seed_same_corpus_different_seed_differs():
@@ -264,7 +257,7 @@ def test_same_seed_same_corpus_different_seed_differs():
 def test_mid_walk_count_is_exactly_n():
     g = build_graph(chain_graph(10))
     p = params(strategy=Strategy.MID_WALK, n=13, d=4)
-    assert len(mid_walks(g, iri("x") if False else Iri("urn:fixture:c5"), p)) == 13
+    assert len(mid_walks(g, g.id_of(Iri("urn:fixture:c5")), p)) == 13
 
 
 def test_corpus_roots_exclude_literals_and_predicates():
