@@ -3,7 +3,9 @@
 Every artifact is accompanied by a ``<artifact>.manifest`` TSV recording
 the graph fingerprint and the parameters that produced it, so downstream
 commands can verify provenance (notably the label-leak guard for the
-classification task).
+classification task).  A manifest also records the sha256 of its
+artifact; ``train`` and ``eval`` refuse an input whose manifest records
+another hash, and ignore a manifest that records none.
 
 Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 """
@@ -11,6 +13,8 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -30,10 +34,25 @@ class InputError(Exception):
 
 # -- manifests ---------------------------------------------------------------
 
+def _replace_atomically(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it
+    over ``path``: readers see the old file or the whole new one."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_manifest(path: Path, entries: dict[str, str]) -> None:
-    with open(str(path) + ".manifest", "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}\t{value}\n")
+    text = "".join(f"{key}\t{value}\n" for key, value in entries.items())
+    _replace_atomically(Path(str(path) + ".manifest"),
+                        lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def read_manifest(path: Path) -> dict[str, str]:
@@ -46,6 +65,19 @@ def read_manifest(path: Path) -> dict[str, str]:
             key, _, value = line.rstrip("\n").partition("\t")
             entries[key] = value
     return entries
+
+
+def read_bound_manifest(path) -> dict[str, str]:
+    """``path``'s manifest if it records the sha256 of ``path``; empty if it
+    records none, since a manifest not bound to its file vouches for
+    nothing."""
+    manifest = read_manifest(Path(path))
+    recorded = manifest.get("artifact_sha256")
+    if recorded is None:
+        return {}
+    if recorded != _file_sha256(path):
+        raise InputError(f"{path}: manifest describes a different file")
+    return manifest
 
 
 # -- shared loading -----------------------------------------------------------
@@ -121,8 +153,9 @@ def cmd_walk(args) -> int:
     g = load_graph(args.input, excluded)
     params = _walk_params(args)
     corpus = wk.generate_corpus(g, params)
-    wk.write_corpus(corpus, args.output)
-    write_manifest(Path(args.output), {
+    output = Path(args.output)
+    _replace_atomically(output, lambda tmp: wk.write_corpus(corpus, tmp))
+    write_manifest(output, {
         "graph_fingerprint": corpus.graph_fingerprint,
         "strategy": params.strategy.value,
         "n": str(params.n),
@@ -131,6 +164,7 @@ def cmd_walk(args) -> int:
         "beta": repr(params.beta),
         "walk_seed": str(params.seed),
         "excluded_predicates": " ".join(excluded),
+        "artifact_sha256": _file_sha256(output),
     })
     return 0
 
@@ -153,12 +187,14 @@ def _train_config(args) -> sg.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    manifest = read_bound_manifest(args.input)
     _, rows = wk.read_corpus_lines(args.input)
     cfg = _train_config(args)
     vocab = sg.build_vocabulary(rows, cfg.min_count)
     model = sg.train(rows, vocab, cfg)
-    sg.save_embeddings(model, args.output, include_outputs=args.save_outputs)
-    manifest = read_manifest(Path(args.input))
+    output = Path(args.output)
+    _replace_atomically(output, lambda tmp: sg.save_embeddings(
+        model, tmp, include_outputs=args.save_outputs))
     manifest.update({
         "dim": str(cfg.dim),
         "window": str(cfg.window),
@@ -169,8 +205,9 @@ def cmd_train(args) -> int:
         "train_seed": str(cfg.seed),
         "mode": cfg.mode.value,
         "softmax": cfg.softmax_mode.value,
+        "artifact_sha256": _file_sha256(output),
     })
-    write_manifest(Path(args.output), manifest)
+    write_manifest(output, manifest)
     return 0
 
 
@@ -186,7 +223,7 @@ def _gold_path(gold_dir: str, task: str) -> Path:
 
 def cmd_eval(args) -> int:
     emb = sg.load_embeddings(args.input)
-    manifest = read_manifest(Path(args.input))
+    manifest = read_bound_manifest(args.input)
     tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
     for task in tasks:
         if task not in _TASKS:

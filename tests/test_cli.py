@@ -1,3 +1,10 @@
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qtwalk.cli import main, read_manifest
@@ -84,6 +91,74 @@ def test_train_carries_manifest_forward(tmp_path, fixture_graph):
     ]
     assert manifest["dim"] == "8"
     assert manifest["excluded_predicates"] == RDF_TYPE
+
+
+def test_manifests_record_the_sha256_of_their_artifact(tmp_path,
+                                                      fixture_graph):
+    corpus, emb = run_walk_train(tmp_path, fixture_graph)
+    for artifact in (corpus, emb):
+        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        assert read_manifest(artifact)["artifact_sha256"] == digest
+    # both files were renamed into place; no temp file is left beside them
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        "graph.ttls", "walks.tsv", "walks.tsv.manifest", "vectors.tsv",
+        "vectors.tsv.manifest"])
+
+
+def test_copied_manifest_fails_the_leak_guard(tmp_path, fixture_graph,
+                                              capsys):
+    graph = tmp_path / "typed.ttls"
+    graph.write_text(fixture_graph.read_text(encoding="utf-8") + "".join(
+        f"<urn:t:a{i}> <{RDF_TYPE}> <urn:t:C> .\n" for i in range(3)),
+        encoding="utf-8")
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    a_dir.mkdir()
+    b_dir.mkdir()
+    _, emb_a = run_walk_train(a_dir, graph, exclude_type=True)
+    _, emb_b = run_walk_train(b_dir, graph, exclude_type=False)
+    assert emb_a.read_bytes() != emb_b.read_bytes()
+    gold_dir = write_gold(tmp_path, emb_b)
+    # A's manifest says rdf:type was excluded; B was trained with it
+    shutil.copy(f"{emb_a}.manifest", f"{emb_b}.manifest")
+    assert main(["eval", str(emb_b), "--gold-dir", str(gold_dir),
+                 "--tasks", "classification"]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {emb_b}: manifest describes a different file\n")
+
+
+def test_copied_corpus_manifest_is_refused_by_train(tmp_path, fixture_graph,
+                                                   capsys):
+    graph = tmp_path / "typed.ttls"
+    graph.write_text(fixture_graph.read_text(encoding="utf-8") + "".join(
+        f"<urn:t:a{i}> <{RDF_TYPE}> <urn:t:C> .\n" for i in range(3)),
+        encoding="utf-8")
+    corpus_a, corpus_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    assert main(["walk", str(graph), str(corpus_a), *small_walk_flags(),
+                 "--exclude-predicate", RDF_TYPE]) == 0
+    assert main(["walk", str(graph), str(corpus_b), *small_walk_flags()]) == 0
+    shutil.copy(f"{corpus_a}.manifest", f"{corpus_b}.manifest")
+    emb = tmp_path / "vectors.tsv"
+    assert main(["train", str(corpus_b), str(emb),
+                 *small_train_flags()]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {corpus_b}: manifest describes a different file\n")
+    assert not emb.exists()
+
+
+def test_manifest_without_artifact_hash_counts_as_none(tmp_path,
+                                                       fixture_graph, capsys):
+    _, emb = run_walk_train(tmp_path, fixture_graph, exclude_type=True)
+    gold_dir = write_gold(tmp_path, emb)
+    manifest = Path(f"{emb}.manifest")
+    manifest.write_text("".join(
+        line for line in manifest.read_text(encoding="utf-8").splitlines(
+            keepends=True) if not line.startswith("artifact_sha256\t")),
+        encoding="utf-8")
+    args = ["eval", str(emb), "--gold-dir", str(gold_dir),
+            "--tasks", "classification"]
+    assert main(args) == 1
+    assert "leak" in capsys.readouterr().err
+    assert main(args + ["--allow-leak"]) == 0
 
 
 def test_eval_all_tasks(tmp_path, fixture_graph):
@@ -220,6 +295,30 @@ def test_sweep_emits_one_row_per_grid_cell(tmp_path, fixture_graph):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "alpha\tbeta\tdepth\ttask\tmetric\tvalue"
     assert len(lines) == 1 + 4  # 2 alphas x 2 betas x 1 depth
+
+
+def test_one_pair_similarity_gold_is_exit_code_one(tmp_path, fixture_graph,
+                                                   capsys):
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    gold = gold_dir / "qt_similarity.tsv"
+    gold.write_text(gold.read_text(encoding="utf-8").splitlines(
+        keepends=True)[0], encoding="utf-8")
+    assert main(["eval", str(emb), "--gold-dir", str(gold_dir),
+                 "--tasks", "qt_similarity"]) == 1
+    assert capsys.readouterr().err == (
+        "qtwalk: error: qt_similarity needs at least 2 pairs, got 1\n")
+
+
+def test_cli_import_loads_no_scipy_stats_or_optimize():
+    # every command is its own process, so the import is paid on each
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, qtwalk.cli; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_missing_input_file_is_exit_code_one(tmp_path, capsys):

@@ -1,9 +1,16 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+# scipy is only the reference here: qtwalk.evaluate does not import
+# scipy.stats or scipy.optimize, which would add ~1 s to every command
+from scipy.optimize import linear_sum_assignment
+from scipy.stats import kendalltau, pearsonr, spearmanr
 
 from qtwalk.evaluate import (
     LabeledSet,
@@ -158,6 +165,68 @@ def test_clustering_accuracy_matches_permutation_search():
         assert clustering_accuracy(cluster_ids, labels) == pytest.approx(
             clustering_accuracy_def(cluster_ids, labels), abs=1e-12
         )
+
+
+# -- scipy as the reference -----------------------------------------------------------
+
+# few distinct values, so ties are common, mixed with arbitrary floats
+_values = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.25, 1e-3]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+_paired_values = st.integers(2, 60).flatmap(lambda n: st.tuples(
+    st.lists(_values, min_size=n, max_size=n),
+    st.lists(_values, min_size=n, max_size=n)))
+
+
+@given(_paired_values)
+@example(([1, 1, 1], [1, 2, 3]))
+@example(([0.5, 2.0], [7, 7]))
+@settings(max_examples=200, deadline=None)
+def test_correlations_match_scipy(xy):
+    x, y = xy
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on constant input
+        tau = float(kendalltau(x, y, variant="b").statistic)
+        r = float(pearsonr(x, y).statistic)
+        rho = float(spearmanr(x, y).statistic)
+    got = kendall_tau_b(x, y)
+    assert got == tau or (math.isnan(got) and math.isnan(tau))
+    for metric, expected in ((pearson, r), (spearman, rho)):
+        if math.isnan(expected):
+            assert math.isnan(metric(x, y))
+        else:
+            assert metric(x, y) == pytest.approx(expected, abs=1e-12)
+
+
+_tables = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: st.lists(st.integers(0, 6), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda cells: np.array(cells).reshape(shape)))
+
+
+@given(_tables)
+@settings(max_examples=300, deadline=None)
+def test_clustering_accuracy_matches_scipy_assignment(table):
+    if table.sum() == 0:
+        table[0, 0] = 1
+    # one item per unit of each cell: cluster = row, label = column
+    cells = [(i, j) for (i, j), count in np.ndenumerate(table)
+             for _ in range(count)]
+    rows, cols = linear_sum_assignment(-table)
+    expected = table[rows, cols].sum() / len(cells)
+    assert clustering_accuracy([i for i, _ in cells],
+                               [f"l{j}" for _, j in cells]) == expected
+
+
+@pytest.mark.parametrize("metric", [pearson, spearman, kendall_tau_b])
+def test_correlations_reject_unpaired_input(metric):
+    with pytest.raises(ValueError, match="equal lengths"):
+        metric([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("metric", [pearson, spearman])
+def test_correlations_need_two_values(metric):
+    with pytest.raises(ValueError, match="at least 2 values, got 1"):
+        metric([1.0], [2.0])
 
 
 # -- single-metric behaviour ---------------------------------------------------------
@@ -392,6 +461,20 @@ def test_qt_similarity_flags_non_positive_correlations():
     report = eval_qt_similarity(emb, gold)
     assert report.details["degenerate"] is True
     assert report.metrics["harmonic_mean"] == 0.0
+
+
+def test_qt_similarity_constant_predictions_are_degenerate():
+    # every pair is a token with itself: all predicted cosines are 1
+    emb = vectors({"a": [1.0, 0.0], "b": [0.0, 2.0]})
+    gold = SimilarityGold((("a", "a", 0.1), ("b", "b", 0.9),
+                           ("a", "a", 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = eval_qt_similarity(emb, gold)
+    assert math.isnan(report.metrics["pearson"])
+    assert math.isnan(report.metrics["spearman"])
+    assert report.metrics["harmonic_mean"] == 0.0
+    assert report.details["degenerate"] is True
 
 
 # -- gold files and report formatting ------------------------------------------------
