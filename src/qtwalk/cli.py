@@ -4,8 +4,9 @@ Every artifact is accompanied by a ``<artifact>.manifest`` TSV recording
 the graph fingerprint and the parameters that produced it, so downstream
 commands can verify provenance (notably the label-leak guard for the
 classification task).  A manifest also records the sha256 of its
-artifact; ``train`` and ``eval`` refuse an input whose manifest records
-another hash, and ignore a manifest that records none.
+artifact; ``eval`` refuses an input whose manifest records another hash,
+``train`` carries such a corpus manifest no further, and both ignore a
+manifest that records none.
 
 Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 """
@@ -17,6 +18,8 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import convert as conv
 from . import evaluate as ev
@@ -67,17 +70,18 @@ def read_manifest(path: Path) -> dict[str, str]:
     return entries
 
 
-def read_bound_manifest(path) -> dict[str, str]:
+def read_bound_manifest(path, *, strict: bool) -> dict[str, str]:
     """``path``'s manifest if it records the sha256 of ``path``; empty if it
     records none, since a manifest not bound to its file vouches for
-    nothing."""
+    nothing.  A manifest recording another file's hash raises when
+    ``strict``, and is otherwise empty too."""
     manifest = read_manifest(Path(path))
     recorded = manifest.get("artifact_sha256")
-    if recorded is None:
-        return {}
-    if recorded != _file_sha256(path):
+    if recorded is not None and recorded == _file_sha256(path):
+        return manifest
+    if recorded is not None and strict:
         raise InputError(f"{path}: manifest describes a different file")
-    return manifest
+    return {}
 
 
 # -- shared loading -----------------------------------------------------------
@@ -186,15 +190,24 @@ def _train_config(args) -> sg.TrainConfig:
     )
 
 
+def _save_output_matrices(model: sg.EmbeddingModel, path: Path) -> None:
+    # through a handle: given a name, numpy would append ".npz" to it
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, output_matrices=model.output_matrices)
+
+
 def cmd_train(args) -> int:
-    manifest = read_bound_manifest(args.input)
+    # a corpus edited after walking trains, but vouches for nothing
+    manifest = read_bound_manifest(args.input, strict=False)
     _, rows = wk.read_corpus_lines(args.input)
     cfg = _train_config(args)
     vocab = sg.build_vocabulary(rows, cfg.min_count)
     model = sg.train(rows, vocab, cfg)
     output = Path(args.output)
-    _replace_atomically(output, lambda tmp: sg.save_embeddings(
-        model, tmp, include_outputs=args.save_outputs))
+    _replace_atomically(output, lambda tmp: sg.save_embeddings(model, tmp))
+    if args.save_outputs:
+        _replace_atomically(Path(f"{output}.out.npz"),
+                            lambda tmp: _save_output_matrices(model, tmp))
     manifest.update({
         "dim": str(cfg.dim),
         "window": str(cfg.window),
@@ -223,7 +236,7 @@ def _gold_path(gold_dir: str, task: str) -> Path:
 
 def cmd_eval(args) -> int:
     emb = sg.load_embeddings(args.input)
-    manifest = read_bound_manifest(args.input)
+    manifest = read_bound_manifest(args.input, strict=True)
     tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
     for task in tasks:
         if task not in _TASKS:

@@ -165,8 +165,6 @@ def kendall_tau_b(x, y) -> float:
     if len(x) != len(y):
         raise ValueError(f"tau-b needs equal lengths, got {len(x)} and "
                          f"{len(y)}")
-    if np.isnan(x).any() or np.isnan(y).any():
-        return float("nan")
     upper = np.triu_indices(len(x), k=1)
     sx = np.sign(np.subtract.outer(x, x)[upper])
     sy = np.sign(np.subtract.outer(y, y)[upper])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qtwalk.cli import main, read_manifest
@@ -32,14 +33,15 @@ def small_train_flags():
             "--seed", "1"]
 
 
-def run_walk_train(tmp_path, graph, exclude_type=True):
+def run_walk_train(tmp_path, graph, exclude_type=True, train_flags=()):
     corpus = tmp_path / "walks.tsv"
     emb = tmp_path / "vectors.tsv"
     walk_args = ["walk", str(graph), str(corpus), *small_walk_flags()]
     if exclude_type:
         walk_args += ["--exclude-predicate", RDF_TYPE]
     assert main(walk_args) == 0
-    assert main(["train", str(corpus), str(emb), *small_train_flags()]) == 0
+    assert main(["train", str(corpus), str(emb), *small_train_flags(),
+                 *train_flags]) == 0
     return corpus, emb
 
 
@@ -95,14 +97,18 @@ def test_train_carries_manifest_forward(tmp_path, fixture_graph):
 
 def test_manifests_record_the_sha256_of_their_artifact(tmp_path,
                                                       fixture_graph):
-    corpus, emb = run_walk_train(tmp_path, fixture_graph)
+    corpus, emb = run_walk_train(tmp_path, fixture_graph,
+                                 train_flags=["--save-outputs"])
     for artifact in (corpus, emb):
         digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
         assert read_manifest(artifact)["artifact_sha256"] == digest
-    # both files were renamed into place; no temp file is left beside them
+    vectors = load_embeddings(emb)
+    with np.load(f"{emb}.out.npz") as sidecar:
+        assert sidecar["output_matrices"].shape[1:] == vectors.vectors.shape
+    # every file was renamed into place; no temp file is left beside them
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         "graph.ttls", "walks.tsv", "walks.tsv.manifest", "vectors.tsv",
-        "vectors.tsv.manifest"])
+        "vectors.tsv.out.npz", "vectors.tsv.manifest"])
 
 
 def test_copied_manifest_fails_the_leak_guard(tmp_path, fixture_graph,
@@ -126,8 +132,8 @@ def test_copied_manifest_fails_the_leak_guard(tmp_path, fixture_graph,
         f"qtwalk: error: {emb_b}: manifest describes a different file\n")
 
 
-def test_copied_corpus_manifest_is_refused_by_train(tmp_path, fixture_graph,
-                                                   capsys):
+def test_train_drops_a_corpus_manifest_of_another_file(tmp_path,
+                                                       fixture_graph, capsys):
     graph = tmp_path / "typed.ttls"
     graph.write_text(fixture_graph.read_text(encoding="utf-8") + "".join(
         f"<urn:t:a{i}> <{RDF_TYPE}> <urn:t:C> .\n" for i in range(3)),
@@ -138,11 +144,18 @@ def test_copied_corpus_manifest_is_refused_by_train(tmp_path, fixture_graph,
     assert main(["walk", str(graph), str(corpus_b), *small_walk_flags()]) == 0
     shutil.copy(f"{corpus_a}.manifest", f"{corpus_b}.manifest")
     emb = tmp_path / "vectors.tsv"
+    # B trains, but A's walk settings are not carried onto B's embedding
     assert main(["train", str(corpus_b), str(emb),
-                 *small_train_flags()]) == 1
-    assert capsys.readouterr().err == (
-        f"qtwalk: error: {corpus_b}: manifest describes a different file\n")
-    assert not emb.exists()
+                 *small_train_flags()]) == 0
+    manifest = read_manifest(emb)
+    assert "excluded_predicates" not in manifest
+    assert "graph_fingerprint" not in manifest
+    gold_dir = write_gold(tmp_path, emb)
+    args = ["eval", str(emb), "--gold-dir", str(gold_dir),
+            "--tasks", "classification"]
+    assert main(args) == 1
+    assert "leak" in capsys.readouterr().err
+    assert main(args + ["--allow-leak"]) == 0
 
 
 def test_manifest_without_artifact_hash_counts_as_none(tmp_path,
