@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import convert as conv
 from . import evaluate as ev
 from . import graph as gr
@@ -190,12 +188,6 @@ def _train_config(args) -> sg.TrainConfig:
     )
 
 
-def _save_output_matrices(model: sg.EmbeddingModel, path: Path) -> None:
-    # through a handle: given a name, numpy would append ".npz" to it
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, output_matrices=model.output_matrices)
-
-
 def cmd_train(args) -> int:
     # a corpus edited after walking trains, but vouches for nothing
     manifest = read_bound_manifest(args.input, strict=False)
@@ -207,7 +199,7 @@ def cmd_train(args) -> int:
     _replace_atomically(output, lambda tmp: sg.save_embeddings(model, tmp))
     if args.save_outputs:
         _replace_atomically(Path(f"{output}.out.npz"),
-                            lambda tmp: _save_output_matrices(model, tmp))
+                            lambda tmp: sg.save_output_matrices(model, tmp))
     manifest.update({
         "dim": str(cfg.dim),
         "window": str(cfg.window),

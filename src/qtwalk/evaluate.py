@@ -19,10 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skipgram import DimensionMismatch, EmbeddingModel, WordVectors
-
-# Token -> vector lookup: vectors loaded from a file, or a trained model.
-Vectors = WordVectors | EmbeddingModel
+from .skipgram import DimensionMismatch, EmbeddingModel
 
 
 class MissingSeed(KeyError):
@@ -356,17 +353,12 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> list[int]:
     return fold_of
 
 
-def knn_predict(train_x: np.ndarray, train_y: list[str], query: np.ndarray,
-                k: int = 3) -> str:
-    """Majority vote of the k nearest by cosine; ties go to the single
-    nearest neighbour's label."""
-    return knn_predict_many(train_x, train_y, query[None, :], k)[0]
-
-
 def knn_predict_many(train_x: np.ndarray, train_y: list[str],
                      queries: np.ndarray, k: int = 3) -> list[str]:
-    """``knn_predict`` for each row of ``queries``, from one product of
-    unit rows; a zero vector has cosine 0 with everything."""
+    """For each row of ``queries``, the majority vote of its k nearest
+    training rows by cosine; ties go to the single nearest neighbour's
+    label.  One product of unit rows; a zero vector has cosine 0 with
+    everything."""
     sims = _unit_rows(queries) @ _unit_rows(train_x).T
     labels = []
     for nearest in np.argsort(-sims, axis=1, kind="stable")[:, :k]:
@@ -386,7 +378,8 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def _resolve_tokens(emb: Vectors, tokens) -> tuple[list[str], list[str]]:
+def _resolve_tokens(emb: EmbeddingModel, tokens
+                    ) -> tuple[list[str], list[str]]:
     present = [t for t in tokens if t in emb]
     missing = [t for t in tokens if t not in emb]
     if len(present) < 0.9 * len(tokens):
@@ -399,8 +392,9 @@ def _resolve_tokens(emb: Vectors, tokens) -> tuple[list[str], list[str]]:
 
 # -- tasks ----------------------------------------------------------------------
 
-def eval_classification(emb: Vectors, gold: LabeledSet, seed: int = 0,
-                        folds: int = 10, k: int = 3) -> EvalReport:
+def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
+                        seed: int = 0, folds: int = 10, k: int = 3
+                        ) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens)
     label_of = dict(gold.records)
@@ -428,7 +422,7 @@ def eval_classification(emb: Vectors, gold: LabeledSet, seed: int = 0,
     )
 
 
-def eval_clustering(emb: Vectors, gold: LabeledSet, seed: int = 0,
+def eval_clustering(emb: EmbeddingModel, gold: LabeledSet, seed: int = 0,
                     restarts: int = 10) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens)
@@ -447,7 +441,8 @@ def eval_clustering(emb: Vectors, gold: LabeledSet, seed: int = 0,
     )
 
 
-def eval_relatedness(emb: Vectors, gold: RelatednessGold) -> EvalReport:
+def eval_relatedness(emb: EmbeddingModel, gold: RelatednessGold
+                     ) -> EvalReport:
     taus: list[float] = []
     for seed_token, candidates in gold.records:
         if seed_token not in emb:
@@ -469,7 +464,8 @@ def eval_relatedness(emb: Vectors, gold: RelatednessGold) -> EvalReport:
     )
 
 
-def eval_qt_similarity(emb: Vectors, gold: SimilarityGold) -> EvalReport:
+def eval_qt_similarity(emb: EmbeddingModel, gold: SimilarityGold
+                       ) -> EvalReport:
     if len(gold.records) < 2:
         raise ValueError(
             f"qt_similarity needs at least 2 pairs, got {len(gold.records)}")

@@ -46,7 +46,6 @@ class DimensionMismatch(ValueError):
 class Vocabulary:
     tokens: tuple[str, ...]
     counts: tuple[int, ...]
-    min_count: int
     index: dict[str, int] = field(repr=False)
 
     def __len__(self) -> int:
@@ -74,7 +73,6 @@ def build_vocabulary(corpus_rows, min_count: int = 1) -> Vocabulary:
     return Vocabulary(
         tokens=tokens,
         counts=tuple(c for _, c in kept),
-        min_count=min_count,
         index={t: i for i, t in enumerate(tokens)},
     )
 
@@ -108,12 +106,23 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingModel:
+    """Token-to-vector lookup: a trained model, or one loaded from an
+    embedding file, which holds no output planes."""
+
     mode: Mode
-    dim: int
-    window: int
-    vocab: Vocabulary
+    tokens: tuple[str, ...]
+    index: dict[str, int] = field(repr=False)
     input_vectors: np.ndarray          # (|W|, dim)
-    output_matrices: np.ndarray        # (P, |W|, dim); P = 1 or 2*window
+    output_matrices: np.ndarray        # (P, |W|, dim); P = 1, 2*window or 0
+
+    @property
+    def dim(self) -> int:
+        return self.input_vectors.shape[1]
+
+    @property
+    def window(self) -> int:
+        """Context window of a structured model: half its output planes."""
+        return self.output_matrices.shape[0] // 2
 
     def matrix_index(self, relative_position: int) -> int:
         if self.mode is Mode.CLASSIC:
@@ -121,10 +130,10 @@ class EmbeddingModel:
         return position_slot(relative_position, self.window)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vocab.index
+        return token in self.index
 
     def __getitem__(self, token: str) -> np.ndarray:
-        return self.input_vectors[self.vocab.index[token]]
+        return self.input_vectors[self.index[token]]
 
 
 def position_slot(relative_position, window: int):
@@ -192,9 +201,8 @@ def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     outputs = np.zeros((planes, n, cfg.dim))
     return EmbeddingModel(
         mode=cfg.mode,
-        dim=cfg.dim,
-        window=cfg.window,
-        vocab=vocab,
+        tokens=vocab.tokens,
+        index=vocab.index,
         input_vectors=inputs,
         output_matrices=outputs,
     )
@@ -383,8 +391,8 @@ def softmax_probability(model: EmbeddingModel, center, context,
     Token arguments may be vocabulary indices or token texts.  In
     structured mode the probability depends on the relative position.
     """
-    ci = center if isinstance(center, int) else model.vocab.index[center]
-    oi = context if isinstance(context, int) else model.vocab.index[context]
+    ci = center if isinstance(center, int) else model.index[center]
+    oi = context if isinstance(context, int) else model.index[context]
     matrix = model.output_matrices[model.matrix_index(relative_position)]
     scores = matrix @ model.input_vectors[ci]
     scores -= scores.max()
@@ -432,51 +440,48 @@ def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
 EMB_MAGIC = "#qtwalk-emb v1"
 
 
-@dataclass(frozen=True)
-class WordVectors:
-    """Token-to-vector lookup loaded from an embedding file."""
-
-    tokens: tuple[str, ...]
-    vectors: np.ndarray
-    index: dict[str, int] = field(repr=False)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def __getitem__(self, token: str) -> np.ndarray:
-        return self.vectors[self.index[token]]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def save_embeddings(model: EmbeddingModel, path,
-                    include_outputs: bool = False) -> None:
+def save_embeddings(model: EmbeddingModel, path) -> None:
     """Write token input vectors; floats in shortest round-trip form."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
-            f"{EMB_MAGIC} count={len(model.vocab)} dim={model.dim} "
+            f"{EMB_MAGIC} count={len(model.tokens)} dim={model.dim} "
             f"mode={model.mode.value}\n"
         )
-        for i, token in enumerate(model.vocab.tokens):
+        for i, token in enumerate(model.tokens):
             row = " ".join(repr(float(x)) for x in model.input_vectors[i])
             fh.write(f"{token}\t{row}\n")
-    if include_outputs:
-        np.savez_compressed(str(path) + ".out.npz",
-                            output_matrices=model.output_matrices)
 
 
-def load_embeddings(path) -> WordVectors:
+def save_output_matrices(model: EmbeddingModel, path) -> None:
+    """Write the output planes as ``output_matrices`` in an ``.npz``."""
+    # through a handle: given a name, numpy would append ".npz" to it
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, output_matrices=model.output_matrices)
+
+
+def _parse_header(path, header: str) -> tuple[int, int, Mode]:
+    """(count, dim, mode) from an embedding file's first line."""
+    if not header.startswith(EMB_MAGIC):
+        raise ValueError(f"{path}: not an embedding file")
+    fields = {}
+    for part in header[len(EMB_MAGIC):].split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: header part {part!r} is not key=value")
+        fields[key] = value
+    try:
+        return int(fields["count"]), int(fields["dim"]), Mode(fields["mode"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc.args[0]}=") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from None
+
+
+def load_embeddings(path) -> EmbeddingModel:
+    """The model an embedding file holds, without output planes."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(EMB_MAGIC):
-            raise ValueError(f"{path}: not an embedding file")
-        fields = dict(
-            part.split("=", 1) for part in header[len(EMB_MAGIC):].split()
-        )
-        count, dim = int(fields["count"]), int(fields["dim"])
-        tokens: list[str] = []
+        count, dim, mode = _parse_header(path, fh.readline().rstrip("\n"))
+        index: dict[str, int] = {}
         rows: list[list[float]] = []
         for line in fh:
             if not line.strip():
@@ -488,15 +493,19 @@ def load_embeddings(path) -> WordVectors:
                     f"{path}: token {token!r} has {len(row)} values, "
                     f"expected {dim}"
                 )
-            tokens.append(token)
+            if token in index:
+                raise ValueError(f"{path}: duplicate token {token!r}")
+            index[token] = len(rows)
             rows.append(row)
-    if len(tokens) != count:
+    if len(rows) != count:
         raise DimensionMismatch(
-            f"{path}: header declares {count} tokens, found {len(tokens)}"
+            f"{path}: header declares {count} tokens, found {len(rows)}"
         )
     vectors = np.array(rows) if rows else np.zeros((0, dim))
-    return WordVectors(
-        tokens=tuple(tokens),
-        vectors=vectors,
-        index={t: i for i, t in enumerate(tokens)},
+    return EmbeddingModel(
+        mode=mode,
+        tokens=tuple(index),
+        index=index,
+        input_vectors=vectors,
+        output_matrices=np.zeros((0, len(rows), dim)),
     )

@@ -323,5 +323,5 @@ def test_criterion_9_pipeline_is_deterministic(tmp_path):
         outputs.append((emb.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
     loaded = load_embeddings(tmp_path / "one" / "vectors.tsv")
-    assert loaded.vectors.size  # the artifact is a real, parseable model
+    assert loaded.input_vectors.size  # the artifact is a real, parseable model
     _passed(9, "pipeline determinism")

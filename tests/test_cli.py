@@ -102,9 +102,10 @@ def test_manifests_record_the_sha256_of_their_artifact(tmp_path,
     for artifact in (corpus, emb):
         digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
         assert read_manifest(artifact)["artifact_sha256"] == digest
-    vectors = load_embeddings(emb)
+    loaded = load_embeddings(emb)
     with np.load(f"{emb}.out.npz") as sidecar:
-        assert sidecar["output_matrices"].shape[1:] == vectors.vectors.shape
+        planes = sidecar["output_matrices"]
+    assert planes.shape[1:] == loaded.input_vectors.shape
     # every file was renamed into place; no temp file is left beside them
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         "graph.ttls", "walks.tsv", "walks.tsv.manifest", "vectors.tsv",
@@ -350,6 +351,18 @@ def test_non_finite_training_is_exit_code_one(tmp_path, fixture_graph,
                  "--learning-rate", rate]) == 1
     assert "qtwalk: error:" in capsys.readouterr().err
     assert not emb.exists()
+
+
+@pytest.mark.parametrize("header, body", [
+    ("count=2 dim=1 mode=classic", "a\t0.5\na\t0.25\n"),
+    ("count=1 dim=1 mode=bogus", "a\t0.5\n"),
+    ("dim=1 mode=classic", "a\t0.5\n"),
+])
+def test_bad_embedding_file_is_exit_code_one(tmp_path, capsys, header, body):
+    emb = tmp_path / "vectors.tsv"
+    emb.write_text(f"#qtwalk-emb v1 {header}\n{body}", encoding="utf-8")
+    assert main(["eval", str(emb), "--gold-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"qtwalk: error: {emb}: ")
 
 
 def test_parse_error_is_exit_code_one(tmp_path, capsys):

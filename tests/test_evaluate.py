@@ -28,7 +28,6 @@ from qtwalk.evaluate import (
     eval_relatedness,
     kendall_tau_b,
     kmeans,
-    knn_predict,
     knn_predict_many,
     load_labeled_tsv,
     load_relatedness,
@@ -40,8 +39,9 @@ from qtwalk.evaluate import (
 )
 from qtwalk.skipgram import (
     DimensionMismatch,
+    EmbeddingModel,
+    Mode,
     TrainConfig,
-    WordVectors,
     build_vocabulary,
     load_embeddings,
     save_embeddings,
@@ -49,12 +49,17 @@ from qtwalk.skipgram import (
 )
 
 
-def vectors(mapping: dict[str, list[float]]) -> WordVectors:
+def vectors(mapping: dict[str, list[float]]) -> EmbeddingModel:
+    """A model holding these input vectors and no output planes, as
+    ``load_embeddings`` returns it."""
     tokens = tuple(mapping)
-    return WordVectors(
+    x = np.array([mapping[t] for t in tokens], dtype=np.float64)
+    return EmbeddingModel(
+        mode=Mode.CLASSIC,
         tokens=tokens,
-        vectors=np.array([mapping[t] for t in tokens], dtype=np.float64),
         index={t: i for i, t in enumerate(tokens)},
+        input_vectors=x,
+        output_matrices=np.zeros((0, *x.shape)),
     )
 
 
@@ -290,7 +295,7 @@ def separable_embedding(per_class=12, dim=6, noise=0.05, seed=0):
 
 def test_kmeans_recovers_separable_clusters():
     emb, gold = separable_embedding()
-    x = emb.vectors
+    x = emb.input_vectors
     assign = kmeans(x, 3, seed=0)
     labels = [label for _, label in gold.records]
     assert clustering_accuracy(list(assign), labels) == 1.0
@@ -299,8 +304,8 @@ def test_kmeans_recovers_separable_clusters():
 
 def test_kmeans_is_seed_deterministic():
     emb, _ = separable_embedding(seed=3)
-    a = kmeans(emb.vectors, 3, seed=42)
-    b = kmeans(emb.vectors, 3, seed=42)
+    a = kmeans(emb.input_vectors, 3, seed=42)
+    b = kmeans(emb.input_vectors, 3, seed=42)
     assert np.array_equal(a, b)
 
 
@@ -314,10 +319,12 @@ def test_kmeans_identical_points_collapse():
 def test_knn_majority_and_tie_break():
     train_x = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
     train_y = ["a", "a", "b"]
-    assert knn_predict(train_x, train_y, np.array([1.0, 0.05])) == "a"
+    assert knn_predict_many(train_x, train_y,
+                            np.array([[1.0, 0.05]])) == ["a"]
     # one vote each: fall back to the label of the single nearest point
     train_x2 = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert knn_predict(train_x2, ["p", "q"], np.array([0.9, 0.1]), k=2) == "p"
+    assert knn_predict_many(train_x2, ["p", "q"], np.array([[0.9, 0.1]]),
+                            k=2) == ["p"]
 
 
 def knn_predict_loop(train_x, train_y, query, k=3):
@@ -349,8 +356,6 @@ def test_knn_matrix_product_matches_cosine_loop(seed):
     for k in (1, 2, 3, 5):
         expected = [knn_predict_loop(train_x, train_y, q, k) for q in queries]
         assert knn_predict_many(train_x, train_y, queries, k) == expected
-        assert [knn_predict(train_x, train_y, q, k)
-                for q in queries] == expected
 
 
 def test_stratified_folds_are_balanced_and_deterministic():
@@ -530,7 +535,7 @@ def test_trained_model_scores_like_its_saved_file(tmp_path):
     path = tmp_path / "vectors.tsv"
     save_embeddings(model, path)
     loaded = load_embeddings(path)
-    tokens = sorted(model.vocab.tokens)
+    tokens = sorted(model.tokens)
     labeled = LabeledSet(tuple((t, t[:2]) for t in tokens))
     related = RelatednessGold(((tokens[0], tuple(tokens[1:11])),))
     similar = SimilarityGold(tuple(

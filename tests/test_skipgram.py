@@ -21,6 +21,7 @@ from qtwalk.skipgram import (
     negative_sampling_objective,
     position_slot,
     save_embeddings,
+    save_output_matrices,
     softmax_probability,
     train,
 )
@@ -373,8 +374,11 @@ def test_save_load_round_trip_is_exact(tmp_path):
     save_embeddings(model, path)
     loaded = load_embeddings(path)
     assert loaded.tokens == v.tokens
+    assert loaded.index == v.index
+    assert loaded.mode is Mode.CLASSIC
     assert loaded.dim == 5
-    assert np.array_equal(loaded.vectors, model.input_vectors)
+    assert np.array_equal(loaded.input_vectors, model.input_vectors)
+    assert loaded.output_matrices.shape == (0, 3, 5)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "#qtwalk-emb v1 count=3 dim=5 mode=classic"
 
@@ -383,10 +387,14 @@ def test_save_outputs_sidecar(tmp_path):
     rows = [["a", "b"]] * 4
     v = build_vocabulary(rows)
     model = train(rows, v, cfg(dim=3, mode=Mode.STRUCTURED))
-    path = tmp_path / "vectors.tsv"
-    save_embeddings(model, path, include_outputs=True)
-    sidecar = np.load(str(path) + ".out.npz")
-    assert np.array_equal(sidecar["output_matrices"], model.output_matrices)
+    assert model.window == 2 and model.output_matrices.shape[0] == 4
+    path = tmp_path / "vectors.tsv.out.npz"
+    save_output_matrices(model, path)
+    # written under the name given: numpy appends no second ".npz"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    with np.load(path) as sidecar:
+        assert np.array_equal(sidecar["output_matrices"],
+                              model.output_matrices)
 
 
 def test_load_rejects_inconsistent_dimensions(tmp_path):
@@ -410,3 +418,23 @@ def test_load_rejects_non_embedding_files(tmp_path):
     path.write_text("hello\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("count=2 dim=1 mode=classic\na\t0.5\na\t0.25\n",
+     "duplicate token 'a'"),
+    ("count=1 dim=1 mode=bogus\na\t0.5\n", "'bogus' is not a valid Mode"),
+    ("dim=1 mode=classic\na\t0.5\n", "header lacks count="),
+    ("count=1 mode=classic\na\t0.5\n", "header lacks dim="),
+    ("count=1 dim=1\na\t0.5\n", "header lacks mode="),
+    ("count=1 dim=1 classic\na\t0.5\n", "'classic' is not key=value"),
+    ("count=one dim=1 mode=classic\na\t0.5\n", "bad header"),
+])
+def test_load_rejects_bad_headers_and_duplicate_tokens(tmp_path, text,
+                                                       message):
+    path = tmp_path / "bad.tsv"
+    path.write_text("#qtwalk-emb v1 " + text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc_info:
+        load_embeddings(path)
+    assert str(exc_info.value).startswith(f"{path}: ")
+    assert message in str(exc_info.value)
