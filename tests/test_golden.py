@@ -1,5 +1,6 @@
 """Byte-identity guard: pinned sha256 digests of walk corpora, graph
-fingerprints, stats tables and one trained embedding file.
+fingerprints, stats tables, one trained embedding file and the parser's
+outcome on thousands of mutated inputs.
 
 Candidate order, RNG draws and token text all feed these bytes, so a
 change to how the graph is indexed or walked that alters any of them
@@ -8,12 +9,15 @@ deliberate, documented change of output.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from qtwalk.cli import main
-from qtwalk.fixtures import random_graph
+from qtwalk.fixtures import random_graph, random_term
 from qtwalk.graph import build_graph, compute_stats, stats_tsv
+from qtwalk.parser import ParseError, parse_document, parse_term
+from qtwalk.terms import serialize_term, serialize_triple
 from qtwalk.walks import Strategy, WalkParams, generate_corpus, write_corpus
 
 SEEDS = (0, 1, 2)
@@ -115,3 +119,74 @@ def test_walk_train_embedding_bytes_are_pinned(tmp_path):
     assert main(["train", str(corpus), str(emb), "--dim", "8",
                  "--epochs", "2", "--seed", "1"]) == 0
     assert sha256(emb.read_bytes()) == EMBEDDING_SHA256
+
+
+# -- parser outcomes -----------------------------------------------------------
+
+# What a mutation inserts or substitutes: Turtle punctuation, letters,
+# digits and whitespace.
+MUTATION_ALPHABET = "<>\"'@^:;,.#_[](){}|\\+-aeExzU09 \t\n"
+
+PREFIXED_DOC = r"""@prefix ex: <urn:ex:> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a a ex:Thing ;
+    ex:name "caf\u00e9"@en-GB , "x\U0001F600y"^^xsd:string ;
+    ex:count 42 , -7 , 3.25 , .5 .
+<< ex:a ex:p << ex:b ex:q "z" >> >> ex:r ex:c .
+"""
+
+PARSER_OUTCOMES_SHA256 = (
+    "e93b7c648e0e8d0188898b1c02f862282e92132c6add24119f0b4fbb0578c1be")
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` after one or two single-character inserts, deletes or
+    replacements."""
+    for _ in range(rng.randint(1, 2)):
+        pos = rng.randrange(len(text) + 1)
+        op = rng.randrange(3) if pos < len(text) else 0
+        if op == 0:
+            text = text[:pos] + rng.choice(MUTATION_ALPHABET) + text[pos:]
+        elif op == 1:
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + rng.choice(MUTATION_ALPHABET) + text[pos + 1:]
+    return text
+
+
+def parser_cases():
+    """(parse, serialize, text): mutated documents and terms, seeded."""
+    rng = random.Random(20231)
+
+    def document(triples):
+        return "".join(serialize_triple(t) + "\n" for t in triples)
+
+    def term(t):
+        return serialize_term(t)
+
+    for i in range(200):
+        doc = document(random_graph(i, triples=4, qt_probability=0.4))
+        for _ in range(20):
+            yield parse_document, document, mutate(rng, doc)
+    for _ in range(200):
+        text = serialize_term(random_term(rng))
+        for _ in range(19):
+            yield parse_term, term, mutate(rng, text)
+    yield parse_document, document, PREFIXED_DOC
+    for _ in range(200):
+        yield parse_document, document, mutate(rng, PREFIXED_DOC)
+
+
+def parser_outcome(parse, serialize, text: str) -> str:
+    """The serialized parse of ``text``, or its diagnostic."""
+    try:
+        return "ok " + serialize(parse(text))
+    except ParseError as exc:
+        return f"error {exc}"
+
+
+def test_parser_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for case in parser_cases():
+        digest.update(parser_outcome(*case).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == PARSER_OUTCOMES_SHA256
