@@ -62,14 +62,15 @@ MAX_QT_DEPTH = 400
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _IRIREF_RE = re.compile(r'<([^ <>"{}|^`\\\n]*)>')
 _IRI_BODY_RE = re.compile(r'[^ <>"{}|^`\\\n]*')
-_PNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+# A prefix name, possibly empty.
+_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?")
 # A prefixed name; the local part never ends in '.', which belongs to the
 # statement instead.
 _PREFIXED_RE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_\-]*)?:((?:[A-Za-z0-9_\-.%]*[A-Za-z0-9_\-%])?)")
 _STRING_RUN_RE = re.compile(r'[^"\\\n]*')
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
+# DECIMAL or INTEGER; the lexical form holds a '.' exactly when decimal.
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)")
 _LANGTAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 
 _STRING_ESCAPES = {
@@ -84,8 +85,8 @@ _STRING_ESCAPES = {
 }
 
 
-class _Scanner:
-    """Character scanner over one string; tracks only the offset.
+class _Parser:
+    """Recursive descent over one string; ``pos`` is the only cursor.
 
     Line and column are derived from an offset when a diagnostic is built.
     """
@@ -93,38 +94,6 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.text[idx] if idx < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> str:
-        taken = self.text[self.pos : self.pos + count]
-        self.pos += count
-        return taken
-
-    def skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def line_col(self, pos: int) -> tuple[int, int]:
-        """1-based line and column of an offset."""
-        line_start = self.text.rfind("\n", 0, pos) + 1
-        return self.text.count("\n", 0, pos) + 1, pos - line_start + 1
-
-    def error(self, kind: ErrorKind, message: str,
-              at: int | None = None) -> ParseError:
-        """A diagnostic positioned at offset ``at`` (default: here)."""
-        line, column = self.line_col(self.pos if at is None else at)
-        return ParseError(ParseDiagnostics(line=line, column=column,
-                                           message=message, kind=kind))
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.sc = _Scanner(source)
         self.prefixes: dict[str, str] = {}
         self.qt_depth = 0
         self.iris: dict[str, Iri] = {}
@@ -136,226 +105,226 @@ class _Parser:
             iri = self.iris[value] = Iri(value)
         return iri
 
+    def _skip_ws(self) -> None:
+        self.pos = _WS_RE.match(self.text, self.pos).end()
+
+    def _error(self, kind: ErrorKind, message: str,
+               at: int | None = None) -> ParseError:
+        """A diagnostic positioned at offset ``at`` (default: here)."""
+        pos = self.pos if at is None else at
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return ParseError(ParseDiagnostics(
+            line=self.text.count("\n", 0, pos) + 1,
+            column=pos - line_start + 1, message=message, kind=kind))
+
     # -- entry -------------------------------------------------------------
 
     def parse_document(self) -> list[Triple]:
         triples: list[Triple] = []
-        sc = self.sc
-        sc.skip_ws()
-        while not sc.eof():
-            if sc.peek() == "@":
+        text = self.text
+        self._skip_ws()
+        while self.pos < len(text):
+            if text.startswith("@", self.pos):
                 self._parse_prefix_decl()
             else:
                 triples.extend(self._parse_statement())
-            sc.skip_ws()
+            self._skip_ws()
         return triples
 
     # -- directives ---------------------------------------------------------
 
     def _parse_prefix_decl(self) -> None:
-        sc = self.sc
-        start = sc.pos
-        word = sc.advance(7)
+        text, start = self.text, self.pos
+        word = text[start:start + 7]
         if word != "@prefix":
-            raise sc.error(ErrorKind.SYNTAX, f"unknown directive {word!r}",
-                           start)
-        sc.skip_ws()
-        name = self._parse_prefix_name()
-        sc.skip_ws()
-        if sc.peek() != "<":
-            raise sc.error(ErrorKind.SYNTAX, "expected IRI after @prefix")
+            raise self._error(ErrorKind.SYNTAX,
+                              f"unknown directive {word!r}", start)
+        self.pos += 7
+        self._skip_ws()
+        name = _PNAME_RE.match(text, self.pos)
+        self.pos = name.end()
+        if not text.startswith(":", self.pos):
+            raise self._error(ErrorKind.SYNTAX, "expected ':' in prefix name")
+        self.pos += 1
+        self._skip_ws()
+        if not text.startswith("<", self.pos):
+            raise self._error(ErrorKind.SYNTAX, "expected IRI after @prefix")
         iri = self._parse_iriref()
-        sc.skip_ws()
+        self._skip_ws()
         self._expect_dot()
-        self.prefixes[name] = iri.value
-
-    def _parse_prefix_name(self) -> str:
-        sc = self.sc
-        m = _PNAME_RE.match(sc.text, sc.pos)
-        name = ""
-        if m:
-            name = m.group(0)
-            sc.advance(len(name))
-        if sc.peek() != ":":
-            raise sc.error(ErrorKind.SYNTAX, "expected ':' in prefix name")
-        sc.advance()
-        return name
+        self.prefixes[name.group()] = iri.value
 
     # -- statements ----------------------------------------------------------
 
     def _parse_statement(self) -> list[Triple]:
-        sc = self.sc
+        text = self.text
         subject = self._parse_subject()
         triples: list[Triple] = []
         while True:
-            sc.skip_ws()
+            self._skip_ws()
             predicate = self._parse_predicate()
             while True:
-                sc.skip_ws()
-                obj = self._parse_object()
-                triples.append(Triple(subject, predicate, obj))
-                sc.skip_ws()
-                if sc.peek() == ",":
-                    sc.advance()
-                    continue
-                break
-            if sc.peek() == ";":
-                sc.advance()
-                sc.skip_ws()
-                # Turtle allows trailing ';' before '.'
-                if sc.peek() == ".":
+                self._skip_ws()
+                triples.append(Triple(subject, predicate,
+                                      self._parse_object()))
+                self._skip_ws()
+                if not text.startswith(",", self.pos):
                     break
-                continue
-            break
+                self.pos += 1
+            if not text.startswith(";", self.pos):
+                break
+            self.pos += 1
+            self._skip_ws()
+            # Turtle allows trailing ';' before '.'
+            if text.startswith(".", self.pos):
+                break
         self._expect_dot()
         return triples
 
     def _expect_dot(self) -> None:
-        sc = self.sc
-        if sc.peek() != ".":
-            raise sc.error(ErrorKind.SYNTAX, "expected '.'")
-        sc.advance()
+        if not self.text.startswith(".", self.pos):
+            raise self._error(ErrorKind.SYNTAX, "expected '.'")
+        self.pos += 1
 
     # -- terms ----------------------------------------------------------------
 
+    # At end of input the current character is "", which every ``in``
+    # test below accepts.
+
     def _parse_subject(self) -> Iri | QuotedTriple:
-        sc = self.sc
-        ch = sc.peek()
-        if ch == "<" and sc.peek(1) == "<":
+        text, pos = self.text, self.pos
+        if text.startswith("<<", pos):
             return self._parse_quoted_triple()
-        if ch == "<":
+        if text.startswith("<", pos):
             return self._parse_iriref()
-        if ch in "_[(":
-            raise sc.error(ErrorKind.SYNTAX,
-                           "blank nodes and collections are not supported")
+        if text[pos:pos + 1] in "_[(":
+            raise self._error(ErrorKind.SYNTAX,
+                              "blank nodes and collections are not supported")
         return self._parse_prefixed_name(allow_a=False)
 
     def _parse_predicate(self) -> Iri:
-        sc = self.sc
-        ch = sc.peek()
-        if ch == "<":
-            if sc.peek(1) == "<":
-                raise sc.error(ErrorKind.SYNTAX,
-                               "quoted triple not allowed as predicate")
+        text, pos = self.text, self.pos
+        if text.startswith("<<", pos):
+            raise self._error(ErrorKind.SYNTAX,
+                              "quoted triple not allowed as predicate")
+        if text.startswith("<", pos):
             return self._parse_iriref()
         return self._parse_prefixed_name(allow_a=True)
 
     def _parse_object(self) -> Term:
-        sc = self.sc
-        ch = sc.peek()
-        if ch == "<" and sc.peek(1) == "<":
-            return self._parse_quoted_triple()
+        text, pos = self.text, self.pos
+        ch = text[pos:pos + 1]
         if ch == "<":
+            if text.startswith("<<", pos):
+                return self._parse_quoted_triple()
             return self._parse_iriref()
         if ch == '"':
             return self._parse_string_literal()
         if ch == "'":
-            raise sc.error(ErrorKind.BAD_LITERAL,
-                           "single-quoted strings are not supported")
-        if ch.isdigit() or ch in "+-" or (ch == "." and sc.peek(1).isdigit()):
+            raise self._error(ErrorKind.BAD_LITERAL,
+                              "single-quoted strings are not supported")
+        if ch.isdigit() or ch in "+-" or (
+                ch == "." and text[pos + 1:pos + 2].isdigit()):
             return self._parse_numeric_literal()
         if ch == "{":
-            raise sc.error(ErrorKind.SYNTAX,
-                           "annotation syntax '{| |}' is not supported")
+            raise self._error(ErrorKind.SYNTAX,
+                              "annotation syntax '{| |}' is not supported")
         if ch in "_[(":
-            raise sc.error(ErrorKind.SYNTAX,
-                           "blank nodes and collections are not supported")
+            raise self._error(ErrorKind.SYNTAX,
+                              "blank nodes and collections are not supported")
         return self._parse_prefixed_name(allow_a=False)
 
     def _parse_quoted_triple(self) -> QuotedTriple:
-        sc = self.sc
-        start = sc.pos
+        text, start = self.text, self.pos
         if self.qt_depth == MAX_QT_DEPTH:
-            raise sc.error(ErrorKind.SYNTAX, "quoted triples nested deeper "
-                           f"than {MAX_QT_DEPTH} levels", start)
+            raise self._error(ErrorKind.SYNTAX, "quoted triples nested "
+                              f"deeper than {MAX_QT_DEPTH} levels", start)
         self.qt_depth += 1
-        sc.advance(2)  # '<<'
-        sc.skip_ws()
-        if sc.eof():
-            raise sc.error(ErrorKind.UNBALANCED_QUOTE,
-                           "'<<' without matching '>>'", start)
+        self.pos += 2  # '<<'
+        self._skip_ws()
+        if self.pos >= len(text):
+            raise self._error(ErrorKind.UNBALANCED_QUOTE,
+                              "'<<' without matching '>>'", start)
         # A nested QT recurses here directly: one stack frame per level.
-        nested = sc.text.startswith
-        subject = (self._parse_quoted_triple() if nested("<<", sc.pos)
+        nested = text.startswith
+        subject = (self._parse_quoted_triple() if nested("<<", self.pos)
                    else self._parse_subject())
-        sc.skip_ws()
+        self._skip_ws()
         predicate = self._parse_predicate()
-        sc.skip_ws()
-        obj = (self._parse_quoted_triple() if nested("<<", sc.pos)
+        self._skip_ws()
+        obj = (self._parse_quoted_triple() if nested("<<", self.pos)
                else self._parse_object())
-        sc.skip_ws()
-        if sc.peek() == ">" and sc.peek(1) == ">":
-            sc.advance(2)
-            self.qt_depth -= 1
-            return QuotedTriple(subject, predicate, obj)
-        raise sc.error(ErrorKind.UNBALANCED_QUOTE,
-                       "'<<' without matching '>>'", start)
+        self._skip_ws()
+        if not nested(">>", self.pos):
+            raise self._error(ErrorKind.UNBALANCED_QUOTE,
+                              "'<<' without matching '>>'", start)
+        self.pos += 2
+        self.qt_depth -= 1
+        return QuotedTriple(subject, predicate, obj)
 
     def _parse_iriref(self) -> Iri:
-        sc = self.sc
-        start = sc.pos
-        m = _IRIREF_RE.match(sc.text, start)
+        text, start = self.text, self.pos
+        m = _IRIREF_RE.match(text, start)
         if m:
-            sc.pos = m.end()
+            self.pos = m.end()
             return self._iri(m.group(1))
-        end = _IRI_BODY_RE.match(sc.text, start + 1).end()
-        if end == len(sc.text):
-            raise sc.error(ErrorKind.SYNTAX, "unterminated IRI", start)
-        raise sc.error(ErrorKind.SYNTAX,
-                       f"illegal character {sc.text[end]!r} in IRI", start)
+        end = _IRI_BODY_RE.match(text, start + 1).end()
+        if end == len(text):
+            raise self._error(ErrorKind.SYNTAX, "unterminated IRI", start)
+        raise self._error(ErrorKind.SYNTAX,
+                          f"illegal character {text[end]!r} in IRI", start)
 
     def _parse_prefixed_name(self, allow_a: bool) -> Iri:
-        sc = self.sc
-        start = sc.pos
-        m = _PREFIXED_RE.match(sc.text, start)
+        text, start = self.text, self.pos
+        m = _PREFIXED_RE.match(text, start)
         if m is None:
-            m = _PNAME_RE.match(sc.text, start)
-            name = m.group(0) if m else ""
+            name = _PNAME_RE.match(text, start).group()
             if name == "a" and allow_a:
-                sc.advance(1)
+                self.pos += 1
                 return self._iri(RDF_TYPE)
-            raise sc.error(ErrorKind.SYNTAX,
-                           f"expected a term, found {name or sc.peek()!r}",
-                           start)
-        sc.pos = m.end()
+            found = name or text[start:start + 1]
+            raise self._error(ErrorKind.SYNTAX,
+                              f"expected a term, found {found!r}", start)
+        self.pos = m.end()
         name, local = m.group(1) or "", m.group(2)
         if name not in self.prefixes:
-            raise sc.error(ErrorKind.UNDEFINED_PREFIX,
-                           f"prefix {name + ':'!r} is not declared", start)
+            raise self._error(ErrorKind.UNDEFINED_PREFIX,
+                              f"prefix {name + ':'!r} is not declared", start)
         return self._iri(self.prefixes[name] + local)
 
     def _parse_string_literal(self) -> Literal:
-        sc = self.sc
-        start = sc.pos
-        sc.advance()  # opening quote
+        text, start = self.text, self.pos
+        self.pos += 1  # opening quote
         chars: list[str] = []
         while True:
-            run = _STRING_RUN_RE.match(sc.text, sc.pos).group(0)
-            chars.append(run)
-            sc.pos += len(run)
-            if sc.eof():
-                raise sc.error(ErrorKind.BAD_LITERAL,
-                               "unterminated string literal", start)
-            ch = sc.advance()
+            run = _STRING_RUN_RE.match(text, self.pos)
+            chars.append(run.group())
+            self.pos = run.end()
+            ch = text[self.pos:self.pos + 1]
+            if not ch:
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "unterminated string literal", start)
+            self.pos += 1
             if ch == '"':
                 break
             if ch == "\n":
-                raise sc.error(ErrorKind.BAD_LITERAL,
-                               "newline in string literal", start)
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "newline in string literal", start)
             chars.append(self._parse_escape(start))
         lexical = "".join(chars)
-        if sc.peek() == "@":
-            sc.advance()
-            m = _LANGTAG_RE.match(sc.text, sc.pos)
+        if text.startswith("@", self.pos):
+            self.pos += 1
+            m = _LANGTAG_RE.match(text, self.pos)
             if not m:
-                raise sc.error(ErrorKind.BAD_LITERAL, "malformed language tag")
-            tag = m.group(0)
-            sc.advance(len(tag))
-            return Literal(lexical, language=tag.lower())
-        if sc.peek() == "^" and sc.peek(1) == "^":
-            sc.advance(2)
-            sc.skip_ws()
-            if sc.peek() == "<" and sc.peek(1) != "<":
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "malformed language tag")
+            self.pos = m.end()
+            return Literal(lexical, language=m.group().lower())
+        if text.startswith("^^", self.pos):
+            self.pos += 2
+            self._skip_ws()
+            if text.startswith("<", self.pos) and not text.startswith(
+                    "<<", self.pos):
                 dt = self._parse_iriref()
             else:
                 dt = self._parse_prefixed_name(allow_a=False)
@@ -363,47 +332,43 @@ class _Parser:
         return Literal(lexical)
 
     def _parse_escape(self, start: int) -> str:
-        sc = self.sc
-        if sc.eof():
-            raise sc.error(ErrorKind.BAD_LITERAL, "unterminated escape",
-                           start)
-        ch = sc.advance()
+        text, pos = self.text, self.pos
+        ch = text[pos:pos + 1]
+        if not ch:
+            raise self._error(ErrorKind.BAD_LITERAL, "unterminated escape",
+                              start)
+        self.pos += 1
         if ch in _STRING_ESCAPES:
             return _STRING_ESCAPES[ch]
         if ch in "uU":
             width = 4 if ch == "u" else 8
-            digits = sc.advance(width)
+            digits = text[pos + 1:pos + 1 + width]
+            self.pos += width
             if len(digits) != width or any(
                 c not in "0123456789abcdefABCDEF" for c in digits
             ):
-                raise sc.error(ErrorKind.BAD_LITERAL,
-                               "malformed unicode escape", start)
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "malformed unicode escape", start)
             return chr(int(digits, 16))
-        raise sc.error(ErrorKind.BAD_LITERAL, f"unknown escape '\\{ch}'",
-                       start)
+        raise self._error(ErrorKind.BAD_LITERAL,
+                          f"unknown escape '\\{ch}'", start)
 
     def _parse_numeric_literal(self) -> Literal:
-        sc = self.sc
-        start = sc.pos
-        m = _DECIMAL_RE.match(sc.text, sc.pos)
-        if m:
-            text = m.group(0)
-            sc.advance(len(text))
-            return Literal(text, datatype=XSD_DECIMAL)
-        m = _INTEGER_RE.match(sc.text, sc.pos)
-        if m:
-            text = m.group(0)
-            end = sc.pos + len(text)
-            # "1." followed by whitespace is INTEGER + statement dot;
-            # "1.x" is malformed
-            if end < len(sc.text) and sc.text[end] == "." and (
-                end + 1 < len(sc.text) and sc.text[end + 1] not in " \t\r\n"
-            ):
-                raise sc.error(ErrorKind.BAD_LITERAL, "malformed number",
-                               start)
-            sc.advance(len(text))
-            return Literal(text, datatype=XSD_INTEGER)
-        raise sc.error(ErrorKind.BAD_LITERAL, "malformed number", start)
+        text, start = self.text, self.pos
+        m = _NUMBER_RE.match(text, start)
+        if m is None:
+            raise self._error(ErrorKind.BAD_LITERAL, "malformed number")
+        lexical, end = m.group(), m.end()
+        if "." in lexical:
+            self.pos = end
+            return Literal(lexical, datatype=XSD_DECIMAL)
+        # "1." followed by whitespace or the end is INTEGER + statement
+        # dot; "1.x" is malformed
+        if text.startswith(".", end) and (
+                text[end + 1:end + 2] not in " \t\r\n"):
+            raise self._error(ErrorKind.BAD_LITERAL, "malformed number")
+        self.pos = end
+        return Literal(lexical, datatype=XSD_INTEGER)
 
 
 def parse_document(source: str) -> list[Triple]:
@@ -419,9 +384,9 @@ def parse_document(source: str) -> list[Triple]:
 def parse_term(source: str) -> Term:
     """Parse a single term (IRI, literal, or quoted triple)."""
     p = _Parser(source)
-    p.sc.skip_ws()
+    p._skip_ws()
     term = p._parse_object()
-    p.sc.skip_ws()
-    if not p.sc.eof():
-        raise p.sc.error(ErrorKind.SYNTAX, "trailing input after term")
+    p._skip_ws()
+    if p.pos < len(source):
+        raise p._error(ErrorKind.SYNTAX, "trailing input after term")
     return term
