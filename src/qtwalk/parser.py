@@ -188,9 +188,6 @@ class _Parser:
 
     # -- terms ----------------------------------------------------------------
 
-    # At end of input the current character is "", which every ``in``
-    # test below accepts.
-
     def _parse_subject(self) -> Iri | QuotedTriple:
         text, pos = self.text, self.pos
         if text.startswith("<<", pos):
@@ -214,6 +211,8 @@ class _Parser:
     def _parse_object(self) -> Term:
         text, pos = self.text, self.pos
         ch = text[pos:pos + 1]
+        if not ch:  # before the ``in`` tests: "" is in every string
+            raise self._error(ErrorKind.SYNTAX, "unexpected end of input")
         if ch == "<":
             if text.startswith("<<", pos):
                 return self._parse_quoted_triple()
@@ -283,8 +282,9 @@ class _Parser:
                 self.pos += 1
                 return self._iri(RDF_TYPE)
             found = name or text[start:start + 1]
-            raise self._error(ErrorKind.SYNTAX,
-                              f"expected a term, found {found!r}", start)
+            message = (f"expected a term, found {found!r}" if found
+                       else "unexpected end of input")
+            raise self._error(ErrorKind.SYNTAX, message, start)
         self.pos = m.end()
         name, local = m.group(1) or "", m.group(2)
         if name not in self.prefixes:

@@ -136,7 +136,7 @@ ex:a a ex:Thing ;
 """
 
 PARSER_OUTCOMES_SHA256 = (
-    "e93b7c648e0e8d0188898b1c02f862282e92132c6add24119f0b4fbb0578c1be")
+    "5ea2a9a589f7c0812511bc93db3caa18e7bffa6be0a3a208c17d58f7d11e4e0f")
 
 
 def mutate(rng: random.Random, text: str) -> str:

@@ -201,6 +201,23 @@ def test_literal_subject_is_rejected():
     assert d.kind is ErrorKind.SYNTAX
 
 
+@pytest.mark.parametrize("parse,source,line,column", [
+    (parse_document, "<urn:a> <urn:p>", 1, 16),
+    (parse_document, "<< <urn:a> ", 1, 12),
+    (parse_document, "<s> <p> <o> ;", 1, 14),
+    (parse_document, "<s> <p> <o> ,\n", 2, 1),
+    (parse_document, '<s> <p> "x"^^', 1, 14),
+    (parse_term, "", 1, 1),
+    (parse_term, " \n ", 2, 2),
+])
+def test_end_of_input_is_reported_at_the_end(parse, source, line, column):
+    with pytest.raises(ParseError) as exc_info:
+        parse(source)
+    d = exc_info.value.diagnostics
+    assert (d.kind, d.line, d.column, d.message) == (
+        ErrorKind.SYNTAX, line, column, "unexpected end of input")
+
+
 def test_error_str_mentions_position():
     try:
         parse_document("@prefix : <urn:x:> .\n:a nope:p :b .")
