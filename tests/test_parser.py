@@ -201,6 +201,45 @@ def test_literal_subject_is_rejected():
     assert d.kind is ErrorKind.SYNTAX
 
 
+_P = "@prefix x: <urn:x:> .\n"
+SYNTAX, BAD_LITERAL = ErrorKind.SYNTAX, ErrorKind.BAD_LITERAL
+
+
+def _outcome(source: str):
+    """The serialized triples of ``source``, or its diagnostic."""
+    try:
+        return [serialize_triple(t) for t in parse_document(source)]
+    except ParseError as exc:
+        d = exc.diagnostics
+        return d.kind, d.line, d.column, d.message
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("@base <urn:x:> .\n", (SYNTAX, 1, 1, "unknown directive '@base <'")),
+    ("@prefix x: urn:x: .", (SYNTAX, 1, 12, "expected IRI after @prefix")),
+    (_P + "x:s << x:a x:b x:c >> x:o .",
+     (SYNTAX, 2, 5, "quoted triple not allowed as predicate")),
+    (_P + "x:s x:p 'o' .",
+     (BAD_LITERAL, 2, 9, "single-quoted strings are not supported")),
+    (_P + "x:s x:p {| x:q x:r |} .",
+     (SYNTAX, 2, 9, "annotation syntax '{| |}' is not supported")),
+    (_P + "x:s x:p\n  _:b .",
+     (SYNTAX, 3, 3, "blank nodes and collections are not supported")),
+    (_P + "x:s x:p << ",
+     (ErrorKind.UNBALANCED_QUOTE, 2, 9, "'<<' without matching '>>'")),
+    (_P + 'x:s x:p "o"@1 .', (BAD_LITERAL, 2, 13, "malformed language tag")),
+    (_P + 'x:s x:p "o\\', (BAD_LITERAL, 2, 9, "unterminated escape")),
+    (_P + 'x:s x:p "\\u00G9" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    (_P + "x:s x:p +x .", (BAD_LITERAL, 2, 9, "malformed number")),
+    (_P + "x:s x:p 1.x .", (BAD_LITERAL, 2, 9, "malformed number")),
+    (_P + "x:s x:p x:o ; .", ["<urn:x:s> <urn:x:p> <urn:x:o> ."]),
+    (_P + 'x:s x:p "1"^^x:t .', ['<urn:x:s> <urn:x:p> "1"^^<urn:x:t> .']),
+])
+def test_rarely_reached_paths(source, expected):
+    assert _outcome(source) == expected
+
+
 @pytest.mark.parametrize("parse,source,line,column", [
     (parse_document, "<urn:a> <urn:p>", 1, 16),
     (parse_document, "<< <urn:a> ", 1, 12),
