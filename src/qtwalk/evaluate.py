@@ -22,11 +22,15 @@ import numpy as np
 from .skipgram import DimensionMismatch, EmbeddingModel
 
 
-class MissingSeed(KeyError):
-    pass
-
-
 class MissingToken(KeyError):
+    """A gold token the embedding lacks.  ``str`` gives the message, not
+    the quoted repr that ``KeyError`` shows."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+class MissingSeed(MissingToken):
     pass
 
 
@@ -80,19 +84,27 @@ def _nonempty(path, records: list) -> tuple:
     return tuple(records)
 
 
+def _lines(path):
+    """(line number, line) for each line of ``path`` that is neither blank
+    nor a ``#`` comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line.strip() and not line.startswith("#"):
+                yield lineno, line
+
+
 def load_labeled_tsv(path) -> LabeledSet:
     records: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            token, _, label = line.partition("\t")
-            if token in seen:
-                raise ValueError(f"{path}: duplicate token {token!r}")
-            seen.add(token)
-            records.append((token, label))
+    for lineno, line in _lines(path):
+        token, _, label = line.partition("\t")
+        if not label:
+            raise ValueError(f"{path}:{lineno}: expected token<TAB>label")
+        if token in seen:
+            raise ValueError(f"{path}: duplicate token {token!r}")
+        seen.add(token)
+        records.append((token, label))
     return LabeledSet(_nonempty(path, records))
 
 
@@ -113,30 +125,32 @@ def load_relatedness(path) -> RelatednessGold:
             )
         records.append((seed, tuple(candidates)))
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if line[0] in " \t":
-                candidates.append(line.strip())
-            else:
-                _flush()
-                seed = line.strip()
-                candidates = []
+    for lineno, line in _lines(path):
+        if line[0] not in " \t":
+            _flush()
+            seed = line.strip()
+            candidates = []
+        elif seed is None:
+            raise ValueError(f"{path}:{lineno}: candidate before any seed")
+        else:
+            candidates.append(line.strip())
     _flush()
     return RelatednessGold(_nonempty(path, records))
 
 
 def load_similarity(path) -> SimilarityGold:
     records: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            qt1, qt2, score = line.split("\t")
+    for lineno, line in _lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 TAB-separated "
+                             f"fields, found {len(fields)}")
+        qt1, qt2, score = fields
+        try:
             records.append((qt1, qt2, float(score)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score {score!r} is not a "
+                             "number") from None
     return SimilarityGold(_nonempty(path, records))
 
 
@@ -378,14 +392,15 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def _resolve_tokens(emb: EmbeddingModel, tokens
+def _resolve_tokens(emb: EmbeddingModel, tokens, task: str
                     ) -> tuple[list[str], list[str]]:
     present = [t for t in tokens if t in emb]
     missing = [t for t in tokens if t not in emb]
     if len(present) < 0.9 * len(tokens):
+        shown = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
         raise MissingToken(
-            f"only {len(present)}/{len(tokens)} gold tokens present in the "
-            "embedding"
+            f"{task}: only {len(present)}/{len(tokens)} gold tokens are in "
+            f"the embedding; missing {shown}"
         )
     return present, missing
 
@@ -396,7 +411,7 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
                         seed: int = 0, folds: int = 10, k: int = 3
                         ) -> EvalReport:
     tokens = [t for t, _ in gold.records]
-    present, missing = _resolve_tokens(emb, tokens)
+    present, missing = _resolve_tokens(emb, tokens, "classification")
     label_of = dict(gold.records)
     labels = [label_of[t] for t in present]
     per_class: dict[str, int] = {}
@@ -425,7 +440,7 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
 def eval_clustering(emb: EmbeddingModel, gold: LabeledSet, seed: int = 0,
                     restarts: int = 10) -> EvalReport:
     tokens = [t for t, _ in gold.records]
-    present, missing = _resolve_tokens(emb, tokens)
+    present, missing = _resolve_tokens(emb, tokens, "clustering")
     label_of = dict(gold.records)
     labels = [label_of[t] for t in present]
     x = np.array([emb[t] for t in present])
@@ -446,12 +461,12 @@ def eval_relatedness(emb: EmbeddingModel, gold: RelatednessGold
     taus: list[float] = []
     for seed_token, candidates in gold.records:
         if seed_token not in emb:
-            raise MissingSeed(seed_token)
+            raise MissingSeed(
+                f"relatedness: seed {seed_token} is not in the embedding")
         usable = [c for c in candidates if c in emb]
         if len(usable) < 2:
-            raise MissingToken(
-                f"seed {seed_token!r}: too few candidates in embedding"
-            )
+            raise MissingToken(f"relatedness: seed {seed_token} has fewer "
+                               "than 2 candidates in the embedding")
         sims = [cosine_similarity(emb[seed_token], emb[c]) for c in usable]
         gold_rank = list(range(len(usable)))
         predicted_rank = np.argsort(np.argsort([-s for s in sims],
@@ -472,8 +487,10 @@ def eval_qt_similarity(emb: EmbeddingModel, gold: SimilarityGold
     predicted: list[float] = []
     expected: list[float] = []
     for qt1, qt2, score in gold.records:
-        if qt1 not in emb or qt2 not in emb:
-            raise MissingToken(f"{qt1!r} / {qt2!r}")
+        for token in (qt1, qt2):
+            if token not in emb:
+                raise MissingToken(
+                    f"qt_similarity: {token} is not in the embedding")
         predicted.append(cosine_similarity(emb[qt1], emb[qt2]))
         expected.append(score)
     p = pearson(predicted, expected)

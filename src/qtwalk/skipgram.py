@@ -470,11 +470,16 @@ def _parse_header(path, header: str) -> tuple[int, int, Mode]:
             raise ValueError(f"{path}: header part {part!r} is not key=value")
         fields[key] = value
     try:
-        return int(fields["count"]), int(fields["dim"]), Mode(fields["mode"])
+        count, dim = int(fields["count"]), int(fields["dim"])
+        mode = Mode(fields["mode"])
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks {exc.args[0]}=") from None
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from None
+    if count < 0 or dim < 1:
+        raise ValueError(f"{path}:1: header needs count >= 0 and dim >= 1, "
+                         f"got count={count} dim={dim}")
+    return count, dim, mode
 
 
 def load_embeddings(path) -> EmbeddingModel:
@@ -483,11 +488,15 @@ def load_embeddings(path) -> EmbeddingModel:
         count, dim, mode = _parse_header(path, fh.readline().rstrip("\n"))
         index: dict[str, int] = {}
         rows: list[list[float]] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             token, _, values = line.rstrip("\n").partition("\t")
-            row = [float(x) for x in values.split(" ")]
+            try:
+                row = [float(x) for x in values.split(" ")]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: token {token!r}: {exc}") from None
             if len(row) != dim:
                 raise DimensionMismatch(
                     f"{path}: token {token!r} has {len(row)} values, "

@@ -262,6 +262,61 @@ def test_empty_gold_file_is_exit_code_one(tmp_path, fixture_graph, capsys,
     assert capsys.readouterr().err == f"qtwalk: error: {gold}: no records\n"
 
 
+TINY_EMBEDDING = ("#qtwalk-emb v1 count=2 dim=2 mode=classic\n"
+                  "<urn:a>\t1.0 0.0\n<urn:b>\t0.0 1.0\n")
+TEN_CANDIDATES = "".join(f"\t<urn:c{i}>\n" for i in range(10))
+
+
+def eval_error(tmp_path, capsys, task, gold, embedding=TINY_EMBEDDING):
+    """stderr of ``qtwalk eval`` on hand-written files, which must exit 1;
+    ``{emb}`` and ``{gold}`` in it stand for the two paths."""
+    emb = tmp_path / "vectors.tsv"
+    emb.write_text(embedding, encoding="utf-8")
+    gold_path = tmp_path / f"{task}.tsv"
+    gold_path.write_text(gold, encoding="utf-8")
+    assert main(["eval", str(emb), "--gold-dir", str(tmp_path),
+                 "--tasks", task]) == 1
+    err = capsys.readouterr().err
+    return err.replace(str(emb), "{emb}").replace(str(gold_path), "{gold}")
+
+
+@pytest.mark.parametrize("task,gold,message", [
+    ("relatedness", "<urn:nope>\n" + TEN_CANDIDATES,
+     "relatedness: seed <urn:nope> is not in the embedding"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n<urn:a>\t<urn:c>\t0.1\n",
+     "qt_similarity: <urn:c> is not in the embedding"),
+    ("clustering", "<urn:x>\tA\n<urn:y>\tB\n",
+     "clustering: only 0/2 gold tokens are in the embedding; missing "
+     "<urn:x>, <urn:y>"),
+])
+def test_eval_names_the_task_and_missing_token(tmp_path, capsys, task, gold,
+                                               message):
+    assert eval_error(tmp_path, capsys, task, gold) == (
+        f"qtwalk: error: {message}\n")
+
+
+@pytest.mark.parametrize("task,gold,embedding,message", [
+    ("qt_similarity", "<urn:a>\t<urn:b>\n", TINY_EMBEDDING,
+     "{gold}:1: expected 3 TAB-separated fields, found 2"),
+    ("qt_similarity", "# pairs\n<urn:a>\t<urn:b>\thigh\n", TINY_EMBEDDING,
+     "{gold}:2: score 'high' is not a number"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     TINY_EMBEDDING.replace("1.0 0.0", "1.0 x"),
+     "{emb}:2: token '<urn:a>': could not convert string to float: 'x'"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     "#qtwalk-emb v1 count=0 dim=-3 mode=classic\n",
+     "{emb}:1: header needs count >= 0 and dim >= 1, got count=0 dim=-3"),
+    ("relatedness", "\t<urn:b>\n<urn:a>\n" + TEN_CANDIDATES, TINY_EMBEDDING,
+     "{gold}:1: candidate before any seed"),
+    ("clustering", "<urn:a>\tA\n<urn:b> B\n", TINY_EMBEDDING,
+     "{gold}:2: expected token<TAB>label"),
+])
+def test_eval_input_errors_name_file_and_line(tmp_path, capsys, task, gold,
+                                              embedding, message):
+    assert eval_error(tmp_path, capsys, task, gold, embedding) == (
+        f"qtwalk: error: {message}\n")
+
+
 def test_pipeline_is_byte_reproducible(tmp_path, fixture_graph):
     out = []
     for run in ("one", "two"):
