@@ -94,8 +94,7 @@ def _qs_candidate(g: Graph, node: int, rng: random.Random) -> int | None:
     return rng.choice(candidates) if candidates else None
 
 
-def random_walks(g: Graph, root: int, params: WalkParams,
-                 step_log: list | None = None) -> list[Walk]:
+def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
     """Walks rooted at term id ``root`` per the combined random-walk
     procedure."""
     rng = _root_rng(g, params, root)
@@ -124,7 +123,6 @@ def random_walks(g: Graph, root: int, params: WalkParams,
                     nw.append(root)  # the root, in its object role
                 nw.append(oq)
                 new_wl.append(nw)
-                branch = "oq"
             elif qs is not None and rand_qs < params.alpha:
                 nw = list(walk)
                 if not walk:
@@ -133,26 +131,15 @@ def random_walks(g: Graph, root: int, params: WalkParams,
                 if walk:
                     new_wl.append(walk)  # the undecomposed walk survives
                 new_wl.append(nw)
-                branch = "qs"
             else:
                 outgoing = out_edges[cur]
                 if not outgoing:
                     new_wl.append(walk if walk else [root])
-                    branch = "dead-end"
                 else:
                     for edge in outgoing:
                         nw = list(walk) if walk else [root]
                         nw.extend(edge)
                         new_wl.append(nw)
-                    branch = "default"
-            if step_log is not None:
-                step_log.append({
-                    "branch": branch,
-                    "oq_possible": oq is not None,
-                    "qs_possible": qs is not None,
-                    "rand_oq": rand_oq,
-                    "rand_qs": rand_qs,
-                })
         wl = new_wl
         while len(wl) > params.n:
             wl.pop(rng.randrange(len(wl)))
