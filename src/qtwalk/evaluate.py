@@ -147,10 +147,11 @@ def load_similarity(path) -> SimilarityGold:
                              f"fields, found {len(fields)}")
         qt1, qt2, score = fields
         try:
-            records.append((qt1, qt2, float(score)))
+            value = float(score)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: score {score!r} is not a "
                              "number") from None
+        records.append((qt1, qt2, value))
     return SimilarityGold(_nonempty(path, records))
 
 

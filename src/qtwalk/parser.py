@@ -194,7 +194,7 @@ class _Parser:
             return self._parse_quoted_triple()
         if text.startswith("<", pos):
             return self._parse_iriref()
-        if text[pos:pos + 1] in "_[(":
+        if text.startswith(("_", "[", "("), pos):
             raise self._error(ErrorKind.SYNTAX,
                               "blank nodes and collections are not supported")
         return self._parse_prefixed_name(allow_a=False)
@@ -211,7 +211,7 @@ class _Parser:
     def _parse_object(self) -> Term:
         text, pos = self.text, self.pos
         ch = text[pos:pos + 1]
-        if not ch:  # before the ``in`` tests: "" is in every string
+        if not ch:  # before the ``in`` test below: "" is in every string
             raise self._error(ErrorKind.SYNTAX, "unexpected end of input")
         if ch == "<":
             if text.startswith("<<", pos):
@@ -228,7 +228,7 @@ class _Parser:
         if ch == "{":
             raise self._error(ErrorKind.SYNTAX,
                               "annotation syntax '{| |}' is not supported")
-        if ch in "_[(":
+        if text.startswith(("_", "[", "("), pos):
             raise self._error(ErrorKind.SYNTAX,
                               "blank nodes and collections are not supported")
         return self._parse_prefixed_name(allow_a=False)

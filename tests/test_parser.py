@@ -235,26 +235,24 @@ def _outcome(source: str):
     (_P + "x:s x:p 1.x .", (BAD_LITERAL, 2, 9, "malformed number")),
     (_P + "x:s x:p x:o ; .", ["<urn:x:s> <urn:x:p> <urn:x:o> ."]),
     (_P + 'x:s x:p "1"^^x:t .', ['<urn:x:s> <urn:x:p> "1"^^<urn:x:t> .']),
+    # a term is due at the end of the input
+    ("<urn:a> <urn:p>", (SYNTAX, 1, 16, "unexpected end of input")),
+    ("<< <urn:a> ", (SYNTAX, 1, 12, "unexpected end of input")),
+    ("<s> <p> <o> ;", (SYNTAX, 1, 14, "unexpected end of input")),
+    ("<s> <p> <o> ,\n", (SYNTAX, 2, 1, "unexpected end of input")),
+    ('<s> <p> "x"^^', (SYNTAX, 1, 14, "unexpected end of input")),
 ])
 def test_rarely_reached_paths(source, expected):
     assert _outcome(source) == expected
 
 
-@pytest.mark.parametrize("parse,source,line,column", [
-    (parse_document, "<urn:a> <urn:p>", 1, 16),
-    (parse_document, "<< <urn:a> ", 1, 12),
-    (parse_document, "<s> <p> <o> ;", 1, 14),
-    (parse_document, "<s> <p> <o> ,\n", 2, 1),
-    (parse_document, '<s> <p> "x"^^', 1, 14),
-    (parse_term, "", 1, 1),
-    (parse_term, " \n ", 2, 2),
-])
-def test_end_of_input_is_reported_at_the_end(parse, source, line, column):
+@pytest.mark.parametrize("source,line,column", [("", 1, 1), (" \n ", 2, 2)])
+def test_parse_term_reports_end_of_input(source, line, column):
     with pytest.raises(ParseError) as exc_info:
-        parse(source)
+        parse_term(source)
     d = exc_info.value.diagnostics
     assert (d.kind, d.line, d.column, d.message) == (
-        ErrorKind.SYNTAX, line, column, "unexpected end of input")
+        SYNTAX, line, column, "unexpected end of input")
 
 
 def test_error_str_mentions_position():
