@@ -154,27 +154,25 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
+def serialize_document(triples) -> str:
+    return "".join(serialize_triple(t) + "\n" for t in triples)
+
+
 def parser_cases():
     """(parse, serialize, text): mutated documents and terms, seeded."""
     rng = random.Random(20231)
-
-    def document(triples):
-        return "".join(serialize_triple(t) + "\n" for t in triples)
-
-    def term(t):
-        return serialize_term(t)
-
     for i in range(200):
-        doc = document(random_graph(i, triples=4, qt_probability=0.4))
+        doc = serialize_document(
+            random_graph(i, triples=4, qt_probability=0.4))
         for _ in range(20):
-            yield parse_document, document, mutate(rng, doc)
+            yield parse_document, serialize_document, mutate(rng, doc)
     for _ in range(200):
         text = serialize_term(random_term(rng))
         for _ in range(19):
-            yield parse_term, term, mutate(rng, text)
-    yield parse_document, document, PREFIXED_DOC
+            yield parse_term, serialize_term, mutate(rng, text)
+    yield parse_document, serialize_document, PREFIXED_DOC
     for _ in range(200):
-        yield parse_document, document, mutate(rng, PREFIXED_DOC)
+        yield parse_document, serialize_document, mutate(rng, PREFIXED_DOC)
 
 
 def parser_outcome(parse, serialize, text: str) -> str:
