@@ -1,6 +1,7 @@
 """Byte-identity guard: pinned sha256 digests of walk corpora, graph
-fingerprints, stats tables, one trained embedding file and the parser's
-outcome on thousands of mutated inputs.
+fingerprints, stats tables, one trained embedding file, the parameters of
+every trainer configuration and the parser's outcome on thousands of
+mutated inputs.
 
 Candidate order, RNG draws and token text all feed these bytes, so a
 change to how the graph is indexed or walked that alters any of them
@@ -17,8 +18,11 @@ from qtwalk.cli import main
 from qtwalk.fixtures import random_graph, random_term
 from qtwalk.graph import build_graph, compute_stats, stats_tsv
 from qtwalk.parser import ParseError, parse_document, parse_term
+from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
+                             build_vocabulary, train)
 from qtwalk.terms import serialize_term, serialize_triple
-from qtwalk.walks import Strategy, WalkParams, generate_corpus, write_corpus
+from qtwalk.walks import (Strategy, WalkParams, generate_corpus,
+                          read_corpus_lines, write_corpus)
 
 SEEDS = (0, 1, 2)
 ALPHA_BETA = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
@@ -109,16 +113,47 @@ def test_fingerprint_and_stats_are_pinned(seed):
     assert sha256(text.encode("utf-8")) == STATS_SHA256[seed]
 
 
-def test_walk_train_embedding_bytes_are_pinned(tmp_path):
-    graph, corpus, emb = (tmp_path / name for name in
-                          ("graph.ttls", "walks.tsv", "emb.txt"))
+# input_vectors then output_matrices bytes, per (mode, softmax mode)
+MODEL_SHA256 = {
+    (Mode.CLASSIC, SoftmaxMode.NEGATIVE_SAMPLING):
+        "fe88a56bb1c9393254fdfaa888cf6382437a3a498fa51fd38dd295026b036c96",
+    (Mode.CLASSIC, SoftmaxMode.FULL_SOFTMAX):
+        "809eb5a8872daaeed81a5e9eb85950cbfb0a8d278536892a2986476e1a71a7dc",
+    (Mode.STRUCTURED, SoftmaxMode.NEGATIVE_SAMPLING):
+        "e73d834d12ca50c122fde29b4f537e015bb2e3b19439b365f7cd600d5ebe68a8",
+    (Mode.STRUCTURED, SoftmaxMode.FULL_SOFTMAX):
+        "172dda68c8fae0786ee7cc086c996dd470c5a06875c65a6af5467d14f6c861da",
+}
+
+
+@pytest.fixture(scope="module")
+def walk_corpus(tmp_path_factory):
+    """A walk corpus written by the CLI from a seeded fixture graph."""
+    tmp = tmp_path_factory.mktemp("walk")
+    graph, corpus = tmp / "graph.ttls", tmp / "walks.tsv"
     assert main(["gen-fixture", str(graph), "--seed", "4", "--triples", "80",
                  "--qt-probability", "0.4"]) == 0
     assert main(["walk", str(graph), str(corpus), "--walks", "4",
                  "--depth", "6", "--seed", "1"]) == 0
-    assert main(["train", str(corpus), str(emb), "--dim", "8",
+    return corpus
+
+
+def test_walk_train_embedding_bytes_are_pinned(tmp_path, walk_corpus):
+    emb = tmp_path / "emb.txt"
+    assert main(["train", str(walk_corpus), str(emb), "--dim", "8",
                  "--epochs", "2", "--seed", "1"]) == 0
     assert sha256(emb.read_bytes()) == EMBEDDING_SHA256
+
+
+@pytest.mark.parametrize("mode,softmax_mode", list(MODEL_SHA256))
+def test_trained_model_bytes_are_pinned(walk_corpus, mode, softmax_mode):
+    _, rows = read_corpus_lines(walk_corpus)
+    cfg = TrainConfig(dim=8, epochs=2, seed=1, mode=mode,
+                      softmax_mode=softmax_mode)
+    model = train(rows, build_vocabulary(rows), cfg)
+    digest = hashlib.sha256(model.input_vectors.tobytes())
+    digest.update(model.output_matrices.tobytes())
+    assert digest.hexdigest() == MODEL_SHA256[(mode, softmax_mode)]
 
 
 # -- parser outcomes -----------------------------------------------------------
