@@ -349,7 +349,12 @@ class _Parser:
             ):
                 raise self._error(ErrorKind.BAD_LITERAL,
                                   "malformed unicode escape", start)
-            return chr(int(digits, 16))
+            code = int(digits, 16)
+            # beyond Unicode, or a surrogate, which UTF-8 cannot encode
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "malformed unicode escape", start)
+            return chr(code)
         raise self._error(ErrorKind.BAD_LITERAL,
                           f"unknown escape '\\{ch}'", start)
 

@@ -426,6 +426,20 @@ def test_parse_error_is_exit_code_one(tmp_path, capsys):
     assert main(["stats", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\U0011FFFF",
+                                    "\\uD800"])
+def test_escape_outside_unicode_is_exit_code_one(tmp_path, capsys, escape):
+    bad = tmp_path / "bad.ttls"
+    bad.write_text(f'<urn:a> <urn:p> "x{escape}" .\n', encoding="utf-8")
+    for argv in (["stats", str(bad)],
+                 ["walk", str(bad), str(tmp_path / "walks.tsv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("qtwalk: error: 1:17: BadLiteral: "
+                       "malformed unicode escape\n")
+    assert not (tmp_path / "walks.tsv").exists()
+
+
 def nested_qt_document(depth: int) -> str:
     """One asserted triple whose subject is a QT nested ``depth`` deep,
     alternating between the subject and the object side."""

@@ -86,6 +86,10 @@ def test_unicode_escapes():
     doc = '@prefix : <urn:x:> . :a :p "\\u00e9\\U0001F600" .'
     (t,) = parse_document(doc)
     assert t.object == Literal("é\U0001F600")
+    # the code points next to the surrogates and the last one
+    doc = '<urn:a> <urn:p> "\\uD7FF\\uE000\\U0010FFFF" .'
+    (t,) = parse_document(doc)
+    assert t.object == Literal("\uD7FF\uE000\U0010FFFF")
 
 
 def test_nested_quoted_triple_both_positions():
@@ -230,6 +234,15 @@ def _outcome(source: str):
     (_P + 'x:s x:p "o"@1 .', (BAD_LITERAL, 2, 13, "malformed language tag")),
     (_P + 'x:s x:p "o\\', (BAD_LITERAL, 2, 9, "unterminated escape")),
     (_P + 'x:s x:p "\\u00G9" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    # code points beyond Unicode, and surrogates, which UTF-8 cannot encode
+    (_P + 'x:s x:p "x\\UFFFFFFFF" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    (_P + 'x:s x:p\n "x\\U00110000" .',
+     (BAD_LITERAL, 3, 2, "malformed unicode escape")),
+    (_P + 'x:s x:p "\\uD800" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    (_P + 'x:s x:p "ab\\uDFFF" .',
      (BAD_LITERAL, 2, 9, "malformed unicode escape")),
     (_P + "x:s x:p +x .", (BAD_LITERAL, 2, 9, "malformed number")),
     (_P + "x:s x:p 1.x .", (BAD_LITERAL, 2, 9, "malformed number")),
