@@ -165,6 +165,9 @@ def build_graph(triples) -> Graph:
         key = (intern(t.subject), intern(t.predicate), intern(t.object))
         if key not in asserted:
             asserted[key] = t
+    # intern's closure cell holds intern itself: empty it, so the interning
+    # tables are freed now rather than by a full garbage collection
+    del intern
 
     order = sorted(range(len(texts)), key=texts.__getitem__)
     rank = [0] * len(order)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 from qtwalk.fixtures import random_graph
@@ -206,3 +207,14 @@ def test_stats_rows_and_tsv_layout():
     text = stats_tsv(compute_stats(g))
     assert "Standard triple\t4\n" in text
     assert text.endswith("Total\t6\n")
+
+
+def test_build_graph_leaves_no_garbage_cycles():
+    triples = random_graph(5, triples=200, qt_probability=0.5, max_depth=4)
+    gc.collect()
+    gc.disable()
+    try:
+        build_graph(triples)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
