@@ -6,9 +6,12 @@ negative sampling (default) or by the exact softmax (small vocabularies
 only; kept as a verification path and for gradient checks).
 
 Training is minibatch SGD over int arrays of all (center, context,
-position) pairs.  Both objectives go through one batched gradient,
-``_batch_gradient``, which the public ``*_objective`` functions also return,
-so the finite-difference checks cover the update that training applies.
+position) pairs.  The input vectors and the output planes are views of one
+parameter block, so each step gathers the rows it reads once and applies
+one summed update.  Both objectives go through one batched gradient,
+``_batch_gradient``, which the public ``*_objective`` functions also return
+next to a loss they compute apart from it, so the finite-difference checks
+cover the update that training applies.
 The batch size is derived from the corpus so that no parameter row collects
 too many summed gradient terms in one step (see ``_batch_size``).
 """
@@ -193,18 +196,21 @@ def corpus_pairs(corpus_rows, vocab: Vocabulary, window: int
 
 
 def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
+    """A model whose input vectors and output planes are views of one
+    parameter block (see ``_batch_gradient``): random inputs, zero outputs.
+    """
     rng = np.random.default_rng(cfg.seed)
     n = len(vocab)
     bound = 0.5 / cfg.dim
-    inputs = rng.uniform(-bound, bound, size=(n, cfg.dim))
     planes = 1 if cfg.mode is Mode.CLASSIC else 2 * cfg.window
-    outputs = np.zeros((planes, n, cfg.dim))
+    block = np.zeros(((1 + planes) * n, cfg.dim))
+    block[:n] = rng.uniform(-bound, bound, size=(n, cfg.dim))
     return EmbeddingModel(
         mode=cfg.mode,
         tokens=vocab.tokens,
         index=vocab.index,
-        input_vectors=inputs,
-        output_matrices=outputs,
+        input_vectors=block[:n],
+        output_matrices=block[n:].reshape(planes, n, cfg.dim),
     )
 
 
@@ -246,75 +252,86 @@ def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
 
 
 def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
-              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(unique rows, sums): the sum for row r is the sum of
-    ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``.
+    ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``, added
+    in the order of j.  ``rows`` index a block of ``size`` rows.
 
     One sparse (unique rows x len(x)) product; deterministic, and cheaper
     than ``np.add.at`` on the repeated rows.
     """
-    order = np.argsort(rows, kind="stable")
+    # numpy radix-sorts keys of 16 bits or fewer, ~3x faster than int64
+    keys = rows.astype(np.min_scalar_type(size - 1))
+    order = np.argsort(keys, kind="stable")
     ordered = rows[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], ordered[1:] != ordered[:-1], [True])))  # run starts, end
     selector = sparse.csr_array(
-        (weights[order], columns[order], np.r_[starts, len(rows)]),
-        shape=(len(starts), len(x)),
+        (weights[order], columns[order], bounds),
+        shape=(len(bounds) - 1, len(x)),
     )
-    return ordered[starts], selector @ x
+    return ordered[bounds[:-1]], selector @ x
 
 
-def _batch_gradient(inputs: np.ndarray, outputs: np.ndarray,
-                    centers: np.ndarray, contexts: np.ndarray,
-                    slots: np.ndarray, weights: np.ndarray,
-                    negatives: np.ndarray | None = None):
-    """Loss sum_i weights[i] * loss_i over a batch of pairs and its exact
-    gradient, every pair evaluated at the same parameters.
+def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
+               slots: np.ndarray, negatives: np.ndarray) -> np.ndarray:
+    """The (B, 2 + k) parameter-block rows of a batch of pairs: the center,
+    then in the pair's output plane the context and the k noise tokens
+    ``negatives`` (k = 0 under the exact softmax)."""
+    plane = tokens * (1 + slots)
+    return np.column_stack((centers, plane + contexts,
+                            plane[:, None] + negatives))
 
-    loss_i is the negative-sampling loss of pair i against the noise tokens
-    ``negatives[i]`` when ``negatives`` is given, else the exact softmax
-    negative log likelihood.  Returns ``(loss, (rows, grad), (rows, grad))``
-    for the input vectors (rows are tokens) and the output matrices (rows
-    are flat indices slot * |W| + token); rows are unique.
+
+def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of sum_i weights[i] * loss_i over a batch of pairs,
+    every pair evaluated at the same parameters.
+
+    ``block`` holds the ``tokens`` input vectors, then output plane s in
+    rows ``tokens * (1 + s)`` onwards; ``rows`` is the batch's
+    ``_pair_rows`` table.  loss_i is the negative-sampling loss of pair i
+    against its noise tokens when the table has them, else the exact
+    softmax negative log likelihood over the whole output plane.  Returns
+    ``(rows, sums)`` with unique block rows.
     """
-    n, dim = inputs.shape
-    v = inputs[centers]                                        # (B, d)
-    batch = np.arange(len(centers))
-    if negatives is not None:
-        targets = (slots[:, None] * n
-                   + np.column_stack((contexts, negatives)))   # (B, 1+k)
-        u = outputs.reshape(-1, dim)[targets]                  # (B, 1+k, d)
+    size = len(block)
+    batch = np.arange(len(rows))
+    if rows.shape[1] > 2:
+        x = block[rows]                                        # (B, 2+k, d)
+        v, u = x[:, 0], x[:, 1:]
         scores = np.einsum("bd,bkd->bk", v, u)
-        losses = (np.logaddexp(0.0, -scores[:, 0])
-                  + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1))
         delta = _sigmoid(scores)                       # d loss_i / d score
         delta[:, 0] -= 1.0
         delta *= weights[:, None]
         d_v = np.einsum("bk,bkd->bd", delta, u)
-        out_grad = _sum_rows(targets.ravel(),
-                             np.repeat(batch, targets.shape[1]),
-                             delta.ravel(), v)
-    else:
-        losses = np.empty(len(centers))
-        d_v = np.empty_like(v)
-        out_rows, out_sums = [], []
-        for slot in np.unique(slots):
-            at = np.flatnonzero(slots == slot)
-            matrix = outputs[slot]
-            scores = v[at] @ matrix.T                          # (b, |W|)
-            scores -= scores.max(axis=1, keepdims=True)
-            p = np.exp(scores)
-            total = p.sum(axis=1)
-            p /= total[:, None]
-            hit = (np.arange(len(at)), contexts[at])
-            losses[at] = np.log(total) - scores[hit]
-            p[hit] -= 1.0                              # d loss_i / d score
-            p *= weights[at, None]
-            d_v[at] = p @ matrix
-            out_rows.append(slot * n + np.arange(n))
-            out_sums.append(p.T @ v[at])
-        out_grad = (np.concatenate(out_rows), np.concatenate(out_sums))
-    in_grad = _sum_rows(centers, batch, np.ones(len(centers)), d_v)
-    return float(weights @ losses), in_grad, out_grad
+        # center i takes d_v[i], output row rows[i, j] takes delta * v[i]
+        columns = batch[:, None] + len(batch) * (np.arange(rows.shape[1]) > 0)
+        terms = np.concatenate((np.ones((len(batch), 1)), delta), axis=1)
+        return _sum_rows(rows.ravel(), columns.ravel(), terms.ravel(),
+                         np.concatenate((d_v, v)), size)
+    v = block[rows[:, 0]]
+    slots, contexts = np.divmod(rows[:, 1], tokens)
+    slots -= 1
+    d_v = np.empty_like(v)
+    out_rows, out_sums = [], []
+    for slot in np.unique(slots):
+        at = np.flatnonzero(slots == slot)
+        plane = tokens * (1 + slot)
+        matrix = block[plane:plane + tokens]
+        scores = v[at] @ matrix.T                              # (b, |W|)
+        scores -= scores.max(axis=1, keepdims=True)
+        p = np.exp(scores)
+        p /= p.sum(axis=1)[:, None]
+        p[np.arange(len(at)), contexts[at]] -= 1.0     # d loss_i / d score
+        p *= weights[at, None]
+        d_v[at] = p @ matrix
+        out_rows.append(plane + np.arange(tokens))
+        out_sums.append(p.T @ v[at])
+    in_rows, in_sums = _sum_rows(rows[:, 0], batch, np.ones(len(batch)),
+                                 d_v, size)
+    return (np.concatenate([in_rows, *out_rows]),
+            np.concatenate([in_sums, *out_sums]))
 
 
 def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
@@ -346,39 +363,33 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
 
     rng = np.random.default_rng(cfg.seed + 1)
     noise = None
+    cdf, k = np.ones(1), 0     # the exact softmax draws no noise tokens
     if cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING:
         noise = _noise_probabilities(vocab)
-        cdf = np.cumsum(noise)
+        cdf, k = np.cumsum(noise), cfg.negatives
     batch = _batch_size(contexts, noise, cfg.negatives)
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
-    inputs = model.input_vectors
-    outputs = model.output_matrices.reshape(-1, cfg.dim)       # a view
-    negatives = None
+    block = model.input_vectors.base   # _init_model's block, of both views
     # Divergence shows as inf/nan in the vectors, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_pairs)
-            if noise is not None:
-                negatives = np.searchsorted(
-                    cdf, rng.random((n_pairs, cfg.negatives))
-                )
+            update_no = epoch * n_pairs + np.arange(n_pairs)
+            rates = cfg.learning_rate * np.maximum(
+                1e-4, 1.0 - update_no / total_updates
+            )
             for start in range(0, n_pairs, batch):
-                step = slice(start, start + batch)
-                at = order[step]
-                update_no = epoch * n_pairs + np.arange(start,
-                                                        start + len(at))
-                lr = cfg.learning_rate * np.maximum(
-                    1e-4, 1.0 - update_no / total_updates
+                at = order[start:start + batch]
+                negatives = np.searchsorted(cdf, rng.random((len(at), k)))
+                rows, grad = _batch_gradient(
+                    block, len(vocab),
+                    _pair_rows(len(vocab), centers[at], contexts[at],
+                               slots[at], negatives),
+                    rates[start:start + batch],
                 )
-                noise_tokens = None if negatives is None else negatives[step]
-                _, (rows, grad), (out_rows, out_grad) = _batch_gradient(
-                    inputs, model.output_matrices, centers[at], contexts[at],
-                    slots[at], lr, noise_tokens,
-                )
-                inputs[rows] -= grad
-                outputs[out_rows] -= out_grad
-    if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+                block[rows] -= grad
+    if not np.isfinite(block).all():
         raise ValueError("training diverged to non-finite vectors; "
                          "lower the learning rate")
     return model
@@ -424,17 +435,33 @@ def negative_sampling_objective(input_vectors: np.ndarray,
 
 
 def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
+    """(mean loss, input gradient, output gradient).  The loss is computed
+    here from the parameters, apart from the gradient core, so that the
+    finite-difference checks test the core against it."""
     centers, contexts, rel = np.array(pairs, dtype=np.int64).T
     slots = position_slot(rel, window) if structured else np.zeros_like(rel)
-    weights = np.full(len(centers), 1.0 / len(centers))
-    loss, (in_rows, in_grad), (out_rows, out_grad) = _batch_gradient(
-        inputs, outputs, centers, contexts, slots, weights, negatives
+    v = inputs[centers]
+    if negatives is None:
+        scores = np.einsum("bd,bwd->bw", v, outputs[slots])    # (B, |W|)
+        top = scores.max(axis=1)
+        losses = (top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+                  - scores[np.arange(len(centers)), contexts])
+        negatives = np.empty((len(centers), 0), dtype=np.int64)
+    else:
+        u = outputs[slots[:, None], np.column_stack((contexts, negatives))]
+        scores = np.einsum("bd,bkd->bk", v, u)
+        losses = (np.logaddexp(0.0, -scores[:, 0])
+                  + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1))
+    n, dim = inputs.shape
+    block = np.concatenate((inputs, outputs.reshape(-1, dim)))
+    rows, sums = _batch_gradient(
+        block, n, _pair_rows(n, centers, contexts, slots, negatives),
+        np.full(len(centers), 1.0 / len(centers)),
     )
-    grad_in = np.zeros_like(inputs)
-    grad_in[in_rows] = in_grad
-    grad_out = np.zeros_like(outputs)
-    grad_out.reshape(-1, inputs.shape[1])[out_rows] = out_grad
-    return loss, grad_in, grad_out
+    grad = np.zeros_like(block)
+    grad[rows] = sums
+    return (float(losses.mean()), grad[:n],
+            grad[n:].reshape(outputs.shape))
 
 
 EMB_MAGIC = "#qtwalk-emb v1"

@@ -13,6 +13,7 @@ from qtwalk.skipgram import (
     _batch_size,
     _init_model,
     _noise_probabilities,
+    _sum_rows,
     build_vocabulary,
     corpus_pairs,
     extract_pairs,
@@ -314,6 +315,23 @@ def test_diverging_training_raises(softmax_mode):
 
 
 # -- gradients ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [200, 60_000, 70_000])   # uint8/16/32 keys
+def test_sum_rows_adds_each_rows_terms_in_input_order(size):
+    rng = np.random.default_rng(size)
+    n_terms, dim = 500, 3
+    # few distinct rows, so most repeat, up to the last row of the block
+    rows = rng.choice([0, 1, size // 2, size - 2, size - 1], size=n_terms)
+    columns = rng.integers(0, 40, size=n_terms)
+    weights = rng.normal(size=n_terms)
+    x = rng.normal(size=(40, dim))
+    expected: dict[int, np.ndarray] = {}
+    for r, c, w in zip(rows.tolist(), columns, weights):
+        expected[r] = expected.get(r, np.zeros(dim)) + w * x[c]
+    got_rows, sums = _sum_rows(rows, columns, weights, x, size)
+    assert got_rows.tolist() == sorted(expected)
+    assert np.array_equal(sums, [expected[r] for r in sorted(expected)])
+
 
 @pytest.mark.parametrize("structured, negative_sampling", [
     pytest.param(False, False, id="False"),
