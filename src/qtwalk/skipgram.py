@@ -306,7 +306,8 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
         delta *= weights[:, None]
         d_v = np.einsum("bk,bkd->bd", delta, u)
         # center i takes d_v[i], output row rows[i, j] takes delta * v[i]
-        columns = batch[:, None] + len(batch) * (np.arange(rows.shape[1]) > 0)
+        targets = np.arange(rows.shape[1]) > 0
+        columns = batch[:, None] + len(batch) * targets
         terms = np.concatenate((np.ones((len(batch), 1)), delta), axis=1)
         return _sum_rows(rows.ravel(), columns.ravel(), terms.ravel(),
                          np.concatenate((d_v, v)), size)
@@ -370,7 +371,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     batch = _batch_size(contexts, noise, cfg.negatives)
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
-    block = model.input_vectors.base   # _init_model's block, of both views
+    block = model.input_vectors.base   # the block both views share
     # Divergence shows as inf/nan in the vectors, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
