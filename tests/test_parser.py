@@ -235,15 +235,6 @@ def _outcome(source: str):
     (_P + 'x:s x:p "o\\', (BAD_LITERAL, 2, 9, "unterminated escape")),
     (_P + 'x:s x:p "\\u00G9" .',
      (BAD_LITERAL, 2, 9, "malformed unicode escape")),
-    # code points beyond Unicode, and surrogates, which UTF-8 cannot encode
-    (_P + 'x:s x:p "x\\UFFFFFFFF" .',
-     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
-    (_P + 'x:s x:p\n "x\\U00110000" .',
-     (BAD_LITERAL, 3, 2, "malformed unicode escape")),
-    (_P + 'x:s x:p "\\uD800" .',
-     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
-    (_P + 'x:s x:p "ab\\uDFFF" .',
-     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
     (_P + "x:s x:p +x .", (BAD_LITERAL, 2, 9, "malformed number")),
     (_P + "x:s x:p 1.x .", (BAD_LITERAL, 2, 9, "malformed number")),
     (_P + "x:s x:p x:o ; .", ["<urn:x:s> <urn:x:p> <urn:x:o> ."]),
@@ -254,6 +245,15 @@ def _outcome(source: str):
     ("<s> <p> <o> ;", (SYNTAX, 1, 14, "unexpected end of input")),
     ("<s> <p> <o> ,\n", (SYNTAX, 2, 1, "unexpected end of input")),
     ('<s> <p> "x"^^', (SYNTAX, 1, 14, "unexpected end of input")),
+    # code points beyond Unicode, and surrogates, which UTF-8 cannot encode
+    (_P + 'x:s x:p "x\\UFFFFFFFF" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    (_P + 'x:s x:p\n "x\\U00110000" .',
+     (BAD_LITERAL, 3, 2, "malformed unicode escape")),
+    (_P + 'x:s x:p "\\uD800" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    (_P + 'x:s x:p "ab\\uDFFF" .',
+     (BAD_LITERAL, 2, 9, "malformed unicode escape")),
 ])
 def test_rarely_reached_paths(source, expected):
     assert _outcome(source) == expected
