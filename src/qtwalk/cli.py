@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
@@ -409,8 +410,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    # Parsing, graph building and walking allocate many long-lived objects
+    # without cycles, which the cyclic collector would only traverse in
+    # repeated full collections; reference counting frees them.  Cyclic
+    # garbage made meanwhile is collected once the collector is back on.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_arg_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ParseError, OSError, ValueError, KeyError) as exc:
         print(f"qtwalk: error: {exc}", file=sys.stderr)
@@ -418,6 +425,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"qtwalk: internal invariant violated: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -97,6 +97,8 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.qt_depth = 0
         self.iris: dict[str, Iri] = {}
+        # Prefixed name as written -> its Iri, under the current prefixes.
+        self.pnames: dict[str, Iri] = {}
 
     def _iri(self, value: str) -> Iri:
         """One shared ``Iri`` per distinct value in a document."""
@@ -153,28 +155,29 @@ class _Parser:
         self._skip_ws()
         self._expect_dot()
         self.prefixes[name.group()] = iri.value
+        self.pnames.clear()
 
     # -- statements ----------------------------------------------------------
 
     def _parse_statement(self) -> list[Triple]:
-        text = self.text
+        text, ws = self.text, _WS_RE.match
         subject = self._parse_subject()
         triples: list[Triple] = []
         while True:
-            self._skip_ws()
+            self.pos = ws(text, self.pos).end()
             predicate = self._parse_predicate()
             while True:
-                self._skip_ws()
+                self.pos = ws(text, self.pos).end()
                 triples.append(Triple(subject, predicate,
                                       self._parse_object()))
-                self._skip_ws()
+                self.pos = ws(text, self.pos).end()
                 if not text.startswith(",", self.pos):
                     break
                 self.pos += 1
             if not text.startswith(";", self.pos):
                 break
             self.pos += 1
-            self._skip_ws()
+            self.pos = ws(text, self.pos).end()
             # Turtle allows trailing ';' before '.'
             if text.startswith(".", self.pos):
                 break
@@ -234,13 +237,12 @@ class _Parser:
         return self._parse_prefixed_name(allow_a=False)
 
     def _parse_quoted_triple(self) -> QuotedTriple:
-        text, start = self.text, self.pos
+        text, start, ws = self.text, self.pos, _WS_RE.match
         if self.qt_depth == MAX_QT_DEPTH:
             raise self._error(ErrorKind.SYNTAX, "quoted triples nested "
                               f"deeper than {MAX_QT_DEPTH} levels", start)
         self.qt_depth += 1
-        self.pos += 2  # '<<'
-        self._skip_ws()
+        self.pos = ws(text, start + 2).end()  # past '<<'
         if self.pos >= len(text):
             raise self._error(ErrorKind.UNBALANCED_QUOTE,
                               "'<<' without matching '>>'", start)
@@ -248,12 +250,12 @@ class _Parser:
         nested = text.startswith
         subject = (self._parse_quoted_triple() if nested("<<", self.pos)
                    else self._parse_subject())
-        self._skip_ws()
+        self.pos = ws(text, self.pos).end()
         predicate = self._parse_predicate()
-        self._skip_ws()
+        self.pos = ws(text, self.pos).end()
         obj = (self._parse_quoted_triple() if nested("<<", self.pos)
                else self._parse_object())
-        self._skip_ws()
+        self.pos = ws(text, self.pos).end()
         if not nested(">>", self.pos):
             raise self._error(ErrorKind.UNBALANCED_QUOTE,
                               "'<<' without matching '>>'", start)
@@ -286,11 +288,16 @@ class _Parser:
                        else "unexpected end of input")
             raise self._error(ErrorKind.SYNTAX, message, start)
         self.pos = m.end()
-        name, local = m.group(1) or "", m.group(2)
-        if name not in self.prefixes:
-            raise self._error(ErrorKind.UNDEFINED_PREFIX,
-                              f"prefix {name + ':'!r} is not declared", start)
-        return self._iri(self.prefixes[name] + local)
+        pname = m.group()
+        iri = self.pnames.get(pname)
+        if iri is None:
+            name, local = m.group(1) or "", m.group(2)
+            if name not in self.prefixes:
+                raise self._error(ErrorKind.UNDEFINED_PREFIX,
+                                  f"prefix {name + ':'!r} is not declared",
+                                  start)
+            iri = self.pnames[pname] = self._iri(self.prefixes[name] + local)
+        return iri
 
     def _parse_string_literal(self) -> Literal:
         text, start = self.text, self.pos

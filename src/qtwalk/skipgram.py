@@ -219,6 +219,18 @@ def _noise_probabilities(vocab: Vocabulary) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _noise_cdf(noise: np.ndarray) -> np.ndarray:
+    """The noise distribution's CDF, for ``np.searchsorted`` on draws in
+    ``[0, 1)``.
+
+    Its last entry is exactly 1.0: a rounded cumsum can end below the
+    largest draw, 1 - 2**-53, which would then map to token ``len(noise)``.
+    """
+    cdf = np.cumsum(noise)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
@@ -367,7 +379,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     cdf, k = np.ones(1), 0     # the exact softmax draws no noise tokens
     if cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING:
         noise = _noise_probabilities(vocab)
-        cdf, k = np.cumsum(noise), cfg.negatives
+        cdf, k = _noise_cdf(noise), cfg.negatives
     batch = _batch_size(contexts, noise, cfg.negatives)
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,22 +83,46 @@ def _root_rng(g: Graph, params: WalkParams, root: int) -> random.Random:
     return random.Random(_derive_seed(params.seed, g.texts[root]))
 
 
-def _qs_candidate(g: Graph, node: int, rng: random.Random) -> int | None:
+def _below(rng: random.Random) -> Callable[[int], int]:
+    """The walkers' draw function: ``below(n)`` is uniform on ``[0, n)``.
+
+    It is the rejection loop ``Random.randrange(n)`` and ``Random.choice``
+    run on CPython 3.10-3.13, written out so a corpus depends only on
+    ``getrandbits``: ``below(n)`` equals ``rng.randrange(n)`` and
+    ``seq[below(len(seq))]`` equals ``rng.choice(seq)``, draw for draw.
+    Defined for ``n > 0``.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _qs_candidate(g: Graph, node: int,
+                  below: Callable[[int], int]) -> int | None:
     """QT whose decomposition may follow ``node`` in a walk.
 
     A QT node decomposes into itself; for other nodes a uniformly chosen
-    QT having the node in its subject role qualifies.
+    QT having the node in its subject role qualifies (drawn with
+    ``below``, see :func:`_below`).
     """
     if g.qt_parts[node] is not None:
         return node
     candidates = g.qts_by_subject[node]
-    return rng.choice(candidates) if candidates else None
+    return candidates[below(len(candidates))] if candidates else None
 
 
 def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
     """Walks rooted at term id ``root`` per the combined random-walk
     procedure."""
     rng = _root_rng(g, params, root)
+    below = _below(rng)
     parts, out_edges, qt_lookup = g.qt_parts, g.out_edges, g.qt_lookup
 
     wl: list[list[int]] = [[]]
@@ -108,12 +133,13 @@ def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
 
             if not walk:
                 oq_options = g.qts_by_object[root]
-                oq = rng.choice(oq_options) if oq_options else None
+                oq = (oq_options[below(len(oq_options))] if oq_options
+                      else None)
             elif parts[cur] is None and len(walk) >= 3:
                 oq = qt_lookup.get((walk[-3], walk[-2], cur))
             else:
                 oq = None
-            qs = _qs_candidate(g, cur, rng)
+            qs = _qs_candidate(g, cur, below)
             rand_oq = rng.random()
             rand_qs = rng.random()
 
@@ -142,7 +168,7 @@ def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
                         new_wl.append(nw)
         wl = new_wl
         while len(wl) > params.n:
-            wl.pop(rng.randrange(len(wl)))
+            wl.pop(below(len(wl)))
     return [Walk(tuple(w), g) for w in wl]
 
 
@@ -158,7 +184,7 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
     parts, out_edges, in_edges = g.qt_parts, g.out_edges, g.in_edges
     qts_by_object = g.qts_by_object
     alpha, beta = params.alpha, params.beta
-    random_, randrange, choice = rng.random, rng.randrange, rng.choice
+    random_, below = rng.random, _below(rng)
 
     walks: list[Walk] = []
     for _ in range(params.n):
@@ -169,9 +195,10 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
         for _ in range(params.d):
             rand_oq = random_()
             rand_qs = random_()
-            if randrange(2) == 0:  # backward
+            if below(2) == 0:  # backward
                 oq_options = qts_by_object[np_node]
-                oq = choice(oq_options) if oq_options else None
+                oq = (oq_options[below(len(oq_options))] if oq_options
+                      else None)
                 if oq is not None and rand_oq < beta:
                     # object token is already at the front of the walk
                     s, p, _ = parts[oq]
@@ -180,11 +207,11 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
                 else:
                     incoming = in_edges[np_node]
                     if incoming:
-                        s, p = choice(incoming)
+                        s, p = incoming[below(len(incoming))]
                         front += (p, s)
                         np_node = s
             else:
-                qs = _qs_candidate(g, ns_node, rng)
+                qs = _qs_candidate(g, ns_node, below)
                 if qs is not None and rand_qs < alpha:
                     s, p, o = parts[qs]
                     if qs == ns_node:
@@ -196,7 +223,7 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
                 else:
                     outgoing = out_edges[ns_node]
                     if outgoing:
-                        p, o = choice(outgoing)
+                        p, o = outgoing[below(len(outgoing))]
                         back += (p, o)
                         ns_node = o
         front.reverse()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import shutil
@@ -424,6 +425,22 @@ def test_parse_error_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("this is not turtle", encoding="utf-8")
     assert main(["stats", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys,
+                                                   fixture_graph, enabled):
+    bad = tmp_path / "bad.ttls"
+    bad.write_text("this is not turtle", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["stats", str(fixture_graph)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["stats", str(bad)]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\U0011FFFF",

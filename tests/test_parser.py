@@ -171,6 +171,22 @@ def test_undefined_prefix_is_positioned():
     assert "nope" in d.message
 
 
+def test_redeclared_prefix_resolves_names_anew():
+    source = ("@prefix ex: <urn:old:> .\n"
+              "ex:a ex:p ex:a .\n"
+              "@prefix ex: <urn:new:> .\n"
+              "ex:a ex:p ex:a .\n")
+    old, new = Iri("urn:old:a"), Iri("urn:new:a")
+    assert parse_document(source) == [
+        Triple(old, Iri("urn:old:p"), old),
+        Triple(new, Iri("urn:new:p"), new),
+    ]
+    d = _diag(source + "ex:a ex:p nope:a .\n")
+    assert d.kind is ErrorKind.UNDEFINED_PREFIX
+    assert (d.line, d.column) == (5, 11)
+    assert d.message == "prefix 'nope:' is not declared"
+
+
 def test_unterminated_string_is_positioned():
     d = _diag('@prefix : <urn:x:> .\n:a :p "oops .\n')
     assert d.kind is ErrorKind.BAD_LITERAL

@@ -12,6 +12,7 @@ from qtwalk.skipgram import (
     TrainConfig,
     _batch_size,
     _init_model,
+    _noise_cdf,
     _noise_probabilities,
     _sum_rows,
     build_vocabulary,
@@ -248,6 +249,15 @@ def test_negative_sampling_agrees_with_full_softmax_rankings():
 
     agree = sum(top1(m_ns, t) == top1(m_fs, t) for t in vocab_tokens)
     assert agree >= 0.9 * len(vocab_tokens)
+
+
+def test_noise_cdf_maps_every_draw_to_a_token():
+    # 7 equal counts: the plain cumsum ends at 0.9999999999999998, below
+    # the largest draw rng.random() can return, 1 - 2**-53
+    v = build_vocabulary([list("abcdefg")])
+    cdf = _noise_cdf(_noise_probabilities(v))
+    assert cdf[-1] == 1.0
+    assert np.searchsorted(cdf, np.nextafter(1.0, 0.0)) == 6
 
 
 def test_batch_size_shrinks_with_negatives_and_hot_tokens():

@@ -10,6 +10,7 @@ from qtwalk.walks import (
     Strategy,
     Walk,
     WalkParams,
+    _below,
     corpus_roots,
     corpus_header,
     generate_corpus,
@@ -211,6 +212,25 @@ def test_hop_has_priority_over_decomposition():
 
 
 # -- bounds, determinism, roots -----------------------------------------------------
+
+_DRAW_SIZES = [1, 2, 3, 5, 7, 8, 9, 100, 255, 256, 257, 1023, 1024, 1025,
+               2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+               3 * 2**40 + 7]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_draw_function_matches_randrange_and_choice(seed):
+    sizes = _DRAW_SIZES * 20
+    below = _below(random.Random(seed))
+    reference = random.Random(seed)
+    assert ([below(n) for n in sizes]
+            == [reference.randrange(n) for n in sizes])
+    seqs = [range(n) for n in sizes]
+    below = _below(random.Random(seed))
+    reference = random.Random(seed)
+    assert ([seq[below(len(seq))] for seq in seqs]
+            == [reference.choice(seq) for seq in seqs])
+
 
 def test_walk_count_never_exceeds_n():
     g = build_graph(random_graph(5, triples=80, qt_probability=0.4))
