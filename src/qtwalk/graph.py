@@ -15,7 +15,6 @@ order of the input triples.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +26,7 @@ from .terms import (
     RDF_TYPE,
     Term,
     Triple,
+    qt_depth,
     serialize_term,
 )
 
@@ -49,7 +49,7 @@ class Graph:
     pairs of those with that object, ``qts_by_subject``/``qts_by_object``
     the sorted ids of the quoted triples with that subject/object,
     ``qt_parts`` the ``(s, p, o)`` of a quoted triple (``None`` for other
-    terms) and ``depths`` its nesting depth (0 for other terms).  ``roots``
+    terms).  ``roots``
     are the sorted ids of the IRIs and quoted triples in a subject or
     object position, at any nesting level.
     """
@@ -65,7 +65,6 @@ class Graph:
     qts_by_object: tuple[tuple[int, ...], ...] = field(repr=False)
     qt_parts: tuple[tuple[int, int, int] | None, ...] = field(repr=False)
     qt_lookup: dict[tuple[int, int, int], int] = field(repr=False)
-    depths: tuple[int, ...] = field(repr=False)
     qt_ids: tuple[int, ...] = field(repr=False)
     roots: tuple[int, ...] = field(repr=False)
 
@@ -74,14 +73,14 @@ class Graph:
         return self.ids.get(serialize_term(t))
 
     @cached_property
-    def node_set(self) -> TermSet:
+    def node_set(self) -> frozenset[Term]:
         """Every term, at any nesting level and in any position."""
-        return TermSet(self, range(len(self.terms)))
+        return frozenset(self.terms)
 
     @cached_property
-    def qt_set(self) -> TermSet:
+    def qt_set(self) -> frozenset[QuotedTriple]:
         """Every quoted triple, at any nesting level."""
-        return TermSet(self, frozenset(self.qt_ids))
+        return frozenset(self.terms[q] for q in self.qt_ids)
 
     def fingerprint(self) -> str:
         """sha256 over the sorted canonical triple serializations."""
@@ -94,47 +93,20 @@ class Graph:
         return digest.hexdigest()
 
 
-class TermSet(Set):
-    """Read-only set of some of a graph's terms, looked up by canonical
-    string, so neither building nor probing it hashes a term."""
-
-    def __init__(self, graph: Graph, ids):
-        self._graph = graph
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self):
-        terms = self._graph.terms
-        return (terms[i] for i in self._ids)
-
-    def __contains__(self, t) -> bool:
-        i = self._graph.id_of(t)
-        return i is not None and i in self._ids
-
-
 def build_graph(triples) -> Graph:
     """Index a triple collection.  Duplicate asserted triples are dropped.
 
-    Each distinct term is interned once, bottom-up: an IRI is keyed by its
-    value, a literal by its fields and a quoted triple by the ids of its
-    parts, and each term object is visited once.  Its canonical string is
-    built from its parts' strings.  The ids are then renumbered in
-    canonical-string order.
+    Each distinct term is interned once, by value, bottom-up: an IRI is
+    keyed by its value, a literal by its fields and a quoted triple by the
+    ids of its parts.  A quoted triple's canonical string is built from its
+    parts' strings.  The ids are then renumbered in canonical-string order.
     """
-    triples = list(triples)  # keeps every term alive: ``seen`` keys on id()
     keys: dict = {}
     texts: list[str] = []
     terms: list[Term] = []
     parts: list[tuple[int, int, int] | None] = []
-    depths: list[int] = []
-    seen: dict[int, int] = {}
 
     def intern(t: Term) -> int:
-        i = seen.get(id(t))
-        if i is not None:
-            return i
         if isinstance(t, QuotedTriple):
             key = (intern(t.subject), intern(t.predicate), intern(t.object))
         elif isinstance(t, Iri):
@@ -151,13 +123,9 @@ def build_graph(triples) -> Graph:
                 s, p, o = key
                 texts.append(f"<< {texts[s]} {texts[p]} {texts[o]} >>")
                 parts.append(key)
-                depths.append(1 + max(depths[s], depths[o]))
             else:
-                texts.append(f"<{key}>" if isinstance(t, Iri)
-                             else serialize_term(t))
+                texts.append(serialize_term(t))
                 parts.append(None)
-                depths.append(0)
-        seen[id(t)] = i
         return i
 
     asserted: dict[tuple[int, int, int], Triple] = {}
@@ -213,7 +181,6 @@ def build_graph(triples) -> Graph:
         qts_by_object=tuple(map(tuple, by_object)),
         qt_parts=qt_parts,
         qt_lookup={qt_parts[q]: q for q in qt_ids},
-        depths=tuple(depths[old] for old in order),
         qt_ids=qt_ids,
         roots=tuple(i for i in range(n) if is_node[i]
                     and not isinstance(sorted_terms[i], Literal)),
@@ -243,8 +210,8 @@ def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
     the reserved duplicate-disambiguation id property are excluded unless
     ``include_id_nesting`` is set.
     """
-    rdf_type = g.ids.get(f"<{RDF_TYPE}>")
-    id_pred = g.ids.get(f"<{ID_PREDICATE}>")
+    rdf_type = g.id_of(Iri(RDF_TYPE))
+    id_pred = g.id_of(Iri(ID_PREDICATE))
     parts = g.qt_parts
     classes: set[int] = set()
     instances: set[int] = set()
@@ -265,7 +232,7 @@ def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
         if not include_id_nesting and p == id_pred:
             continue
         properties.add(p)
-        d = g.depths[q]
+        d = qt_depth(g.terms[q])
         by_depth[d] = by_depth.get(d, 0) + 1
 
     return GraphStats(

@@ -96,16 +96,8 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.qt_depth = 0
-        self.iris: dict[str, Iri] = {}
         # Prefixed name as written -> its Iri, under the current prefixes.
         self.pnames: dict[str, Iri] = {}
-
-    def _iri(self, value: str) -> Iri:
-        """One shared ``Iri`` per distinct value in a document."""
-        iri = self.iris.get(value)
-        if iri is None:
-            iri = self.iris[value] = Iri(value)
-        return iri
 
     def _skip_ws(self) -> None:
         self.pos = _WS_RE.match(self.text, self.pos).end()
@@ -268,7 +260,7 @@ class _Parser:
         m = _IRIREF_RE.match(text, start)
         if m:
             self.pos = m.end()
-            return self._iri(m.group(1))
+            return Iri(m.group(1))
         end = _IRI_BODY_RE.match(text, start + 1).end()
         if end == len(text):
             raise self._error(ErrorKind.SYNTAX, "unterminated IRI", start)
@@ -282,7 +274,7 @@ class _Parser:
             name = _PNAME_RE.match(text, start).group()
             if name == "a" and allow_a:
                 self.pos += 1
-                return self._iri(RDF_TYPE)
+                return Iri(RDF_TYPE)
             found = name or text[start:start + 1]
             message = (f"expected a term, found {found!r}" if found
                        else "unexpected end of input")
@@ -296,7 +288,7 @@ class _Parser:
                 raise self._error(ErrorKind.UNDEFINED_PREFIX,
                                   f"prefix {name + ':'!r} is not declared",
                                   start)
-            iri = self.pnames[pname] = self._iri(self.prefixes[name] + local)
+            iri = self.pnames[pname] = Iri(self.prefixes[name] + local)
         return iri
 
     def _parse_string_literal(self) -> Literal:
