@@ -60,8 +60,9 @@ class ParseError(ValueError):
 MAX_QT_DEPTH = 400
 
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_IRIREF_RE = re.compile(r'<([^ <>"{}|^`\\\n]*)>')
-_IRI_BODY_RE = re.compile(r'[^ <>"{}|^`\\\n]*')
+# IRIREF: no control character or space (U+0000-U+0020) and none of <>"{}|^`\
+_IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`\\]*)>')
+_IRI_BODY_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
 # A prefix name, possibly empty.
 _PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?")
 # A prefixed name; the local part never ends in '.', which belongs to the

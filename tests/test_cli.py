@@ -235,7 +235,7 @@ def test_leak_guard_holds_for_iri_with_comma(tmp_path, fixture_graph,
 
 @pytest.mark.parametrize("value", [
     f"urn:x {RDF_TYPE}", "urn:x\ny", "urn:x>", "urn:<x>", "urn:x\\y",
-    "< <urn:a> <urn:p> <urn:b> >",
+    "< <urn:a> <urn:p> <urn:b> >", "urn:x\ty",
 ])
 def test_exclude_predicate_must_be_an_iri(tmp_path, fixture_graph, capsys,
                                           value):
@@ -425,6 +425,16 @@ def test_parse_error_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("this is not turtle", encoding="utf-8")
     assert main(["stats", str(bad)]) == 1
+
+
+def test_tab_inside_an_iri_is_exit_code_one(tmp_path, capsys):
+    bad = tmp_path / "bad.ttls"
+    bad.write_text("<urn:a\tb> <urn:p> <urn:c> .\n", encoding="utf-8")
+    corpus = tmp_path / "walks.tsv"
+    assert main(["walk", str(bad), str(corpus)]) == 1
+    assert capsys.readouterr().err == (
+        "qtwalk: error: 1:1: Syntax: illegal character '\\t' in IRI\n")
+    assert not corpus.exists()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

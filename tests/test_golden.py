@@ -171,7 +171,7 @@ ex:a a ex:Thing ;
 """
 
 PARSER_OUTCOMES_SHA256 = (
-    "5ea2a9a589f7c0812511bc93db3caa18e7bffa6be0a3a208c17d58f7d11e4e0f")
+    "ed8a2bb8927412b372ef62e49fb48b180157f134ff149a689ec4fabec990d07b")
 
 
 def mutate(rng: random.Random, text: str) -> str:

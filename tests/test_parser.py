@@ -270,6 +270,13 @@ def _outcome(source: str):
      (BAD_LITERAL, 2, 9, "malformed unicode escape")),
     (_P + 'x:s x:p "ab\\uDFFF" .',
      (BAD_LITERAL, 2, 9, "malformed unicode escape")),
+    # IRIREF excludes U+0000-U+0020; a TAB would split a walk token
+    ("<urn:s> <urn:p>\n  <urn:a\tb> .",
+     (SYNTAX, 2, 3, "illegal character '\\t' in IRI")),
+    ("<urn:a\x01b> <urn:p> <urn:o> .",
+     (SYNTAX, 1, 1, "illegal character '\\x01' in IRI")),
+    ("<urn:s> <urn:p> <urn:a\x1fb> .",
+     (SYNTAX, 1, 17, "illegal character '\\x1f' in IRI")),
 ])
 def test_rarely_reached_paths(source, expected):
     assert _outcome(source) == expected
