@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import os
@@ -159,7 +160,7 @@ def cmd_walk(args) -> int:
     output = Path(args.output)
     _replace_atomically(output, lambda tmp: wk.write_corpus(corpus, tmp))
     write_manifest(output, {
-        "graph_fingerprint": corpus.graph_fingerprint,
+        "graph_fingerprint": g.fingerprint(),
         "strategy": params.strategy.value,
         "n": str(params.n),
         "d": str(params.d),
@@ -279,15 +280,14 @@ def cmd_sweep(args) -> int:
     alphas = [float(x) for x in args.grid_alpha.split(",")] if args.grid_alpha else [args.alpha]
     betas = [float(x) for x in args.grid_beta.split(",")] if args.grid_beta else [args.beta]
     depths = [int(x) for x in args.grid_depth.split(",")] if args.grid_depth else [args.depth]
+    base = _walk_params(args)
+    cfg = _train_config(args)
     rows = []
     for depth in depths:
         for alpha in alphas:
             for beta in betas:
-                params = wk.WalkParams(
-                    strategy=wk.Strategy(args.strategy), n=args.walks,
-                    d=depth, alpha=alpha, beta=beta, seed=args.seed,
-                )
-                cfg = _train_config(args)
+                params = dataclasses.replace(base, d=depth, alpha=alpha,
+                                             beta=beta)
                 model = run_pipeline(g, params, cfg)
                 report = ev.eval_classification(model, gold, seed=args.seed)
                 for metric, value in report.metrics.items():
@@ -318,25 +318,30 @@ def cmd_gen_fixture(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
+# Flag defaults are the WalkParams and TrainConfig field defaults.
+
 def _add_walk_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--walks", type=int, default=100)
-    p.add_argument("--strategy", choices=["random", "mid"], default="mid")
+    w = wk.WalkParams()
+    p.add_argument("--alpha", type=float, default=w.alpha)
+    p.add_argument("--beta", type=float, default=w.beta)
+    p.add_argument("--depth", type=int, default=w.d)
+    p.add_argument("--walks", type=int, default=w.n)
+    p.add_argument("--strategy", choices=["random", "mid"],
+                   default=w.strategy.value)
     p.add_argument("--exclude-predicate", action="append", default=[],
                    metavar="IRI")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--learning-rate", type=float, default=0.025)
-    p.add_argument("--min-count", type=int, default=1)
+    c = sg.TrainConfig()
+    p.add_argument("--dim", type=int, default=c.dim)
+    p.add_argument("--window", type=int, default=c.window)
+    p.add_argument("--epochs", type=int, default=c.epochs)
+    p.add_argument("--negatives", type=int, default=c.negatives)
+    p.add_argument("--learning-rate", type=float, default=c.learning_rate)
+    p.add_argument("--min-count", type=int, default=c.min_count)
     p.add_argument("--mode", choices=["classic", "structured"],
-                   default="classic")
+                   default=c.mode.value)
     p.add_argument("--full-softmax", action="store_true")
 
 

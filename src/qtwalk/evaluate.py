@@ -308,16 +308,20 @@ def _max_assignment(table: np.ndarray) -> int:
 
 # -- k-means ------------------------------------------------------------------
 
-def kmeans(x: np.ndarray, k: int, restarts: int = 10, seed: int = 0,
-           max_iter: int = 100) -> np.ndarray:
-    """Seeded Lloyd's algorithm with k-means++ init; best of ``restarts``."""
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+
+
+def kmeans(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded Lloyd's algorithm with k-means++ init; best of
+    ``KMEANS_RESTARTS``, each at most ``KMEANS_MAX_ITER`` iterations."""
     rng = np.random.default_rng(seed)
     best_inertia = np.inf
     best_assign = np.zeros(len(x), dtype=np.int64)
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeanspp(x, k, rng)
         assign = np.full(len(x), -1, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_assign = dists.argmin(axis=1)
             if np.array_equal(new_assign, assign):
@@ -408,9 +412,14 @@ def _resolve_tokens(emb: EmbeddingModel, tokens, task: str
 
 # -- tasks ----------------------------------------------------------------------
 
+# Classification votes among the KNN_K nearest neighbours and is scored by
+# FOLDS-fold stratified cross-validation.
+FOLDS = 10
+KNN_K = 3
+
+
 def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
-                        seed: int = 0, folds: int = 10, k: int = 3
-                        ) -> EvalReport:
+                        seed: int = 0) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens, "classification")
     label_of = dict(gold.records)
@@ -418,35 +427,36 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
     per_class: dict[str, int] = {}
     for label in labels:
         per_class[label] = per_class.get(label, 0) + 1
-    small = {l: c for l, c in per_class.items() if c < folds}
+    small = {l: c for l, c in per_class.items() if c < FOLDS}
     if small:
-        raise TooFewPerClass(f"classes below {folds} members: {small}")
+        raise TooFewPerClass(f"classes below {FOLDS} members: {small}")
 
     x = np.array([emb[t] for t in present])
-    fold_of = stratified_folds(labels, folds, seed)
+    fold_of = stratified_folds(labels, FOLDS, seed)
     correct = 0
-    for fold in range(folds):
+    for fold in range(FOLDS):
         train_idx = [i for i in range(len(present)) if fold_of[i] != fold]
         test_idx = [i for i in range(len(present)) if fold_of[i] == fold]
         predicted = knn_predict_many(
-            x[train_idx], [labels[i] for i in train_idx], x[test_idx], k=k)
+            x[train_idx], [labels[i] for i in train_idx], x[test_idx],
+            k=KNN_K)
         correct += sum(p == labels[i] for p, i in zip(predicted, test_idx))
     return EvalReport(
         task="classification",
         metrics={"accuracy": correct / len(present)},
-        details={"missing_tokens": missing, "folds": folds, "k": k},
+        details={"missing_tokens": missing, "folds": FOLDS, "k": KNN_K},
     )
 
 
-def eval_clustering(emb: EmbeddingModel, gold: LabeledSet, seed: int = 0,
-                    restarts: int = 10) -> EvalReport:
+def eval_clustering(emb: EmbeddingModel, gold: LabeledSet, seed: int = 0
+                    ) -> EvalReport:
     tokens = [t for t, _ in gold.records]
     present, missing = _resolve_tokens(emb, tokens, "clustering")
     label_of = dict(gold.records)
     labels = [label_of[t] for t in present]
     x = np.array([emb[t] for t in present])
     k = len(set(labels))
-    assign = kmeans(x, k, restarts=restarts, seed=seed)
+    assign = kmeans(x, k, seed=seed)
     return EvalReport(
         task="clustering",
         metrics={

@@ -55,6 +55,13 @@ def random_graph(seed: int, triples: int = 60, entity_pool: int = 40,
                  relation_pool: int = 8, qt_probability: float = 0.3,
                  max_depth: int = 3) -> list[Triple]:
     """Random asserted triples with QT subjects/objects at the given rate."""
+    if triples < 0:
+        raise ValueError(f"triples must be >= 0, got {triples}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    if not 0.0 <= qt_probability <= 1.0:
+        raise ValueError(
+            f"qt_probability must lie in [0, 1], got {qt_probability!r}")
     rng = random.Random(seed)
     out: list[Triple] = []
     for _ in range(triples):

@@ -71,7 +71,6 @@ class Walk:
 class WalkCorpus:
     walks: tuple[Walk, ...]
     params: WalkParams
-    graph_fingerprint: str
 
 
 def _derive_seed(master: int, key: str) -> int:
@@ -251,11 +250,7 @@ def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
     walks: list[Walk] = []
     for root in g.roots:
         walks.extend(walker(g, root, params))
-    return WalkCorpus(
-        walks=tuple(walks),
-        params=params,
-        graph_fingerprint=g.fingerprint(),
-    )
+    return WalkCorpus(walks=tuple(walks), params=params)
 
 
 CORPUS_MAGIC = "#qtwalk-corpus v1"

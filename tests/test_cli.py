@@ -427,6 +427,22 @@ def test_parse_error_is_exit_code_one(tmp_path, capsys):
     assert main(["stats", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-depth", "0", "max_depth must be >= 1, got 0"),
+    ("--triples", "-3", "triples must be >= 0, got -3"),
+    ("--qt-probability", "1.5", "qt_probability must lie in [0, 1], got 1.5"),
+    ("--qt-probability", "-0.1",
+     "qt_probability must lie in [0, 1], got -0.1"),
+    ("--qt-probability", "nan", "qt_probability must lie in [0, 1], got nan"),
+])
+def test_gen_fixture_rejects_out_of_range_values(tmp_path, capsys, flag,
+                                                 value, message):
+    out = tmp_path / "bad.ttls"
+    assert main(["gen-fixture", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"qtwalk: error: {message}\n"
+    assert not out.exists()
+
+
 def test_tab_inside_an_iri_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("<urn:a\tb> <urn:p> <urn:c> .\n", encoding="utf-8")
