@@ -318,8 +318,6 @@ def cmd_gen_fixture(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
-# Flag defaults are the WalkParams and TrainConfig field defaults.
-
 def _add_walk_flags(p: argparse.ArgumentParser) -> None:
     w = wk.WalkParams()
     p.add_argument("--alpha", type=float, default=w.alpha)

@@ -49,9 +49,8 @@ class Graph:
     pairs of those with that object, ``qts_by_subject``/``qts_by_object``
     the sorted ids of the quoted triples with that subject/object,
     ``qt_parts`` the ``(s, p, o)`` of a quoted triple (``None`` for other
-    terms).  ``roots``
-    are the sorted ids of the IRIs and quoted triples in a subject or
-    object position, at any nesting level.
+    terms).  ``roots`` are the sorted ids of the IRIs and quoted triples in
+    a subject or object position, at any nesting level.
     """
 
     triples: tuple[Triple, ...]
