@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -191,10 +192,10 @@ def _train_config(args) -> sg.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     # a corpus edited after walking trains, but vouches for nothing
     manifest = read_bound_manifest(args.input, strict=False)
     _, rows = wk.read_corpus_lines(args.input)
-    cfg = _train_config(args)
     vocab = sg.build_vocabulary(rows, cfg.min_count)
     model = sg.train(rows, vocab, cfg)
     output = Path(args.output)
@@ -274,27 +275,44 @@ def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
     return sg.train(rows, vocab, cfg)
 
 
+def _grid(flag: str, text: str | None, field: str, parse,
+          base: wk.WalkParams) -> list:
+    """The items of a ``--grid-*`` comma list ``text``, each checked as
+    ``field`` of ``base``; ``[base.<field>]`` without the flag."""
+    if text is None:
+        return [getattr(base, field)]
+    values = []
+    for item in text.split(","):
+        try:
+            value = parse(item)
+            dataclasses.replace(base, **{field: value})   # checks the range
+        except ValueError as exc:
+            raise InputError(f"{flag}: bad item {item!r}: {exc}") from None
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args) -> int:
-    g = load_graph(args.input, _excluded_predicates(args))
-    gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
-    alphas = [float(x) for x in args.grid_alpha.split(",")] if args.grid_alpha else [args.alpha]
-    betas = [float(x) for x in args.grid_beta.split(",")] if args.grid_beta else [args.beta]
-    depths = [int(x) for x in args.grid_depth.split(",")] if args.grid_depth else [args.depth]
+    # every cell is checked before the graph is read or any cell trains
+    excluded = _excluded_predicates(args)
     base = _walk_params(args)
+    depths = _grid("--grid-depth", args.grid_depth, "d", int, base)
+    alphas = _grid("--grid-alpha", args.grid_alpha, "alpha", float, base)
+    betas = _grid("--grid-beta", args.grid_beta, "beta", float, base)
+    cells = [dataclasses.replace(base, d=d, alpha=a, beta=b)
+             for d, a, b in itertools.product(depths, alphas, betas)]
     cfg = _train_config(args)
+    g = load_graph(args.input, excluded)
+    gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
     rows = []
-    for depth in depths:
-        for alpha in alphas:
-            for beta in betas:
-                params = dataclasses.replace(base, d=depth, alpha=alpha,
-                                             beta=beta)
-                model = run_pipeline(g, params, cfg)
-                report = ev.eval_classification(model, gold, seed=args.seed)
-                for metric, value in report.metrics.items():
-                    rows.append(
-                        f"{alpha!r}\t{beta!r}\t{depth}\tclassification"
-                        f"\t{metric}\t{value!r}"
-                    )
+    for params in cells:
+        model = run_pipeline(g, params, cfg)
+        report = ev.eval_classification(model, gold, seed=args.seed)
+        for metric, value in report.metrics.items():
+            rows.append(
+                f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
+                f"\tclassification\t{metric}\t{value!r}"
+            )
     text = "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n" + "".join(
         r + "\n" for r in rows
     )

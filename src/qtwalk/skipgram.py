@@ -98,13 +98,16 @@ class TrainConfig:
     softmax_mode: SoftmaxMode = SoftmaxMode.NEGATIVE_SAMPLING
 
     def __post_init__(self):
-        if min(self.dim, self.window, self.negatives) <= 0:
-            raise ValueError("dim, window, and negatives must be positive")
-        if self.epochs < 0 or self.learning_rate <= 0 or self.min_count <= 0:
-            raise ValueError("bad training configuration")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning rate must be finite, got "
-                             f"{self.learning_rate!r}")
+        for name, value in (("dim", self.dim), ("window", self.window),
+                            ("negatives", self.negatives),
+                            ("min_count", self.min_count)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
 
 
 @dataclass
@@ -231,6 +234,36 @@ def _noise_cdf(noise: np.ndarray) -> np.ndarray:
     return cdf
 
 
+# Below its cap, a noise table has at least 32 buckets per token, so at most
+# 1/32 of them straddle a token boundary and send their draws to a search.
+NOISE_BUCKETS_PER_TOKEN = 32
+MAX_NOISE_BUCKETS = 1 << 20
+
+
+def _noise_table(cdf: np.ndarray) -> np.ndarray:
+    """For B equal buckets of [0, 1), the token that
+    ``np.searchsorted(cdf, u)`` gives for every draw u in the bucket, or -1
+    where the bucket straddles a token boundary.  B is the smallest power
+    of two of at least ``NOISE_BUCKETS_PER_TOKEN`` buckets per token, at
+    most ``MAX_NOISE_BUCKETS``."""
+    wanted = NOISE_BUCKETS_PER_TOKEN * len(cdf)
+    buckets = min(MAX_NOISE_BUCKETS, 1 << (wanted - 1).bit_length())
+    edges = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+
+def _draw_noise(cdf: np.ndarray, table: np.ndarray, u: np.ndarray
+                ) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for draws ``u`` in [0, 1), through the
+    ``_noise_table`` of ``cdf``.  The bucket of u is ``floor(u * B)``, and
+    u * B is exact because B is a power of two."""
+    tokens = table[(u * len(table)).astype(np.intp)]
+    straddling = tokens < 0
+    if straddling.any():
+        tokens[straddling] = np.searchsorted(cdf, u[straddling])
+    return tokens
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
@@ -267,22 +300,25 @@ def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
               x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(unique rows, sums): the sum for row r is the sum of
     ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``, added
-    in the order of j.  ``rows`` index a block of ``size`` rows.
+    in the order of j.  ``rows`` index a block of ``size`` rows, and
+    ``columns`` must be nondecreasing.
 
-    One sparse (unique rows x len(x)) product; deterministic, and cheaper
-    than ``np.add.at`` on the repeated rows.
+    One sparse (unique rows x len(x)) product in column order, which adds
+    each row's terms in stored order, so it sorts nothing; deterministic,
+    and cheaper than ``np.add.at`` on the repeated rows.
     """
-    # numpy radix-sorts keys of 16 bits or fewer, ~3x faster than int64
-    keys = rows.astype(np.min_scalar_type(size - 1))
-    order = np.argsort(keys, kind="stable")
-    ordered = rows[order]
-    bounds = np.flatnonzero(np.concatenate(
-        ([True], ordered[1:] != ordered[:-1], [True])))  # run starts, end
-    selector = sparse.csr_array(
-        (weights[order], columns[order], bounds),
-        shape=(len(bounds) - 1, len(x)),
-    )
-    return ordered[bounds[:-1]], selector @ x
+    # int32 index arrays where they fit, as scipy would pick, so that it
+    # neither scans nor copies them
+    index = np.int32 if max(len(rows), len(x)) < 2 ** 31 else np.int64
+    mark = np.zeros(size, dtype=bool)
+    mark[rows] = True
+    unique = np.flatnonzero(mark)                   # ascending
+    slot = np.empty(size, dtype=index)
+    slot[unique] = np.arange(len(unique), dtype=index)
+    indptr = np.searchsorted(columns, np.arange(len(x) + 1)).astype(index)
+    selector = sparse.csc_array(
+        (weights, slot[rows], indptr), shape=(len(unique), len(x)))
+    return unique, selector @ x
 
 
 def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
@@ -310,19 +346,21 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
     size = len(block)
     batch = np.arange(len(rows))
     if rows.shape[1] > 2:
-        x = block[rows]                                        # (B, 2+k, d)
+        x = np.take(block, rows, axis=0)                       # (B, 2+k, d)
         v, u = x[:, 0], x[:, 1:]
         scores = np.einsum("bd,bkd->bk", v, u)
         delta = _sigmoid(scores)                       # d loss_i / d score
         delta[:, 0] -= 1.0
         delta *= weights[:, None]
         d_v = np.einsum("bk,bkd->bd", delta, u)
-        # center i takes d_v[i], output row rows[i, j] takes delta * v[i]
-        targets = np.arange(rows.shape[1]) > 0
-        columns = batch[:, None] + len(batch) * targets
+        # center i takes d_v[i], row 2i of the interleaved [d_v; v], and
+        # output row rows[i, j] takes delta * v[i], row 2i + 1: the raveled
+        # table's columns are nondecreasing
+        interleaved = np.concatenate((d_v, v), axis=1).reshape(2 * len(v), -1)
+        columns = 2 * batch[:, None] + (np.arange(rows.shape[1]) > 0)
         terms = np.concatenate((np.ones((len(batch), 1)), delta), axis=1)
         return _sum_rows(rows.ravel(), columns.ravel(), terms.ravel(),
-                         np.concatenate((d_v, v)), size)
+                         interleaved, size)
     v = block[rows[:, 0]]
     slots, contexts = np.divmod(rows[:, 1], tokens)
     slots -= 1
@@ -380,6 +418,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     if cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING:
         noise = _noise_probabilities(vocab)
         cdf, k = _noise_cdf(noise), cfg.negatives
+    table = _noise_table(cdf)
     batch = _batch_size(contexts, noise, cfg.negatives)
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
@@ -394,7 +433,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
             )
             for start in range(0, n_pairs, batch):
                 at = order[start:start + batch]
-                negatives = np.searchsorted(cdf, rng.random((len(at), k)))
+                negatives = _draw_noise(cdf, table, rng.random((len(at), k)))
                 rows, grad = _batch_gradient(
                     block, len(vocab),
                     _pair_rows(len(vocab), centers[at], contexts[at],

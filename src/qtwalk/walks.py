@@ -44,10 +44,12 @@ class WalkParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n <= 0 or self.d <= 0:
-            raise ValueError("n and d must be positive")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1]")
+        for name, value in (("n", self.n), ("d", self.d)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,52 @@ def test_sweep_emits_one_row_per_grid_cell(tmp_path, fixture_graph):
     assert len(lines) == 1 + 4  # 2 alphas x 2 betas x 1 depth
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-depth", "4,,8",
+     "--grid-depth: bad item '': invalid literal for int() with base 10: ''"),
+    ("--grid-depth", "4,0", "--grid-depth: bad item '0': d must be >= 1, "
+                            "got 0"),
+    ("--grid-alpha", "0.5,1.5", "--grid-alpha: bad item '1.5': alpha must "
+                                "lie in [0, 1], got 1.5"),
+    ("--grid-alpha", "abc", "--grid-alpha: bad item 'abc': could not "
+                            "convert string to float: 'abc'"),
+    ("--grid-beta", "0.2,nan", "--grid-beta: bad item 'nan': beta must lie "
+                               "in [0, 1], got nan"),
+])
+def test_sweep_checks_every_grid_item_before_reading_input(
+        tmp_path, capsys, flag, value, message):
+    # neither the graph nor the gold exists: reading either, or training a
+    # good cell first, would fail differently
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep", str(tmp_path / "absent.ttls"), "--gold-dir",
+                 str(tmp_path / "absent"), "--output", str(out),
+                 flag, value]) == 1
+    assert capsys.readouterr().err == f"qtwalk: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "-1", "epochs must be >= 0, got -1"),
+    ("--min-count", "0", "min_count must be >= 1, got 0"),
+    ("--learning-rate", "0", "learning_rate must be positive and finite, "
+                             "got 0.0"),
+    ("--learning-rate", "-0.5", "learning_rate must be positive and finite, "
+                                "got -0.5"),
+    ("--dim", "0", "dim must be >= 1, got 0"),
+    ("--window", "-2", "window must be >= 1, got -2"),
+    ("--negatives", "0", "negatives must be >= 1, got 0"),
+])
+def test_training_configuration_errors_name_field_and_value(
+        tmp_path, capsys, flag, value, message):
+    emb = tmp_path / "vectors.tsv"
+    for command in (["train", str(tmp_path / "absent.tsv"), str(emb)],
+                    ["sweep", str(tmp_path / "absent.ttls"), "--gold-dir",
+                     str(tmp_path)]):
+        assert main([*command, flag, value]) == 1
+        assert capsys.readouterr().err == f"qtwalk: error: {message}\n"
+    assert not emb.exists()
+
+
 def test_one_pair_similarity_gold_is_exit_code_one(tmp_path, fixture_graph,
                                                    capsys):
     _, emb = run_walk_train(tmp_path, fixture_graph)

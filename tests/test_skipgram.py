@@ -10,10 +10,13 @@ from qtwalk.skipgram import (
     Mode,
     SoftmaxMode,
     TrainConfig,
+    Vocabulary,
     _batch_size,
+    _draw_noise,
     _init_model,
     _noise_cdf,
     _noise_probabilities,
+    _noise_table,
     _sum_rows,
     build_vocabulary,
     corpus_pairs,
@@ -260,6 +263,41 @@ def test_noise_cdf_maps_every_draw_to_a_token():
     assert np.searchsorted(cdf, np.nextafter(1.0, 0.0)) == 6
 
 
+def counts_vocabulary(counts) -> Vocabulary:
+    tokens = tuple(map(str, range(len(counts))))
+    return Vocabulary(tokens, tuple(counts),
+                      dict(zip(tokens, range(len(tokens)))))
+
+
+@pytest.mark.parametrize("counts, buckets", [
+    pytest.param([3], 32, id="1-token"),
+    pytest.param([5] * 7, 256, id="7-equal"),
+    pytest.param([10_000 // r for r in range(1, 467)], 2 ** 14,
+                 id="zipf-466"),
+    pytest.param([1] * (3 * 2 ** 18), 2 ** 20, id="above-cap"),
+])
+def test_noise_lookup_equals_searchsorted(counts, buckets):
+    cdf = _noise_cdf(_noise_probabilities(counts_vocabulary(counts)))
+    table = _noise_table(cdf)
+    assert len(table) == buckets
+    straddling = np.mean(table < 0)
+    if buckets < 2 ** 20:
+        assert straddling <= 1 / 32
+    else:
+        assert straddling > 0.5    # most draws take the fallback search
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate((
+        edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+        [0.0, 1.0 - 2.0 ** -53],
+        np.random.default_rng(len(counts)).random(10_000),
+    ))
+    expected = np.searchsorted(cdf, u)
+    assert np.array_equal(_draw_noise(cdf, table, u), expected)
+    # as training draws them: one row of noise tokens per pair
+    got = _draw_noise(cdf, table, u[:10_000].reshape(-1, 5))
+    assert np.array_equal(got, expected[:10_000].reshape(-1, 5))
+
+
 def test_batch_size_shrinks_with_negatives_and_hot_tokens():
     def contexts(hot_share, n=1000, vocab=50):
         hot = int(hot_share * n)
@@ -326,15 +364,19 @@ def test_diverging_training_raises(softmax_mode):
 
 # -- gradients ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("size", [200, 60_000, 70_000])   # uint8/16/32 keys
+@pytest.mark.parametrize("size", [200, 60_000, 70_000])
 def test_sum_rows_adds_each_rows_terms_in_input_order(size):
     rng = np.random.default_rng(size)
     n_terms, dim = 500, 3
     # few distinct rows, so most repeat, up to the last row of the block
     rows = rng.choice([0, 1, size // 2, size - 2, size - 1], size=n_terms)
-    columns = rng.integers(0, 40, size=n_terms)
+    # nondecreasing columns, ~12 terms each, so rows repeat inside a column;
+    # the last two rows of x take no term
+    columns = np.sort(rng.integers(0, 40, size=n_terms))
+    # as when noise tokens equal the context: one row repeats in a column
+    rows[columns == columns[-1]] = size - 1
     weights = rng.normal(size=n_terms)
-    x = rng.normal(size=(40, dim))
+    x = rng.normal(size=(42, dim))
     expected: dict[int, np.ndarray] = {}
     for r, c, w in zip(rows.tolist(), columns, weights):
         expected[r] = expected.get(r, np.zeros(dim)) + w * x[c]
