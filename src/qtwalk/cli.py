@@ -56,7 +56,12 @@ def write_manifest(path: Path, entries: dict[str, str]) -> None:
 
 
 def _file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read in 1 MiB chunks: an artifact can be large."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_manifest(path: Path) -> dict[str, str]:
@@ -92,11 +97,7 @@ def load_graph(path: str, exclude_predicates: tuple[str, ...] = ()) -> gr.Graph:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    triples = parse_document(text)
-    if exclude_predicates:
-        excluded = set(exclude_predicates)
-        triples = [t for t in triples if t.predicate.value not in excluded]
-    return gr.build_graph(triples)
+    return gr.parse_graph(text, exclude_predicates)
 
 
 def _excluded_predicates(args) -> tuple[str, ...]:

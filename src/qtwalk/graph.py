@@ -1,15 +1,17 @@
 """Immutable indexed store for RDF-star graphs.
 
-``build_graph`` interns every distinct term once and numbers the terms
-0..N-1 in canonical-string order.  The indexes are plain per-id tuples
-over those ints: outgoing ``(p, o)`` and incoming ``(s, p)`` pairs of the
-asserted triples, and every quoted triple occurring anywhere in the graph
-(any nesting level) by its subject and object ids, which is what the
-QT-aware walks need.  ``Graph.id_of`` maps a term to its id.  Because
-id order is text order, a candidate list sorted by ids is sorted by the
-candidates' canonical text (``<< s p o >>`` for a triple), so candidate
-order, and with it every random draw of a walk, does not depend on the
-order of the input triples.
+``Interner`` interns every distinct term once and numbers the terms
+0..N-1 in canonical-string order.  ``parse_graph`` has the parser feed it
+as each term closes, and ``build_graph`` feeds it by walking Term
+objects.  The indexes are plain per-id tuples over those ints:
+outgoing ``(p, o)`` and incoming ``(s, p)`` pairs of the asserted triples,
+and every quoted triple occurring anywhere in the graph (any nesting
+level) by its subject and object ids, which is what the QT-aware walks
+need.  ``Graph.id_of`` maps a term to its id.  Because id order is text
+order, a candidate list sorted by ids is sorted by the candidates'
+canonical text (``<< s p o >>`` for a triple), so candidate order, and
+with it every random draw of a walk, does not depend on the order of the
+input triples.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .parser import parse_into
 from .terms import (
     ID_PREDICATE,
     Iri,
@@ -26,7 +29,7 @@ from .terms import (
     RDF_TYPE,
     Term,
     Triple,
-    qt_depth,
+    literal_text,
     serialize_term,
 )
 
@@ -39,10 +42,12 @@ Pairs = tuple[tuple[int, int], ...]
 class Graph:
     """Interned terms and their per-id indexes.
 
-    ``terms[i]`` is term ``i`` and ``texts[i]`` its canonical string;
-    ``texts`` is sorted and ``ids`` inverts it.  ``triple_ids`` are the
-    asserted ``triples`` as ids, ``qt_ids`` the sorted ids of all quoted
-    triples and ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
+    ``texts[i]`` is term ``i``'s canonical string; ``texts`` is sorted and
+    ``ids`` inverts it.  ``atoms[i]`` is an IRI's value or a literal's
+    ``(lexical, datatype, language)``, ``None`` for a quoted triple.
+    ``triple_ids`` are the asserted triples as ids, in first-occurrence
+    order, ``qt_ids`` the sorted ids of all quoted triples and
+    ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
 
     Per id: ``out_edges`` holds the sorted ``(p, o)`` pairs of the
     asserted triples with that subject, ``in_edges`` the sorted ``(s, p)``
@@ -51,13 +56,15 @@ class Graph:
     ``qt_parts`` the ``(s, p, o)`` of a quoted triple (``None`` for other
     terms).  ``roots`` are the sorted ids of the IRIs and quoted triples in
     a subject or object position, at any nesting level.
+
+    Term objects (``terms``, ``triples``, ``node_set``, ``qt_set``) are
+    built from these on first use only.
     """
 
-    triples: tuple[Triple, ...]
-    triple_ids: tuple[tuple[int, int, int], ...] = field(repr=False)
-    terms: tuple[Term, ...] = field(repr=False)
+    triple_ids: tuple[tuple[int, int, int], ...]
     texts: tuple[str, ...] = field(repr=False)
     ids: dict[str, int] = field(repr=False)
+    atoms: tuple = field(repr=False)
     out_edges: tuple[Pairs, ...] = field(repr=False)
     in_edges: tuple[Pairs, ...] = field(repr=False)
     qts_by_subject: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -70,6 +77,32 @@ class Graph:
     def id_of(self, t: Term) -> int | None:
         """Id of a term, or None if it does not occur in the graph."""
         return self.ids.get(serialize_term(t))
+
+    def qts_parts_first(self) -> list[int]:
+        """The QT ids, each after the QTs among its parts: a QT's text is
+        longer than either part's."""
+        texts = self.texts
+        return sorted(self.qt_ids, key=lambda q: len(texts[q]))
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """Term ``i`` for every id ``i``."""
+        terms: list = [
+            None if atom is None else
+            Iri(atom) if isinstance(atom, str) else Literal(*atom)
+            for atom in self.atoms]
+        for q in self.qts_parts_first():
+            s, p, o = self.qt_parts[q]
+            terms[q] = QuotedTriple(terms[s], terms[p], terms[o])
+        return tuple(terms)
+
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        """The asserted triples, duplicates dropped, in first-occurrence
+        order."""
+        terms = self.terms
+        return tuple(Triple(terms[s], terms[p], terms[o])
+                     for s, p, o in self.triple_ids)
 
     @cached_property
     def node_set(self) -> frozenset[Term]:
@@ -92,98 +125,154 @@ class Graph:
         return digest.hexdigest()
 
 
-def build_graph(triples) -> Graph:
-    """Index a triple collection.  Duplicate asserted triples are dropped.
+class Interner:
+    """The one term interner, and a sink for ``parser.parse_into``.
 
     Each distinct term is interned once, by value, bottom-up: an IRI is
     keyed by its value, a literal by its fields and a quoted triple by the
-    ids of its parts.  A quoted triple's canonical string is built from its
-    parts' strings.  The ids are then renumbered in canonical-string order.
+    ids of its parts, so a part always has a lower id than its QT.  A
+    quoted triple's canonical string is built from its parts' strings.
+    ``graph`` renumbers the ids in canonical-string order.
     """
-    keys: dict = {}
-    texts: list[str] = []
-    terms: list[Term] = []
-    parts: list[tuple[int, int, int] | None] = []
 
-    def intern(t: Term) -> int:
-        if isinstance(t, QuotedTriple):
-            key = (intern(t.subject), intern(t.predicate), intern(t.object))
-        elif isinstance(t, Iri):
-            key = t.value
-        elif isinstance(t, Literal):
-            key = (t.lexical, t.datatype, t.language)
-        else:
-            raise TypeError(f"not a Term: {t!r}")
-        i = keys.get(key)
-        if i is None:
-            i = keys[key] = len(texts)
-            terms.append(t)
-            if isinstance(t, QuotedTriple):
-                s, p, o = key
-                texts.append(f"<< {texts[s]} {texts[p]} {texts[o]} >>")
-                parts.append(key)
-            else:
-                texts.append(serialize_term(t))
-                parts.append(None)
+    def __init__(self):
+        self._ids: dict = {}
+        self._texts: list[str] = []
+        self._atoms: list = []
+        self._parts: list[tuple[int, int, int] | None] = []
+        self._asserted: dict[tuple[int, int, int], None] = {}
+
+    def _add(self, key, text: str, atom, parts) -> int:
+        i = self._ids[key] = len(self._texts)
+        self._texts.append(text)
+        self._atoms.append(atom)
+        self._parts.append(parts)
         return i
 
-    asserted: dict[tuple[int, int, int], Triple] = {}
+    def iri(self, value: str) -> int:
+        i = self._ids.get(value)
+        if i is None:
+            i = self._add(value, f"<{value}>", value, None)
+        return i
+
+    def literal(self, lexical: str, datatype: str | None,
+                language: str | None) -> int:
+        key = (lexical, datatype, language)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._add(key, literal_text(*key), key, None)
+        return i
+
+    def quoted(self, s: int, p: int, o: int) -> int:
+        key = (s, p, o)
+        i = self._ids.get(key)
+        if i is None:
+            texts = self._texts
+            i = self._add(key, f"<< {texts[s]} {texts[p]} {texts[o]} >>",
+                          None, key)
+        return i
+
+    def triple(self, s: int, p: int, o: int) -> None:
+        """Assert a triple; a duplicate keeps its first position."""
+        self._asserted[s, p, o] = None
+
+    def term(self, t: Term) -> int:
+        """Intern a Term object, its parts first."""
+        if isinstance(t, QuotedTriple):
+            return self.quoted(self.term(t.subject), self.term(t.predicate),
+                               self.term(t.object))
+        if isinstance(t, Iri):
+            return self.iri(t.value)
+        if isinstance(t, Literal):
+            return self.literal(t.lexical, t.datatype, t.language)
+        raise TypeError(f"not a Term: {t!r}")
+
+    def graph(self, exclude_predicates=()) -> Graph:
+        """The indexed graph of the asserted triples, less those whose
+        predicate IRI is in ``exclude_predicates``.  A term that occurs
+        only in excluded triples is not in the graph."""
+        texts, parts = self._texts, self._parts
+        n = len(texts)
+        asserted = list(self._asserted)
+        kept = range(n)
+        if exclude_predicates:
+            excluded = {self._ids.get(value) for value in exclude_predicates}
+            asserted = [spo for spo in asserted if spo[1] not in excluded]
+            referenced = bytearray(n)
+            for s, p, o in asserted:
+                referenced[s] = referenced[p] = referenced[o] = 1
+            for i in range(n - 1, -1, -1):  # a QT before its parts
+                if referenced[i] and parts[i] is not None:
+                    s, p, o = parts[i]
+                    referenced[s] = referenced[p] = referenced[o] = 1
+            kept = [i for i in range(n) if referenced[i]]
+
+        order = sorted(kept, key=texts.__getitem__)
+        rank = [0] * n
+        for new, old in enumerate(order):
+            rank[old] = new
+
+        def renumbered(spo):
+            return None if spo is None else (rank[spo[0]], rank[spo[1]],
+                                             rank[spo[2]])
+
+        n = len(order)
+        qt_parts = tuple(renumbered(parts[old]) for old in order)
+        triple_ids = tuple(map(renumbered, asserted))
+
+        out_edges: list[list] = [[] for _ in range(n)]
+        in_edges: list[list] = [[] for _ in range(n)]
+        is_node = bytearray(n)
+        for s, p, o in triple_ids:
+            out_edges[s].append((p, o))
+            in_edges[o].append((s, p))
+            is_node[s] = is_node[o] = 1
+
+        qt_ids = tuple(q for q in range(n) if qt_parts[q] is not None)
+        by_subject: list[list] = [[] for _ in range(n)]
+        by_object: list[list] = [[] for _ in range(n)]
+        for q in qt_ids:  # ascending, so every list comes out sorted
+            s, _, o = qt_parts[q]
+            by_subject[s].append(q)
+            by_object[o].append(q)
+            is_node[s] = is_node[o] = 1
+
+        sorted_texts = tuple(texts[old] for old in order)
+        return Graph(
+            triple_ids=triple_ids,
+            texts=sorted_texts,
+            ids={text: i for i, text in enumerate(sorted_texts)},
+            atoms=tuple(self._atoms[old] for old in order),
+            out_edges=tuple(tuple(sorted(e)) for e in out_edges),
+            in_edges=tuple(tuple(sorted(e)) for e in in_edges),
+            qts_by_subject=tuple(map(tuple, by_subject)),
+            qts_by_object=tuple(map(tuple, by_object)),
+            qt_parts=qt_parts,
+            qt_lookup={qt_parts[q]: q for q in qt_ids},
+            qt_ids=qt_ids,
+            # a literal's text, and only a literal's, starts with '"'
+            roots=tuple(i for i in range(n) if is_node[i]
+                        and sorted_texts[i][0] != '"'),
+        )
+
+
+def parse_graph(text: str, exclude_predicates=()) -> Graph:
+    """The graph of a Turtle-star document, parsed straight to ids: no Term
+    object is built.  Triples whose predicate IRI is in
+    ``exclude_predicates`` are left out (see ``Interner.graph``)."""
+    interner = Interner()
+    parse_into(text, interner)
+    return interner.graph(exclude_predicates)
+
+
+def build_graph(triples) -> Graph:
+    """Index a collection of Triple objects.  Duplicate asserted triples
+    are dropped."""
+    interner = Interner()
+    term = interner.term
     for t in triples:
-        key = (intern(t.subject), intern(t.predicate), intern(t.object))
-        if key not in asserted:
-            asserted[key] = t
-    # intern's closure cell holds intern itself: empty it, so the interning
-    # tables are freed now rather than by a full garbage collection
-    del intern
-
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-
-    def renumbered(spo):
-        return None if spo is None else (rank[spo[0]], rank[spo[1]],
-                                         rank[spo[2]])
-
-    n = len(order)
-    qt_parts = tuple(renumbered(parts[old]) for old in order)
-    triple_ids = tuple(renumbered(spo) for spo in asserted)
-
-    out_edges: list[list] = [[] for _ in range(n)]
-    in_edges: list[list] = [[] for _ in range(n)]
-    is_node = bytearray(n)
-    for s, p, o in triple_ids:
-        out_edges[s].append((p, o))
-        in_edges[o].append((s, p))
-        is_node[s] = is_node[o] = 1
-
-    qt_ids = tuple(q for q in range(n) if qt_parts[q] is not None)
-    by_subject: list[list] = [[] for _ in range(n)]
-    by_object: list[list] = [[] for _ in range(n)]
-    for q in qt_ids:  # ascending, so every list comes out sorted
-        s, _, o = qt_parts[q]
-        by_subject[s].append(q)
-        by_object[o].append(q)
-        is_node[s] = is_node[o] = 1
-
-    sorted_terms = tuple(terms[old] for old in order)
-    sorted_texts = tuple(texts[old] for old in order)
-    return Graph(
-        triples=tuple(asserted.values()),
-        triple_ids=triple_ids,
-        terms=sorted_terms,
-        texts=sorted_texts,
-        ids={text: i for i, text in enumerate(sorted_texts)},
-        out_edges=tuple(tuple(sorted(e)) for e in out_edges),
-        in_edges=tuple(tuple(sorted(e)) for e in in_edges),
-        qts_by_subject=tuple(map(tuple, by_subject)),
-        qts_by_object=tuple(map(tuple, by_object)),
-        qt_parts=qt_parts,
-        qt_lookup={qt_parts[q]: q for q in qt_ids},
-        qt_ids=qt_ids,
-        roots=tuple(i for i in range(n) if is_node[i]
-                    and not isinstance(sorted_terms[i], Literal)),
-    )
+        interner.triple(term(t.subject), term(t.predicate), term(t.object))
+    return interner.graph()
 
 
 @dataclass(frozen=True)
@@ -225,13 +314,14 @@ def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
         if parts[s] is None and parts[o] is None:
             standard += 1
 
+    depth = [0] * len(parts)
     by_depth: dict[int, int] = {}
-    for q in g.qt_ids:
-        p = parts[q][1]
+    for q in g.qts_parts_first():
+        s, p, o = parts[q]
+        d = depth[q] = 1 + max(depth[s], depth[o])
         if not include_id_nesting and p == id_pred:
             continue
         properties.add(p)
-        d = qt_depth(g.terms[q])
         by_depth[d] = by_depth.get(d, 0) + 1
 
     return GraphStats(

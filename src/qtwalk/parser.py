@@ -1,4 +1,4 @@
-"""Recursive-descent parser for a Turtle-star subset.
+"""Parser for a Turtle-star subset: one token stream, one grammar.
 
 Supported: ``@prefix``, absolute IRIs, prefixed names, ``a``, predicate
 lists (``;``), object lists (``,``), plain/typed/language-tagged string
@@ -9,6 +9,13 @@ literals, integer and decimal literals, ``#`` comments, and quoted triples
 Rejected with positioned diagnostics: blank nodes, collections, ``@base``,
 annotation syntax (``{| |}``), quoted triples nested deeper than
 ``MAX_QT_DEPTH``, and anything else outside the subset.
+
+One compiled alternation tokenizes the text lazily (``finditer``); the
+statement grammar runs once over that stream and hands each term to a
+*sink* as it closes.  The sink decides what a term becomes:
+``parse_document`` and ``parse_term`` build :mod:`qtwalk.terms` objects,
+while ``parse_into`` feeds any other sink, such as ``graph.Interner``,
+which keys terms by value and never builds a Term.
 """
 
 from __future__ import annotations
@@ -59,20 +66,36 @@ class ParseError(ValueError):
 # ParseError.
 MAX_QT_DEPTH = 400
 
-_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-# IRIREF: no control character or space (U+0000-U+0020) and none of <>"{}|^`\
-_IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`\\]*)>')
+# One token per match, after any whitespace and comments.  A token's
+# position is the start of its group (``lastgroup``).  Every position
+# matches something (ERR takes any other character), so the matches tile
+# the text and END closes it.  PNAME comes before NAME, which is a
+# prefixed name's prefix without the ':' ("a", or a misplaced word); a
+# '.' before a digit starts a decimal; a string token carries its
+# language tag ("" if malformed) or its '^^'.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?: (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:
+                  (?:[A-Za-z0-9_\-.%]*[A-Za-z0-9_\-%])?)
+      | (?P<DOT>\.(?![0-9]))
+      | (?P<QOPEN><<)
+      | (?P<QCLOSE>>>)
+      | (?P<IRI><[^\x00-\x20<>"{}|^`\\]*>)
+      | (?P<STRING>"(?P<lexical>[^"\\\n]*(?:\\.[^"\\\n]*)*)"
+                   (?:@(?P<lang>[A-Za-z]+(?:-[A-Za-z0-9]+)*|)
+                     |(?P<datatype>\^\^))?)
+      | (?P<SEMI>;)
+      | (?P<COMMA>,)
+      | (?P<NUMBER>[+-]?(?:[0-9]*\.[0-9]+|[0-9]+))
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_\-]*)
+      | (?P<AT>@(?:prefix)?)
+      | (?P<END>\Z)
+      | (?P<ERR>.)
+    )""", re.VERBOSE)
+# What a string token failed to close over: its text up to the newline,
+# end of input or bad escape that stopped it.
+_STRING_BODY_RE = re.compile(r'[^"\\\n]*(?:\\.[^"\\\n]*)*')
 _IRI_BODY_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
-# A prefix name, possibly empty.
-_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?")
-# A prefixed name; the local part never ends in '.', which belongs to the
-# statement instead.
-_PREFIXED_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_\-]*)?:((?:[A-Za-z0-9_\-.%]*[A-Za-z0-9_\-%])?)")
-_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
-# DECIMAL or INTEGER; the lexical form holds a '.' exactly when decimal.
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)")
-_LANGTAG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -86,264 +109,238 @@ _STRING_ESCAPES = {
 }
 
 
-class _Parser:
-    """Recursive descent over one string; ``pos`` is the only cursor.
+class _TermSink:
+    """Builds :mod:`qtwalk.terms` objects; collects the asserted triples."""
 
-    Line and column are derived from an offset when a diagnostic is built.
+    iri = Iri
+    literal = Literal
+    quoted = QuotedTriple
+
+    def __init__(self):
+        self.triples: list[Triple] = []
+
+    def triple(self, s, p, o) -> None:
+        self.triples.append(Triple(s, p, o))
+
+
+class _Parser:
+    """The statement grammar over one token stream, feeding ``sink``.
+
+    The grammar reads one token at a time; each rule is handed its first
+    token and reads the rest itself.  Line and column are derived from a
+    token's offset when a diagnostic is built.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, sink):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN_RE.finditer(text)
+        self.sink = sink
         self.prefixes: dict[str, str] = {}
         self.qt_depth = 0
-        # Prefixed name as written -> its Iri, under the current prefixes.
-        self.pnames: dict[str, Iri] = {}
+        # IRI or prefixed name as written -> the sink's value for it, under
+        # the current prefixes.  Names with a '_' prefix stay out, so a
+        # subject or object still rejects them as blank nodes.
+        self.names: dict = {}
 
-    def _skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def _error(self, kind: ErrorKind, message: str,
-               at: int | None = None) -> ParseError:
-        """A diagnostic positioned at offset ``at`` (default: here)."""
-        pos = self.pos if at is None else at
-        line_start = self.text.rfind("\n", 0, pos) + 1
+    def _error(self, kind: ErrorKind, message: str, at: int) -> ParseError:
+        """A diagnostic positioned at offset ``at``."""
+        line_start = self.text.rfind("\n", 0, at) + 1
         return ParseError(ParseDiagnostics(
-            line=self.text.count("\n", 0, pos) + 1,
-            column=pos - line_start + 1, message=message, kind=kind))
-
-    # -- entry -------------------------------------------------------------
-
-    def parse_document(self) -> list[Triple]:
-        triples: list[Triple] = []
-        text = self.text
-        self._skip_ws()
-        while self.pos < len(text):
-            if text.startswith("@", self.pos):
-                self._parse_prefix_decl()
-            else:
-                triples.extend(self._parse_statement())
-            self._skip_ws()
-        return triples
-
-    # -- directives ---------------------------------------------------------
-
-    def _parse_prefix_decl(self) -> None:
-        text, start = self.text, self.pos
-        word = text[start:start + 7]
-        if word != "@prefix":
-            raise self._error(ErrorKind.SYNTAX,
-                              f"unknown directive {word!r}", start)
-        self.pos += 7
-        self._skip_ws()
-        name = _PNAME_RE.match(text, self.pos)
-        self.pos = name.end()
-        if not text.startswith(":", self.pos):
-            raise self._error(ErrorKind.SYNTAX, "expected ':' in prefix name")
-        self.pos += 1
-        self._skip_ws()
-        if not text.startswith("<", self.pos):
-            raise self._error(ErrorKind.SYNTAX, "expected IRI after @prefix")
-        iri = self._parse_iriref()
-        self._skip_ws()
-        self._expect_dot()
-        self.prefixes[name.group()] = iri.value
-        self.pnames.clear()
+            line=self.text.count("\n", 0, at) + 1,
+            column=at - line_start + 1, message=message, kind=kind))
 
     # -- statements ----------------------------------------------------------
 
-    def _parse_statement(self) -> list[Triple]:
-        text, ws = self.text, _WS_RE.match
-        subject = self._parse_subject()
-        triples: list[Triple] = []
+    def document(self) -> None:
+        tokens, triple = self.tokens, self.sink.triple
+        subject, predicate, obj = self._subject, self._predicate, self._object
+        m = next(tokens)
         while True:
-            self.pos = ws(text, self.pos).end()
-            predicate = self._parse_predicate()
+            kind = m.lastgroup
+            if kind == "END":
+                return
+            if kind == "AT":
+                self._prefix_decl(m)
+                m = next(tokens)
+                continue
+            s = subject(m)
+            m = next(tokens)
             while True:
-                self.pos = ws(text, self.pos).end()
-                triples.append(Triple(subject, predicate,
-                                      self._parse_object()))
-                self.pos = ws(text, self.pos).end()
-                if not text.startswith(",", self.pos):
+                p = predicate(m)
+                while True:
+                    triple(s, p, obj(next(tokens)))
+                    m = next(tokens)
+                    kind = m.lastgroup
+                    if kind != "COMMA":
+                        break
+                if kind != "SEMI":
                     break
-                self.pos += 1
-            if not text.startswith(";", self.pos):
-                break
-            self.pos += 1
-            self.pos = ws(text, self.pos).end()
-            # Turtle allows trailing ';' before '.'
-            if text.startswith(".", self.pos):
-                break
-        self._expect_dot()
-        return triples
+                m = next(tokens)
+                kind = m.lastgroup
+                # Turtle allows trailing ';' before '.'
+                if kind == "DOT" or kind == "NUMBER" and m[kind][0] == ".":
+                    break
+            self._expect_dot(m)
+            m = next(tokens)
 
-    def _expect_dot(self) -> None:
-        if not self.text.startswith(".", self.pos):
-            raise self._error(ErrorKind.SYNTAX, "expected '.'")
-        self.pos += 1
+    def _expect_dot(self, m) -> None:
+        kind = m.lastgroup
+        if kind == "DOT":
+            return
+        start = m.start(kind)
+        if kind == "NUMBER" and m[kind][0] == ".":
+            # the '.' ends the statement; the next one opens with a digit
+            raise self._error(ErrorKind.SYNTAX, "expected a term, found "
+                              f"{self.text[start + 1]!r}", start + 1)
+        raise self._error(ErrorKind.SYNTAX, "expected '.'", start)
+
+    def _prefix_decl(self, m) -> None:
+        text, start = self.text, m.start("AT")
+        if m["AT"] != "@prefix":
+            raise self._error(ErrorKind.SYNTAX, "unknown directive "
+                              f"{text[start:start + 7]!r}", start)
+        m = next(self.tokens)
+        kind = m.lastgroup
+        if kind != "PNAME":
+            raise self._error(ErrorKind.SYNTAX, "expected ':' in prefix name",
+                              m.end() if kind == "NAME" else m.start(kind))
+        name, _, local = m[kind].partition(":")
+        if local:
+            raise self._error(ErrorKind.SYNTAX, "expected IRI after @prefix",
+                              m.start(kind) + len(name) + 1)
+        m = next(self.tokens)
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind != "IRI":
+            if text.startswith("<", at):
+                raise self._iri_error(at)
+            raise self._error(ErrorKind.SYNTAX, "expected IRI after @prefix",
+                              at)
+        self._expect_dot(next(self.tokens))
+        self.prefixes[name] = m[kind][1:-1]
+        self.names.clear()
 
     # -- terms ----------------------------------------------------------------
 
-    def _parse_subject(self) -> Iri | QuotedTriple:
-        text, pos = self.text, self.pos
-        if text.startswith("<<", pos):
-            return self._parse_quoted_triple()
-        if text.startswith("<", pos):
-            return self._parse_iriref()
-        if text.startswith(("_", "[", "("), pos):
-            raise self._error(ErrorKind.SYNTAX,
-                              "blank nodes and collections are not supported")
-        return self._parse_prefixed_name(allow_a=False)
+    def _subject(self, m):
+        kind = m.lastgroup
+        if kind == "PNAME" or kind == "IRI":
+            value = self.names.get(m[kind])
+            return self._name(m, kind) if value is None else value
+        if kind == "QOPEN":
+            return self._quoted(m)
+        raise self._term_error(m, "subject")
 
-    def _parse_predicate(self) -> Iri:
-        text, pos = self.text, self.pos
-        if text.startswith("<<", pos):
-            raise self._error(ErrorKind.SYNTAX,
-                              "quoted triple not allowed as predicate")
-        if text.startswith("<", pos):
-            return self._parse_iriref()
-        return self._parse_prefixed_name(allow_a=True)
+    def _predicate(self, m):
+        kind = m.lastgroup
+        if kind == "PNAME" or kind == "IRI":
+            value = self.names.get(m[kind])
+            return (self._name(m, kind, predicate=True) if value is None
+                    else value)
+        if kind == "NAME" and m[kind] == "a":
+            return self.sink.iri(RDF_TYPE)
+        raise self._term_error(m, "predicate")
 
-    def _parse_object(self) -> Term:
-        text, pos = self.text, self.pos
-        ch = text[pos:pos + 1]
-        if not ch:  # before the ``in`` test below: "" is in every string
-            raise self._error(ErrorKind.SYNTAX, "unexpected end of input")
-        if ch == "<":
-            if text.startswith("<<", pos):
-                return self._parse_quoted_triple()
-            return self._parse_iriref()
-        if ch == '"':
-            return self._parse_string_literal()
-        if ch == "'":
-            raise self._error(ErrorKind.BAD_LITERAL,
-                              "single-quoted strings are not supported")
-        if ch.isdigit() or ch in "+-" or (
-                ch == "." and text[pos + 1:pos + 2].isdigit()):
-            return self._parse_numeric_literal()
-        if ch == "{":
-            raise self._error(ErrorKind.SYNTAX,
-                              "annotation syntax '{| |}' is not supported")
-        if text.startswith(("_", "[", "("), pos):
-            raise self._error(ErrorKind.SYNTAX,
-                              "blank nodes and collections are not supported")
-        return self._parse_prefixed_name(allow_a=False)
+    def _object(self, m):
+        kind = m.lastgroup
+        if kind == "PNAME" or kind == "IRI":
+            value = self.names.get(m[kind])
+            return self._name(m, kind) if value is None else value
+        if kind == "QOPEN":
+            return self._quoted(m)
+        if kind == "STRING":
+            return self._string_literal(m)
+        if kind == "NUMBER":
+            return self._numeric_literal(m)
+        raise self._term_error(m, "object")
 
-    def _parse_quoted_triple(self) -> QuotedTriple:
-        text, start, ws = self.text, self.pos, _WS_RE.match
+    def _quoted(self, m):
+        start = m.start("QOPEN")
         if self.qt_depth == MAX_QT_DEPTH:
             raise self._error(ErrorKind.SYNTAX, "quoted triples nested "
                               f"deeper than {MAX_QT_DEPTH} levels", start)
         self.qt_depth += 1
-        self.pos = ws(text, start + 2).end()  # past '<<'
-        if self.pos >= len(text):
-            raise self._error(ErrorKind.UNBALANCED_QUOTE,
-                              "'<<' without matching '>>'", start)
+        tokens = self.tokens
         # A nested QT recurses here directly: one stack frame per level.
-        nested = text.startswith
-        subject = (self._parse_quoted_triple() if nested("<<", self.pos)
-                   else self._parse_subject())
-        self.pos = ws(text, self.pos).end()
-        predicate = self._parse_predicate()
-        self.pos = ws(text, self.pos).end()
-        obj = (self._parse_quoted_triple() if nested("<<", self.pos)
-               else self._parse_object())
-        self.pos = ws(text, self.pos).end()
-        if not nested(">>", self.pos):
+        m = next(tokens)
+        kind = m.lastgroup
+        if kind == "END":
             raise self._error(ErrorKind.UNBALANCED_QUOTE,
                               "'<<' without matching '>>'", start)
-        self.pos += 2
+        s = self._quoted(m) if kind == "QOPEN" else self._subject(m)
+        p = self._predicate(next(tokens))
+        m = next(tokens)
+        o = self._quoted(m) if m.lastgroup == "QOPEN" else self._object(m)
+        if next(tokens).lastgroup != "QCLOSE":
+            raise self._error(ErrorKind.UNBALANCED_QUOTE,
+                              "'<<' without matching '>>'", start)
         self.qt_depth -= 1
-        return QuotedTriple(subject, predicate, obj)
+        return self.sink.quoted(s, p, o)
 
-    def _parse_iriref(self) -> Iri:
-        text, start = self.text, self.pos
-        m = _IRIREF_RE.match(text, start)
-        if m:
-            self.pos = m.end()
-            return Iri(m.group(1))
-        end = _IRI_BODY_RE.match(text, start + 1).end()
-        if end == len(text):
-            raise self._error(ErrorKind.SYNTAX, "unterminated IRI", start)
-        raise self._error(ErrorKind.SYNTAX,
-                          f"illegal character {text[end]!r} in IRI", start)
+    def _name(self, m, kind: str, predicate: bool = False):
+        """The sink's value for an IRI or prefixed-name token, memoized."""
+        token = m[kind]
+        if token[0] == "_" and not predicate:
+            raise self._blank_node_error(m.start(kind))
+        result = self.sink.iri(self._iri_value(m, kind))
+        if token[0] != "_":
+            self.names[token] = result
+        return result
 
-    def _parse_prefixed_name(self, allow_a: bool) -> Iri:
-        text, start = self.text, self.pos
-        m = _PREFIXED_RE.match(text, start)
-        if m is None:
-            name = _PNAME_RE.match(text, start).group()
-            if name == "a" and allow_a:
-                self.pos += 1
-                return Iri(RDF_TYPE)
-            found = name or text[start:start + 1]
-            message = (f"expected a term, found {found!r}" if found
-                       else "unexpected end of input")
-            raise self._error(ErrorKind.SYNTAX, message, start)
-        self.pos = m.end()
-        pname = m.group()
-        iri = self.pnames.get(pname)
-        if iri is None:
-            name, local = m.group(1) or "", m.group(2)
-            if name not in self.prefixes:
-                raise self._error(ErrorKind.UNDEFINED_PREFIX,
-                                  f"prefix {name + ':'!r} is not declared",
-                                  start)
-            iri = self.pnames[pname] = Iri(self.prefixes[name] + local)
-        return iri
+    def _iri_value(self, m, kind: str) -> str:
+        """The IRI that an IRI or prefixed-name token names."""
+        token = m[kind]
+        if kind == "IRI":
+            return token[1:-1]
+        name, _, local = token.partition(":")
+        if name not in self.prefixes:
+            raise self._error(ErrorKind.UNDEFINED_PREFIX,
+                              f"prefix {name + ':'!r} is not declared",
+                              m.start(kind))
+        return self.prefixes[name] + local
 
-    def _parse_string_literal(self) -> Literal:
-        text, start = self.text, self.pos
-        self.pos += 1  # opening quote
+    def _string_literal(self, m):
+        lexical, language, datatype = m.group("lexical", "lang", "datatype")
+        if "\\" in lexical:
+            lexical = self._unescape(lexical, m.start("STRING"))
+        if language is not None:
+            if not language:
+                raise self._error(ErrorKind.BAD_LITERAL,
+                                  "malformed language tag", m.end())
+            return self.sink.literal(lexical, None, language.lower())
+        if datatype is None:
+            return self.sink.literal(lexical, None, None)
+        m = next(self.tokens)
+        kind = m.lastgroup
+        if kind != "IRI" and kind != "PNAME":
+            raise self._term_error(m, "datatype")
+        return self.sink.literal(lexical, self._iri_value(m, kind), None)
+
+    def _unescape(self, body: str, start: int) -> str:
+        """``body`` with its escapes replaced; errors are positioned at the
+        literal's opening quote, ``start``."""
         chars: list[str] = []
+        pos = 0
         while True:
-            run = _STRING_RUN_RE.match(text, self.pos)
-            chars.append(run.group())
-            self.pos = run.end()
-            ch = text[self.pos:self.pos + 1]
+            escape = body.find("\\", pos)
+            if escape < 0:
+                chars.append(body[pos:])
+                return "".join(chars)
+            chars.append(body[pos:escape])
+            ch = body[escape + 1:escape + 2]
+            pos = escape + 2
+            if ch in _STRING_ESCAPES:
+                chars.append(_STRING_ESCAPES[ch])
+                continue
             if not ch:
                 raise self._error(ErrorKind.BAD_LITERAL,
-                                  "unterminated string literal", start)
-            self.pos += 1
-            if ch == '"':
-                break
-            if ch == "\n":
+                                  "unterminated escape", start)
+            if ch not in "uU":
                 raise self._error(ErrorKind.BAD_LITERAL,
-                                  "newline in string literal", start)
-            chars.append(self._parse_escape(start))
-        lexical = "".join(chars)
-        if text.startswith("@", self.pos):
-            self.pos += 1
-            m = _LANGTAG_RE.match(text, self.pos)
-            if not m:
-                raise self._error(ErrorKind.BAD_LITERAL,
-                                  "malformed language tag")
-            self.pos = m.end()
-            return Literal(lexical, language=m.group().lower())
-        if text.startswith("^^", self.pos):
-            self.pos += 2
-            self._skip_ws()
-            if text.startswith("<", self.pos) and not text.startswith(
-                    "<<", self.pos):
-                dt = self._parse_iriref()
-            else:
-                dt = self._parse_prefixed_name(allow_a=False)
-            return Literal(lexical, datatype=dt.value)
-        return Literal(lexical)
-
-    def _parse_escape(self, start: int) -> str:
-        text, pos = self.text, self.pos
-        ch = text[pos:pos + 1]
-        if not ch:
-            raise self._error(ErrorKind.BAD_LITERAL, "unterminated escape",
-                              start)
-        self.pos += 1
-        if ch in _STRING_ESCAPES:
-            return _STRING_ESCAPES[ch]
-        if ch in "uU":
+                                  f"unknown escape '\\{ch}'", start)
             width = 4 if ch == "u" else 8
-            digits = text[pos + 1:pos + 1 + width]
-            self.pos += width
+            digits = body[pos:pos + width]
+            pos += width
             if len(digits) != width or any(
                 c not in "0123456789abcdefABCDEF" for c in digits
             ):
@@ -354,26 +351,101 @@ class _Parser:
             if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
                 raise self._error(ErrorKind.BAD_LITERAL,
                                   "malformed unicode escape", start)
-            return chr(code)
-        raise self._error(ErrorKind.BAD_LITERAL,
-                          f"unknown escape '\\{ch}'", start)
+            chars.append(chr(code))
 
-    def _parse_numeric_literal(self) -> Literal:
-        text, start = self.text, self.pos
-        m = _NUMBER_RE.match(text, start)
-        if m is None:
-            raise self._error(ErrorKind.BAD_LITERAL, "malformed number")
-        lexical, end = m.group(), m.end()
+    def _numeric_literal(self, m):
+        lexical = m["NUMBER"]
         if "." in lexical:
-            self.pos = end
-            return Literal(lexical, datatype=XSD_DECIMAL)
+            return self.sink.literal(lexical, XSD_DECIMAL, None)
         # "1." followed by whitespace or the end is INTEGER + statement
         # dot; "1.x" is malformed
+        text, end = self.text, m.end()
         if text.startswith(".", end) and (
                 text[end + 1:end + 2] not in " \t\r\n"):
-            raise self._error(ErrorKind.BAD_LITERAL, "malformed number")
-        self.pos = end
-        return Literal(lexical, datatype=XSD_INTEGER)
+            raise self._error(ErrorKind.BAD_LITERAL, "malformed number",
+                              m.start("NUMBER"))
+        return self.sink.literal(lexical, XSD_INTEGER, None)
+
+    # -- diagnostics ----------------------------------------------------------
+
+    def _term_error(self, m, role: str) -> ParseError:
+        """Why token ``m`` cannot start the ``role`` term due here: a
+        subject, predicate, object, or a literal's datatype."""
+        kind = m.lastgroup
+        text, start = self.text, m.start(kind)
+        ch = text[start:start + 1]
+        if not ch:
+            return self._error(ErrorKind.SYNTAX, "unexpected end of input",
+                               start)
+        if kind == "QOPEN" and role == "predicate":
+            return self._error(ErrorKind.SYNTAX,
+                               "quoted triple not allowed as predicate", start)
+        if kind == "ERR" and ch == "<":
+            return self._iri_error(start)
+        if role == "object":
+            if ch == '"':
+                return self._open_string_error(start)
+            if ch == "'":
+                return self._error(ErrorKind.BAD_LITERAL,
+                                   "single-quoted strings are not supported",
+                                   start)
+            if ch.isdigit() or ch in "+-" or (
+                    ch == "." and text[start + 1:start + 2].isdigit()):
+                return self._error(ErrorKind.BAD_LITERAL, "malformed number",
+                                   start)
+            if ch == "{":
+                return self._error(ErrorKind.SYNTAX, "annotation syntax "
+                                   "'{| |}' is not supported", start)
+        if role in ("subject", "object") and ch in "_[(":
+            return self._blank_node_error(start)
+        found = m[kind] if kind == "NAME" else ch
+        return self._error(ErrorKind.SYNTAX,
+                           f"expected a term, found {found!r}", start)
+
+    def _blank_node_error(self, start: int) -> ParseError:
+        return self._error(ErrorKind.SYNTAX,
+                           "blank nodes and collections are not supported",
+                           start)
+
+    def _iri_error(self, start: int) -> ParseError:
+        """Why no IRI token closes at ``start``, a '<'."""
+        end = _IRI_BODY_RE.match(self.text, start + 1).end()
+        if end == len(self.text):
+            return self._error(ErrorKind.SYNTAX, "unterminated IRI", start)
+        return self._error(ErrorKind.SYNTAX,
+                           f"illegal character {self.text[end]!r} in IRI",
+                           start)
+
+    def _open_string_error(self, start: int) -> ParseError:
+        """Why no string token closes at ``start``, a '"': the first bad
+        escape, else what stopped the body."""
+        text = self.text
+        body = _STRING_BODY_RE.match(text, start + 1)
+        self._unescape(body.group(), start)
+        end = body.end()
+        stop = text[end:end + 2]
+        if stop == "\\":
+            message = "unterminated escape"
+        elif stop[:1] == "\\":
+            message = f"unknown escape '{stop}'"
+        elif stop[:1] == "\n":
+            message = "newline in string literal"
+        else:
+            message = "unterminated string literal"
+        return self._error(ErrorKind.BAD_LITERAL, message, start)
+
+
+def parse_into(source: str, sink) -> None:
+    """Parse a Turtle-star document, handing each term to ``sink``.
+
+    As each term closes, the parser calls ``sink.iri(value)``,
+    ``sink.literal(lexical, datatype, language)`` or ``sink.quoted(s, p,
+    o)`` with the sink's own values for the parts, and ``sink.triple(s, p,
+    o)`` for each asserted triple, in document order with predicate and
+    object lists expanded.  Raises :class:`ParseError` with positioned
+    diagnostics on any input outside the supported subset.
+    """
+    _Parser(source, sink).document()
 
 
 def parse_document(source: str) -> list[Triple]:
@@ -383,15 +455,17 @@ def parse_document(source: str) -> list[Triple]:
     expanded.  Raises :class:`ParseError` with positioned diagnostics on
     any input outside the supported subset.
     """
-    return _Parser(source).parse_document()
+    sink = _TermSink()
+    parse_into(source, sink)
+    return sink.triples
 
 
 def parse_term(source: str) -> Term:
     """Parse a single term (IRI, literal, or quoted triple)."""
-    p = _Parser(source)
-    p._skip_ws()
-    term = p._parse_object()
-    p._skip_ws()
-    if p.pos < len(source):
-        raise p._error(ErrorKind.SYNTAX, "trailing input after term")
+    p = _Parser(source, _TermSink())
+    term = p._object(next(p.tokens))
+    m = next(p.tokens)
+    if m.lastgroup != "END":
+        raise p._error(ErrorKind.SYNTAX, "trailing input after term",
+                       m.start(m.lastgroup))
     return term

@@ -296,24 +296,33 @@ def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
     return int(min(MAX_BATCH, max(1, COLLISION_BUDGET // hits.max())))
 
 
+def _row_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch tables of ``_sum_rows`` for a block of ``size`` rows: an
+    all-False mark table and a slot table, int32 where it fits, as scipy
+    would pick, so that it neither scans nor copies the index arrays.
+    ``_sum_rows`` leaves the mark table all False again, so one pair serves
+    every step of a ``train`` call."""
+    index = np.int32 if size < 2 ** 31 else np.int64
+    return np.zeros(size, dtype=bool), np.empty(size, dtype=index)
+
+
 def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
-              x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+              x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
     """(unique rows, sums): the sum for row r is the sum of
     ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``, added
-    in the order of j.  ``rows`` index a block of ``size`` rows, and
-    ``columns`` must be nondecreasing.
+    in the order of j.  ``rows`` index a block whose ``_row_tables`` are
+    ``tables``, and ``columns`` must be nondecreasing.
 
     One sparse (unique rows x len(x)) product in column order, which adds
     each row's terms in stored order, so it sorts nothing; deterministic,
     and cheaper than ``np.add.at`` on the repeated rows.
     """
-    # int32 index arrays where they fit, as scipy would pick, so that it
-    # neither scans nor copies them
-    index = np.int32 if max(len(rows), len(x)) < 2 ** 31 else np.int64
-    mark = np.zeros(size, dtype=bool)
+    mark, slot = tables
     mark[rows] = True
     unique = np.flatnonzero(mark)                   # ascending
-    slot = np.empty(size, dtype=index)
+    mark[unique] = False
+    index = slot.dtype
     slot[unique] = np.arange(len(unique), dtype=index)
     indptr = np.searchsorted(columns, np.arange(len(x) + 1)).astype(index)
     selector = sparse.csc_array(
@@ -332,7 +341,8 @@ def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
 
 
 def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
-                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    weights: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of sum_i weights[i] * loss_i over a batch of pairs,
     every pair evaluated at the same parameters.
 
@@ -340,10 +350,10 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
     rows ``tokens * (1 + s)`` onwards; ``rows`` is the batch's
     ``_pair_rows`` table.  loss_i is the negative-sampling loss of pair i
     against its noise tokens when the table has them, else the exact
-    softmax negative log likelihood over the whole output plane.  Returns
-    ``(rows, sums)`` with unique block rows.
+    softmax negative log likelihood over the whole output plane.
+    ``tables`` are the block's ``_row_tables``.  Returns ``(rows, sums)``
+    with unique block rows.
     """
-    size = len(block)
     batch = np.arange(len(rows))
     if rows.shape[1] > 2:
         x = np.take(block, rows, axis=0)                       # (B, 2+k, d)
@@ -360,7 +370,7 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
         columns = 2 * batch[:, None] + (np.arange(rows.shape[1]) > 0)
         terms = np.concatenate((np.ones((len(batch), 1)), delta), axis=1)
         return _sum_rows(rows.ravel(), columns.ravel(), terms.ravel(),
-                         interleaved, size)
+                         interleaved, tables)
     v = block[rows[:, 0]]
     slots, contexts = np.divmod(rows[:, 1], tokens)
     slots -= 1
@@ -380,7 +390,7 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
         out_rows.append(plane + np.arange(tokens))
         out_sums.append(p.T @ v[at])
     in_rows, in_sums = _sum_rows(rows[:, 0], batch, np.ones(len(batch)),
-                                 d_v, size)
+                                 d_v, tables)
     return (np.concatenate([in_rows, *out_rows]),
             np.concatenate([in_sums, *out_sums]))
 
@@ -423,6 +433,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
     block = model.input_vectors.base   # the block both views share
+    tables = _row_tables(len(block))
     # Divergence shows as inf/nan in the vectors, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -438,7 +449,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
                     block, len(vocab),
                     _pair_rows(len(vocab), centers[at], contexts[at],
                                slots[at], negatives),
-                    rates[start:start + batch],
+                    rates[start:start + batch], tables,
                 )
                 block[rows] -= grad
     if not np.isfinite(block).all():
@@ -508,7 +519,7 @@ def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
     block = np.concatenate((inputs, outputs.reshape(-1, dim)))
     rows, sums = _batch_gradient(
         block, n, _pair_rows(n, centers, contexts, slots, negatives),
-        np.full(len(centers), 1.0 / len(centers)),
+        np.full(len(centers), 1.0 / len(centers)), _row_tables(len(block)),
     )
     grad = np.zeros_like(block)
     grad[rows] = sums

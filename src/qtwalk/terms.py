@@ -85,18 +85,24 @@ def serialize_term(t: Term) -> str:
     if isinstance(t, Iri):
         return f"<{t.value}>"
     if isinstance(t, Literal):
-        base = f'"{_escape_lexical(t.lexical)}"'
-        if t.language is not None:
-            return f"{base}@{t.language}"
-        if t.datatype is not None:
-            return f"{base}^^<{t.datatype}>"
-        return base
+        return literal_text(t.lexical, t.datatype, t.language)
     if isinstance(t, QuotedTriple):
         return (
             f"<< {serialize_term(t.subject)} {serialize_term(t.predicate)} "
             f"{serialize_term(t.object)} >>"
         )
     raise TypeError(f"not a Term: {t!r}")
+
+
+def literal_text(lexical: str, datatype: str | None,
+                 language: str | None) -> str:
+    """Canonical text form of the literal with these fields."""
+    base = f'"{_escape_lexical(lexical)}"'
+    if language is not None:
+        return f"{base}@{language}"
+    if datatype is not None:
+        return f"{base}^^<{datatype}>"
+    return base
 
 
 def serialize_triple(t: Triple) -> str:

@@ -10,6 +10,16 @@ def iri(name: str) -> Iri:
     return Iri(f"urn:t:{name}")
 
 
+def nested_qt_document(depth: int) -> str:
+    """One asserted triple whose subject is a QT nested ``depth`` deep,
+    alternating between the subject and the object side."""
+    term = "<urn:x:a>"
+    for level in range(depth):
+        term = (f"<< {term} <urn:x:p> <urn:x:b> >>" if level % 2 == 0
+                else f"<< <urn:x:b> <urn:x:p> {term} >>")
+    return f"{term} <urn:x:q> <urn:x:c> .\n"
+
+
 @pytest.fixture
 def nested_example():
     """Two-level nesting: an asserted graph around an outer QT whose

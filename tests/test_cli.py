@@ -15,6 +15,8 @@ from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import RDF_TYPE
 from qtwalk.walks import read_corpus_lines
 
+from conftest import nested_qt_document
+
 
 @pytest.fixture
 def fixture_graph(tmp_path):
@@ -111,6 +113,18 @@ def test_manifests_record_the_sha256_of_their_artifact(tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         "graph.ttls", "walks.tsv", "walks.tsv.manifest", "vectors.tsv",
         "vectors.tsv.out.npz", "vectors.tsv.manifest"])
+
+
+def test_manifest_hashes_an_artifact_larger_than_one_chunk(tmp_path):
+    graph, corpus = tmp_path / "graph.ttls", tmp_path / "walks.tsv"
+    assert main(["gen-fixture", str(graph), "--seed", "3",
+                 "--triples", "300"]) == 0
+    assert main(["walk", str(graph), str(corpus), "--walks", "12",
+                 "--depth", "8", "--seed", "1"]) == 0
+    data = corpus.read_bytes()
+    assert len(data) > 1 << 20  # the hash reads files in 1 MiB chunks
+    assert read_manifest(corpus)["artifact_sha256"] == (
+        hashlib.sha256(data).hexdigest())
 
 
 def test_copied_manifest_fails_the_leak_guard(tmp_path, fixture_graph,
@@ -527,16 +541,6 @@ def test_escape_outside_unicode_is_exit_code_one(tmp_path, capsys, escape):
         assert err == ("qtwalk: error: 1:17: BadLiteral: "
                        "malformed unicode escape\n")
     assert not (tmp_path / "walks.tsv").exists()
-
-
-def nested_qt_document(depth: int) -> str:
-    """One asserted triple whose subject is a QT nested ``depth`` deep,
-    alternating between the subject and the object side."""
-    term = "<urn:x:a>"
-    for level in range(depth):
-        term = (f"<< {term} <urn:x:p> <urn:x:b> >>" if level % 2 == 0
-                else f"<< <urn:x:b> <urn:x:p> {term} >>")
-    return f"{term} <urn:x:q> <urn:x:c> .\n"
 
 
 def test_qt_deeper_than_limit_is_exit_code_one(tmp_path, capsys):

@@ -1,18 +1,23 @@
 import gc
 import random
 
+import pytest
+
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import build_graph, compute_stats, stats_rows, stats_tsv
-from qtwalk.parser import parse_document
+from qtwalk.graph import (build_graph, compute_stats, parse_graph, stats_rows,
+                          stats_tsv)
+from qtwalk.parser import MAX_QT_DEPTH, ParseError, parse_document
 from qtwalk.terms import (
     ID_PREDICATE,
     Iri,
     QuotedTriple,
     Triple,
     iter_subterms,
+    serialize_triple,
 )
 
-from conftest import iri
+from conftest import iri, nested_qt_document
+from test_golden import parser_cases
 
 
 def out_triples(g, i):
@@ -218,3 +223,80 @@ def test_build_graph_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the id path (parse_graph) against the Term path --------------------------
+
+def graph_fields(g) -> tuple:
+    """Every index of ``g``, its fingerprint and both stats tables."""
+    return (g.texts, g.ids, g.atoms, g.triple_ids, g.qt_parts, g.qt_lookup,
+            g.qt_ids, g.out_edges, g.in_edges, g.qts_by_subject,
+            g.qts_by_object, g.roots, g.fingerprint(),
+            stats_tsv(compute_stats(g)),
+            stats_tsv(compute_stats(g, include_id_nesting=True)))
+
+
+def term_path(text: str, exclude=()):
+    """``build_graph`` over the parsed Term objects, less the triples with
+    an excluded predicate, or the parse error's text."""
+    try:
+        triples = parse_document(text)
+    except ParseError as exc:
+        return f"error {exc}"
+    return graph_fields(build_graph(
+        [t for t in triples if t.predicate.value not in exclude]))
+
+
+def id_path(text: str, exclude=()):
+    try:
+        g = parse_graph(text, exclude)
+    except ParseError as exc:
+        return f"error {exc}"
+    return graph_fields(g)
+
+
+def document(triples) -> str:
+    return "".join(serialize_triple(t) + "\n" for t in triples)
+
+
+def test_id_path_equals_term_path_on_mutated_documents():
+    outcomes = [id_path(text) == term_path(text)
+                for _, _, text in parser_cases()]
+    assert len(outcomes) == 8001
+    assert all(outcomes)
+
+
+# Objects under urn:only:p, and the QT's parts, occur nowhere else.
+ONLY_UNDER_EXCLUDED = """\
+<urn:fixture:e1> <urn:only:p> <urn:only:o> .
+<urn:only:s> <urn:only:p> << <urn:only:a> <urn:only:q> "only" >> .
+<urn:only:s> <urn:only:p> "only"@en , 17 .
+"""
+
+
+@pytest.mark.parametrize("exclude", [
+    (), ("urn:fixture:r0",), ("urn:only:p", "urn:fixture:r3"),
+    ("urn:only:p", "urn:absent:p")])
+@pytest.mark.parametrize("seed", range(4))
+def test_id_path_equals_term_path_on_deep_graphs(seed, exclude):
+    triples = random_graph(seed, triples=80, qt_probability=0.6, max_depth=5)
+    text = document(triples) + ONLY_UNDER_EXCLUDED
+    assert id_path(text, exclude) == term_path(text, exclude)
+    g = parse_graph(text, exclude)
+    if "urn:only:p" in exclude:
+        assert not [t for t in g.texts if "urn:only:" in t]
+    # the lazily built Term objects match build_graph's
+    expected = build_graph([t for t in parse_document(text)
+                            if t.predicate.value not in exclude])
+    assert g.terms == expected.terms
+    assert g.triples == expected.triples
+
+
+def test_id_path_equals_term_path_at_the_depth_limit():
+    text = nested_qt_document(MAX_QT_DEPTH)
+    assert id_path(text) == term_path(text)
+    assert compute_stats(parse_graph(text)).qt_count_by_depth == {
+        d: 1 for d in range(1, MAX_QT_DEPTH + 1)}
+    deeper = nested_qt_document(MAX_QT_DEPTH + 1)
+    assert id_path(deeper) == term_path(deeper)
+    assert id_path(deeper).startswith("error ")

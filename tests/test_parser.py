@@ -277,6 +277,18 @@ def _outcome(source: str):
      (SYNTAX, 1, 1, "illegal character '\\x01' in IRI")),
     ("<urn:s> <urn:p> <urn:a\x1fb> .",
      (SYNTAX, 1, 17, "illegal character '\\x1f' in IRI")),
+    # a '.' before a digit: a decimal where an object is due, else the
+    # statement's end, and the next statement cannot open with a digit
+    (_P + "x:s x:p .5 , 7.", ['<urn:x:s> <urn:x:p> ".5"^^<%s> .' % XSD_DECIMAL,
+                              '<urn:x:s> <urn:x:p> "7"^^<%s> .' % XSD_INTEGER]),
+    (_P + "x:s x:p x:o .5 .", (SYNTAX, 2, 14, "expected a term, found '5'")),
+    (_P + "x:s x:p x:o ;.5", (SYNTAX, 2, 15, "expected a term, found '5'")),
+    ("@prefix x: <urn:x:> .5", (SYNTAX, 1, 22, "expected a term, found '5'")),
+    # a declared '_' prefix names a predicate, never a subject or object
+    ("@prefix _: <urn:b:> .\n<urn:s> _:p <urn:o> .\n_:p <urn:p> <urn:o> .",
+     (SYNTAX, 3, 1, "blank nodes and collections are not supported")),
+    ("@prefix _: <urn:b:> .\n<urn:s> _:p <urn:o> .\n<urn:s> <urn:p> _:p .",
+     (SYNTAX, 3, 17, "blank nodes and collections are not supported")),
 ])
 def test_rarely_reached_paths(source, expected):
     assert _outcome(source) == expected

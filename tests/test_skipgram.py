@@ -17,6 +17,7 @@ from qtwalk.skipgram import (
     _noise_cdf,
     _noise_probabilities,
     _noise_table,
+    _row_tables,
     _sum_rows,
     build_vocabulary,
     corpus_pairs,
@@ -380,9 +381,26 @@ def test_sum_rows_adds_each_rows_terms_in_input_order(size):
     expected: dict[int, np.ndarray] = {}
     for r, c, w in zip(rows.tolist(), columns, weights):
         expected[r] = expected.get(r, np.zeros(dim)) + w * x[c]
-    got_rows, sums = _sum_rows(rows, columns, weights, x, size)
+    got_rows, sums = _sum_rows(rows, columns, weights, x, _row_tables(size))
     assert got_rows.tolist() == sorted(expected)
     assert np.array_equal(sums, [expected[r] for r in sorted(expected)])
+
+
+def test_sum_rows_leaves_its_tables_ready_for_the_next_call():
+    size, dim = 70_000, 3
+    rng = np.random.default_rng(11)
+    tables = _row_tables(size)
+    # the second call touches rows the first did not, and misses some it did
+    for pool in ([0, 5, 6, size // 2, size - 1], [1, 5, 7, size - 2]):
+        rows = rng.choice(pool, size=60)
+        columns = np.sort(rng.integers(0, 8, size=60))
+        weights = rng.normal(size=60)
+        x = rng.normal(size=(8, dim))
+        shared = _sum_rows(rows, columns, weights, x, tables)
+        fresh = _sum_rows(rows, columns, weights, x, _row_tables(size))
+        assert shared[0].tolist() == fresh[0].tolist() == sorted(set(rows))
+        assert np.array_equal(shared[1], fresh[1])
+        assert not tables[0].any()
 
 
 @pytest.mark.parametrize("structured, negative_sampling", [
