@@ -5,13 +5,16 @@ with one output matrix per relative context position, trained either by
 negative sampling (default) or by the exact softmax (small vocabularies
 only; kept as a verification path and for gradient checks).
 
-Training is minibatch SGD over int arrays of all (center, context,
-position) pairs.  The input vectors and the output planes are views of one
-parameter block, so each step gathers the rows it reads once and applies
-one summed update.  Both objectives go through one batched gradient,
-``_batch_gradient``, which the public ``*_objective`` functions also return
-next to a loss they compute apart from it, so the finite-difference checks
-cover the update that training applies.
+Training is minibatch SGD over int32 arrays of all (center, context,
+position) pairs.  Per pair it holds 24 bytes: the center, the context, the
+output plane and the place in the epoch's order (int32 each), and the
+learning rate (float64; one array per epoch, filled in place).  The input
+vectors and the output planes are views of one parameter block, so each
+step gathers the rows it reads once and applies one summed update.  Both
+objectives go through one batched gradient, ``_batch_gradient``, which the
+public ``*_objective`` functions also return next to a loss they compute
+apart from it, so the finite-difference checks cover the update that
+training applies.
 The batch size is derived from the corpus so that no parameter row collects
 too many summed gradient terms in one step (see ``_batch_size``).
 """
@@ -174,28 +177,42 @@ def extract_pairs(walk_tokens, vocab: Vocabulary, window: int
 
 def corpus_pairs(corpus_rows, vocab: Vocabulary, window: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pairs of the corpus as (centers, contexts, relative positions)
-    int arrays, in the order of ``extract_pairs`` applied row by row.
+    """All pairs of the corpus as int32 (centers, contexts, relative
+    positions) arrays, in the order of ``extract_pairs`` applied row by row.
+
+    The work is sized by the rows, not by ``window``: no pair reaches past
+    the longest kept row, so a longer window adds nothing.  Each pair-sized
+    array is built in place and freed once used, so the peak is 12 bytes
+    per pair, the size of the result.
     """
-    get = vocab.index.get
-    raw = [[get(t, -1) for t in row] for row in corpus_rows]
-    lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
-    ids = np.fromiter(itertools.chain.from_iterable(raw), dtype=np.int64,
-                      count=int(lengths.sum()))
+    lengths = np.fromiter(map(len, corpus_rows), dtype=np.intp,
+                          count=len(corpus_rows))
+    ids = np.fromiter(map(vocab.index.get,
+                          itertools.chain.from_iterable(corpus_rows),
+                          itertools.repeat(-1)),
+                      dtype=np.int32, count=int(lengths.sum()))
     kept = ids >= 0
     ids = ids[kept]
-    row_of = np.repeat(np.arange(len(raw)), lengths)[kept]
-    row_len = np.bincount(row_of, minlength=len(raw))
+    row_of = np.repeat(np.arange(len(lengths)), lengths)[kept]
+    row_len = np.bincount(row_of, minlength=len(lengths))
     row_end = np.cumsum(row_len)
     pos = np.arange(len(ids))
-    before = pos - (row_end - row_len)[row_of]     # row tokens left of pos
-    after = row_end[row_of] - 1 - pos              # row tokens right of pos
-    offsets = np.array([r for r in range(-window, window + 1) if r != 0])
-    in_row = np.where(offsets < 0, before[:, None] >= -offsets,
-                      after[:, None] >= offsets)    # (tokens, 2 * window)
-    center_pos, column = np.nonzero(in_row)         # row-major: pair order
-    rel = offsets[column]
-    return ids[center_pos], ids[center_pos + rel], rel
+    span = min(window, int(row_len.max(initial=0)) - 1)
+    before = np.minimum(pos - (row_end - row_len)[row_of], span)  # pairs
+    after = np.minimum(row_end[row_of] - 1 - pos, span)   # left and right
+    count = before + after
+    pairs = int(count.sum())
+    index = _index_dtype(pairs)
+    # the j-th pair of a token has relative position j - before, plus one
+    # from 0 on, as no token pairs with itself
+    rel = np.arange(pairs, dtype=index)
+    rel -= np.repeat((np.cumsum(count) - count + before).astype(index), count)
+    rel += rel >= 0
+    at = np.repeat(pos.astype(index), count)
+    at += rel
+    contexts = ids[at]
+    del at
+    return np.repeat(ids, count), contexts, rel.astype(np.int32, copy=False)
 
 
 def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
@@ -296,14 +313,19 @@ def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
     return int(min(MAX_BATCH, max(1, COLLISION_BUDGET // hits.max())))
 
 
+def _index_dtype(size: int) -> type:
+    """int32 for indices below ``size`` where they fit it, else int64."""
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
 def _row_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Scratch tables of ``_sum_rows`` for a block of ``size`` rows: an
     all-False mark table and a slot table, int32 where it fits, as scipy
     would pick, so that it neither scans nor copies the index arrays.
     ``_sum_rows`` leaves the mark table all False again, so one pair serves
     every step of a ``train`` call."""
-    index = np.int32 if size < 2 ** 31 else np.int64
-    return np.zeros(size, dtype=bool), np.empty(size, dtype=index)
+    return (np.zeros(size, dtype=bool),
+            np.empty(size, dtype=_index_dtype(size)))
 
 
 def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
@@ -334,8 +356,9 @@ def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
                slots: np.ndarray, negatives: np.ndarray) -> np.ndarray:
     """The (B, 2 + k) parameter-block rows of a batch of pairs: the center,
     then in the pair's output plane the context and the k noise tokens
-    ``negatives`` (k = 0 under the exact softmax)."""
-    plane = tokens * (1 + slots)
+    ``negatives`` (k = 0 under the exact softmax).  The rows are intp even
+    for int32 pairs, so ``(1 + planes) * tokens`` cannot wrap."""
+    plane = tokens * (1 + slots.astype(np.intp))
     return np.column_stack((centers, plane + contexts,
                             plane[:, None] + negatives))
 
@@ -421,6 +444,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
         slots = np.zeros_like(rel)
     else:
         slots = position_slot(rel, cfg.window)
+    del rel
 
     rng = np.random.default_rng(cfg.seed + 1)
     noise = None
@@ -437,11 +461,15 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     # Divergence shows as inf/nan in the vectors, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n_pairs)
-            update_no = epoch * n_pairs + np.arange(n_pairs)
-            rates = cfg.learning_rate * np.maximum(
-                1e-4, 1.0 - update_no / total_updates
-            )
+            order = np.arange(n_pairs, dtype=_index_dtype(n_pairs))
+            rng.shuffle(order)      # the draws of rng.permutation(n_pairs)
+            # lr * max(1e-4, 1 - update / total_updates), in place
+            rates = np.arange(epoch * n_pairs, (epoch + 1) * n_pairs,
+                              dtype=np.float64)
+            rates /= total_updates
+            np.subtract(1.0, rates, out=rates)
+            np.maximum(rates, 1e-4, out=rates)
+            rates *= cfg.learning_rate
             for start in range(0, n_pairs, batch):
                 at = order[start:start + batch]
                 negatives = _draw_noise(cdf, table, rng.random((len(at), k)))
@@ -452,6 +480,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
                     rates[start:start + batch], tables,
                 )
                 block[rows] -= grad
+            del order, rates        # before the next epoch allocates its own
     if not np.isfinite(block).all():
         raise ValueError("training diverged to non-finite vectors; "
                          "lower the learning rate")

@@ -274,10 +274,16 @@ def write_corpus(corpus: WalkCorpus, path) -> None:
 
 
 def read_corpus_lines(path) -> tuple[str, list[list[str]]]:
-    """Token rows of a corpus file, plus its header line."""
+    """Token rows of a corpus file, plus its header line.
+
+    Equal tokens are one ``str``: the rows hold references to one string
+    per distinct token, not a copy per occurrence."""
+    shared = {}.setdefault
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(CORPUS_MAGIC):
             raise ValueError(f"{path}: not a walk corpus file")
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        rows = [list(map(shared, tokens, tokens))
+                for tokens in (line.rstrip("\n").split("\t")
+                               for line in fh if line.strip())]
     return header, rows

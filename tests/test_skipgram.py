@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -111,6 +113,24 @@ def test_corpus_pairs_equal_concatenated_extract_pairs(rows, min_count,
     expected = [p for row in rows for p in extract_pairs(row, vocab, window)]
     got = list(zip(centers.tolist(), contexts.tolist(), rel.tolist()))
     assert got == expected
+    assert centers.dtype == contexts.dtype == rel.dtype == np.int32
+
+
+def test_corpus_pairs_work_is_sized_by_the_rows_not_the_window():
+    # No pair reaches past the longest row, so a window of a million finds
+    # the pairs of window 2 without allocating anything window-sized.
+    rows = [["a", "b", "c"]]
+    vocab = build_vocabulary(rows)
+    expected = corpus_pairs(rows, vocab, 2)
+    tracemalloc.start()
+    try:
+        got = corpus_pairs(rows, vocab, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+    assert peak < 1 << 20, peak
 
 
 def test_position_slots_cover_both_sides():
@@ -347,6 +367,27 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
     np.fill_diagonal(sims, -np.inf)
     same = [tokens[j][:2] == t[:2] for t, j in zip(tokens, sims.argmax(1))]
     assert np.mean(same) >= 0.9
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_training_holds_few_bytes_per_pair(mode):
+    # SGD holds 24 bytes per pair: int32 centers, contexts, slots and
+    # order, and one float64 rate.  The bound lies between the traced peak
+    # per pair of this layout (32 classic, 35 structured) and that of int64
+    # pairs with a rate array built from temporaries (65 and 67).
+    rng = np.random.default_rng(0)
+    rows = [[f"t{i}" for i in rng.integers(0, 400, size=12)]
+            for _ in range(2000)]
+    vocab = build_vocabulary(rows)
+    pairs = len(corpus_pairs(rows, vocab, 5)[0])
+    assert pairs >= 100_000
+    tracemalloc.start()
+    try:
+        train(rows, vocab, TrainConfig(dim=8, window=5, epochs=1, mode=mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / pairs < 48, peak / pairs
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])

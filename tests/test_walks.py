@@ -309,6 +309,11 @@ def test_corpus_file_round_trip(tmp_path):
     assert header == corpus_header(p)
     assert header.startswith("#qtwalk-corpus v1 seed=7 ")
     assert rows == [w.texts() for w in corpus.walks]
+    # one str per distinct token: the rows share it, not copies of it
+    first = {}
+    for token in (t for row in rows for t in row):
+        assert first.setdefault(token, token) is token
+    assert len(first) < sum(map(len, rows))
 
 
 def test_read_corpus_rejects_other_files(tmp_path):
