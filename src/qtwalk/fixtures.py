@@ -42,15 +42,6 @@ def random_quoted(rng: random.Random, depth: int, entity_pool: int = 40,
     return QuotedTriple(random_iri(rng, entity_pool), predicate, inner)
 
 
-def random_term(rng: random.Random, max_depth: int = 3) -> Term:
-    kind = rng.randrange(4)
-    if kind == 0:
-        return random_iri(rng)
-    if kind == 1:
-        return random_literal(rng)
-    return random_quoted(rng, rng.randint(1, max_depth))
-
-
 def random_graph(seed: int, triples: int = 60, entity_pool: int = 40,
                  relation_pool: int = 8, qt_probability: float = 0.3,
                  max_depth: int = 3) -> list[Triple]:
@@ -84,11 +75,3 @@ def random_graph(seed: int, triples: int = 60, entity_pool: int = 40,
         out.append(Triple(subject, predicate, obj))
     return out
 
-
-def chain_graph(length: int) -> list[Triple]:
-    """A simple node chain, handy for determinism checks."""
-    rel = Iri("urn:fixture:next")
-    return [
-        Triple(Iri(f"urn:fixture:c{i}"), rel, Iri(f"urn:fixture:c{i + 1}"))
-        for i in range(length)
-    ]

@@ -6,15 +6,16 @@ negative sampling (default) or by the exact softmax (small vocabularies
 only; kept as a verification path and for gradient checks).
 
 Training is minibatch SGD over int32 arrays of all (center, context,
-position) pairs.  Per pair it holds 24 bytes: the center, the context, the
-output plane and the place in the epoch's order (int32 each), and the
-learning rate (float64; one array per epoch, filled in place).  The input
-vectors and the output planes are views of one parameter block, so each
-step gathers the rows it reads once and applies one summed update.  Both
-objectives go through one batched gradient, ``_batch_gradient``, which the
-public ``*_objective`` functions also return next to a loss they compute
-apart from it, so the finite-difference checks cover the update that
-training applies.
+position) pairs.  Per pair it holds 16 bytes: the center, the context, the
+output plane and the place in the epoch's order.  Noise draws, block rows
+and learning rates are prepared for a chunk of whole steps at a time
+(``CHUNK_PAIRS``), from the one random stream in the same order, so the
+chunk length does not change the bytes.  The input vectors and the output
+planes are views of one parameter block, so each step gathers the rows it
+reads once and applies one summed update.  Both objectives go through one
+batched gradient, ``_batch_gradient``, which the public ``*_objective``
+functions also return next to a loss they compute apart from it, so the
+finite-difference checks cover the update that training applies.
 The batch size is derived from the corpus so that no parameter row collects
 too many summed gradient terms in one step (see ``_batch_size``).
 """
@@ -127,16 +128,6 @@ class EmbeddingModel:
     @property
     def dim(self) -> int:
         return self.input_vectors.shape[1]
-
-    @property
-    def window(self) -> int:
-        """Context window of a structured model: half its output planes."""
-        return self.output_matrices.shape[0] // 2
-
-    def matrix_index(self, relative_position: int) -> int:
-        if self.mode is Mode.CLASSIC:
-            return 0
-        return position_slot(relative_position, self.window)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -282,7 +273,12 @@ def _draw_noise(cdf: np.ndarray, table: np.ndarray, u: np.ndarray
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    """``1 / (1 + exp(-x))`` of ``x`` clipped to [-30, 30], in place."""
+    np.clip(x, -30.0, 30.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 # The pairs of one SGD step are scored at the same parameters, so a row hit
@@ -292,6 +288,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # collapsed once that h passed about 300.
 COLLISION_BUDGET = 128
 MAX_BATCH = 1024
+# Steps are prepared (noise draws, block rows, learning rates) a chunk of
+# whole steps of about this many pairs at a time.
+CHUNK_PAIRS = 4096
 
 
 def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
@@ -328,13 +327,14 @@ def _row_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
             np.empty(size, dtype=_index_dtype(size)))
 
 
-def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
+def _sum_rows(rows: np.ndarray, indptr: np.ndarray, weights: np.ndarray,
               x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
               ) -> tuple[np.ndarray, np.ndarray]:
     """(unique rows, sums): the sum for row r is the sum of
-    ``weights[j] * x[columns[j]]`` over all j with ``rows[j] == r``, added
-    in the order of j.  ``rows`` index a block whose ``_row_tables`` are
-    ``tables``, and ``columns`` must be nondecreasing.
+    ``weights[j] * x[c]`` over all j with ``rows[j] == r``, added in the
+    order of j, where term j lies in column c, ``indptr[c] <= j <
+    indptr[c + 1]`` (``len(indptr) == len(x) + 1``).  ``rows`` index a
+    block whose ``_row_tables`` are ``tables``.
 
     One sparse (unique rows x len(x)) product in column order, which adds
     each row's terms in stored order, so it sorts nothing; deterministic,
@@ -344,9 +344,7 @@ def _sum_rows(rows: np.ndarray, columns: np.ndarray, weights: np.ndarray,
     mark[rows] = True
     unique = np.flatnonzero(mark)                   # ascending
     mark[unique] = False
-    index = slot.dtype
-    slot[unique] = np.arange(len(unique), dtype=index)
-    indptr = np.searchsorted(columns, np.arange(len(x) + 1)).astype(index)
+    slot[unique] = np.arange(len(unique), dtype=slot.dtype)
     selector = sparse.csc_array(
         (weights, slot[rows], indptr), shape=(len(unique), len(x)))
     return unique, selector @ x
@@ -363,8 +361,25 @@ def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
                             plane[:, None] + negatives))
 
 
+def _scatter_layout(pairs: int, width: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The part of ``_batch_gradient``'s scatter that depends only on the
+    shape of a step of up to ``pairs`` pairs with ``width`` block rows
+    each: the ``_sum_rows`` indptr over the interleaved ``[d_v; v]`` and
+    the (pairs, 1) weights of the center terms, all 1.  A step of b pairs
+    takes the first 2b + 1 and b entries.
+
+    The raveled (pairs, width) table puts pair i's center term in column
+    2i and its width - 1 output terms in column 2i + 1.  At width 2, the
+    exact softmax's table, the indptr is 0, 1, 2, ...: one term a column.
+    """
+    column = np.arange(2 * pairs + 1, dtype=_index_dtype(pairs * width + 1))
+    return column // 2 * width + column % 2, np.ones((pairs, 1))
+
+
 def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
-                    weights: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+                    weights: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+                    layout: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of sum_i weights[i] * loss_i over a batch of pairs,
     every pair evaluated at the same parameters.
@@ -374,25 +389,24 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
     ``_pair_rows`` table.  loss_i is the negative-sampling loss of pair i
     against its noise tokens when the table has them, else the exact
     softmax negative log likelihood over the whole output plane.
-    ``tables`` are the block's ``_row_tables``.  Returns ``(rows, sums)``
-    with unique block rows.
+    ``tables`` are the block's ``_row_tables`` and ``layout`` a
+    ``_scatter_layout`` of the table's width for at least ``len(rows)``
+    pairs.  Returns ``(rows, sums)`` with unique block rows.
     """
-    batch = np.arange(len(rows))
+    b = len(rows)
+    indptr, ones = layout
     if rows.shape[1] > 2:
         x = np.take(block, rows, axis=0)                       # (B, 2+k, d)
         v, u = x[:, 0], x[:, 1:]
-        scores = np.einsum("bd,bkd->bk", v, u)
-        delta = _sigmoid(scores)                       # d loss_i / d score
+        delta = _sigmoid(np.einsum("bd,bkd->bk", v, u))  # d loss_i / d score
         delta[:, 0] -= 1.0
         delta *= weights[:, None]
         d_v = np.einsum("bk,bkd->bd", delta, u)
         # center i takes d_v[i], row 2i of the interleaved [d_v; v], and
-        # output row rows[i, j] takes delta * v[i], row 2i + 1: the raveled
-        # table's columns are nondecreasing
-        interleaved = np.concatenate((d_v, v), axis=1).reshape(2 * len(v), -1)
-        columns = 2 * batch[:, None] + (np.arange(rows.shape[1]) > 0)
-        terms = np.concatenate((np.ones((len(batch), 1)), delta), axis=1)
-        return _sum_rows(rows.ravel(), columns.ravel(), terms.ravel(),
+        # output row rows[i, j] takes delta * v[i], row 2i + 1
+        interleaved = np.concatenate((d_v, v), axis=1).reshape(2 * b, -1)
+        terms = np.concatenate((ones[:b], delta), axis=1)
+        return _sum_rows(rows.ravel(), indptr[:2 * b + 1], terms.ravel(),
                          interleaved, tables)
     v = block[rows[:, 0]]
     slots, contexts = np.divmod(rows[:, 1], tokens)
@@ -412,7 +426,7 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
         d_v[at] = p @ matrix
         out_rows.append(plane + np.arange(tokens))
         out_sums.append(p.T @ v[at])
-    in_rows, in_sums = _sum_rows(rows[:, 0], batch, np.ones(len(batch)),
+    in_rows, in_sums = _sum_rows(rows[:, 0], indptr[:b + 1], ones[:b, 0],
                                  d_v, tables)
     return (np.concatenate([in_rows, *out_rows]),
             np.concatenate([in_sums, *out_sums]))
@@ -431,15 +445,15 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     """
     if len(vocab) == 0:
         raise EmptyCorpus("vocabulary is empty")
-    centers, contexts, rel = corpus_pairs(corpus_rows, vocab, cfg.window)
-    model = _init_model(vocab, cfg)
-    if len(centers) == 0 or cfg.epochs == 0:
-        return model
     if cfg.softmax_mode is SoftmaxMode.FULL_SOFTMAX and len(vocab) > FULL_SOFTMAX_CAP:
         raise ValueError(
             f"full softmax limited to {FULL_SOFTMAX_CAP} tokens, "
             f"vocabulary has {len(vocab)}"
         )
+    centers, contexts, rel = corpus_pairs(corpus_rows, vocab, cfg.window)
+    model = _init_model(vocab, cfg)
+    if len(centers) == 0 or cfg.epochs == 0:
+        return model
     if cfg.mode is Mode.CLASSIC:
         slots = np.zeros_like(rel)
     else:
@@ -454,53 +468,42 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
         cdf, k = _noise_cdf(noise), cfg.negatives
     table = _noise_table(cdf)
     batch = _batch_size(contexts, noise, cfg.negatives)
+    chunk = batch * max(1, CHUNK_PAIRS // batch)
     n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
     block = model.input_vectors.base   # the block both views share
     tables = _row_tables(len(block))
+    layout = _scatter_layout(batch, 2 + k)
     # Divergence shows as inf/nan in the vectors, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = np.arange(n_pairs, dtype=_index_dtype(n_pairs))
             rng.shuffle(order)      # the draws of rng.permutation(n_pairs)
-            # lr * max(1e-4, 1 - update / total_updates), in place
-            rates = np.arange(epoch * n_pairs, (epoch + 1) * n_pairs,
-                              dtype=np.float64)
-            rates /= total_updates
-            np.subtract(1.0, rates, out=rates)
-            np.maximum(rates, 1e-4, out=rates)
-            rates *= cfg.learning_rate
-            for start in range(0, n_pairs, batch):
-                at = order[start:start + batch]
-                negatives = _draw_noise(cdf, table, rng.random((len(at), k)))
-                rows, grad = _batch_gradient(
-                    block, len(vocab),
-                    _pair_rows(len(vocab), centers[at], contexts[at],
-                               slots[at], negatives),
-                    rates[start:start + batch], tables,
-                )
-                block[rows] -= grad
-            del order, rates        # before the next epoch allocates its own
+            for first in range(0, n_pairs, chunk):
+                # A chunk of whole steps, prepared at once: its noise draws
+                # are the steps' draws in turn, as the stream fills in order.
+                at = order[first:first + chunk]
+                rows = _pair_rows(
+                    len(vocab), centers[at], contexts[at], slots[at],
+                    _draw_noise(cdf, table, rng.random((len(at), k))))
+                # lr * max(1e-4, 1 - update / total_updates), in place
+                update = epoch * n_pairs + first
+                rates = np.arange(update, update + len(at), dtype=np.float64)
+                rates /= total_updates
+                np.subtract(1.0, rates, out=rates)
+                np.maximum(rates, 1e-4, out=rates)
+                rates *= cfg.learning_rate
+                for start in range(0, len(at), batch):
+                    step = slice(start, start + batch)
+                    touched, grad = _batch_gradient(
+                        block, len(vocab), rows[step], rates[step], tables,
+                        layout)
+                    block[touched] -= grad
+            del order               # before the next epoch allocates its own
     if not np.isfinite(block).all():
         raise ValueError("training diverged to non-finite vectors; "
                          "lower the learning rate")
     return model
-
-
-def softmax_probability(model: EmbeddingModel, center, context,
-                        relative_position: int = 1) -> float:
-    """Exact softmax probability of ``context`` given ``center``.
-
-    Token arguments may be vocabulary indices or token texts.  In
-    structured mode the probability depends on the relative position.
-    """
-    ci = center if isinstance(center, int) else model.index[center]
-    oi = context if isinstance(context, int) else model.index[context]
-    matrix = model.output_matrices[model.matrix_index(relative_position)]
-    scores = matrix @ model.input_vectors[ci]
-    scores -= scores.max()
-    p = np.exp(scores)
-    return float(p[oi] / p.sum())
 
 
 def full_softmax_objective(input_vectors: np.ndarray,
@@ -546,9 +549,10 @@ def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
                   + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1))
     n, dim = inputs.shape
     block = np.concatenate((inputs, outputs.reshape(-1, dim)))
+    table = _pair_rows(n, centers, contexts, slots, negatives)
     rows, sums = _batch_gradient(
-        block, n, _pair_rows(n, centers, contexts, slots, negatives),
-        np.full(len(centers), 1.0 / len(centers)), _row_tables(len(block)),
+        block, n, table, np.full(len(centers), 1.0 / len(centers)),
+        _row_tables(len(block)), _scatter_layout(*table.shape),
     )
     grad = np.zeros_like(block)
     grad[rows] = sums

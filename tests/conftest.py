@@ -2,12 +2,24 @@ import random
 
 import pytest
 
+from qtwalk.fixtures import random_iri, random_literal, random_quoted
 from qtwalk.graph import build_graph
-from qtwalk.terms import Iri, QuotedTriple, Triple
+from qtwalk.terms import Iri, QuotedTriple, Term, Triple
 
 
 def iri(name: str) -> Iri:
     return Iri(f"urn:t:{name}")
+
+
+def random_term(rng: random.Random, max_depth: int = 3) -> Term:
+    """An IRI, a literal or a QT up to ``max_depth`` deep, drawn from
+    ``rng``; its draws feed pinned parser digests, so keep their order."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_iri(rng)
+    if kind == 1:
+        return random_literal(rng)
+    return random_quoted(rng, rng.randint(1, max_depth))
 
 
 def nested_qt_document(depth: int) -> str:

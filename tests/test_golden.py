@@ -15,7 +15,7 @@ import random
 import pytest
 
 from qtwalk.cli import main
-from qtwalk.fixtures import random_graph, random_term
+from qtwalk.fixtures import random_graph
 from qtwalk.graph import build_graph, compute_stats, stats_tsv
 from qtwalk.parser import ParseError, parse_document, parse_term
 from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
@@ -23,6 +23,8 @@ from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
 from qtwalk.terms import serialize_term, serialize_triple
 from qtwalk.walks import (Strategy, WalkParams, generate_corpus,
                           read_corpus_lines, write_corpus)
+
+from conftest import random_term
 
 SEEDS = (0, 1, 2)
 ALPHA_BETA = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtwalk.fixtures import random_graph, random_term
+from qtwalk.fixtures import random_graph
 from qtwalk.parser import ErrorKind, ParseError, parse_document, parse_term
 from qtwalk.terms import (
     Iri,
@@ -16,6 +16,8 @@ from qtwalk.terms import (
     serialize_term,
     serialize_triple,
 )
+
+from conftest import random_term
 
 KGC = "http://kgc.knowledge-graph.jp/ontology/kgc.owl#"
 KD = "http://kgc.knowledge-graph.jp/data/SpeckledBand/"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtwalk.skipgram import (
+    CHUNK_PAIRS,
     FULL_SOFTMAX_CAP,
     MAX_BATCH,
     DimensionMismatch,
@@ -13,6 +14,7 @@ from qtwalk.skipgram import (
     SoftmaxMode,
     TrainConfig,
     Vocabulary,
+    _batch_gradient,
     _batch_size,
     _draw_noise,
     _init_model,
@@ -30,7 +32,6 @@ from qtwalk.skipgram import (
     position_slot,
     save_embeddings,
     save_output_matrices,
-    softmax_probability,
     train,
 )
 
@@ -39,6 +40,20 @@ def cfg(**kw) -> TrainConfig:
     base = dict(dim=16, window=2, epochs=5, negatives=3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def softmax_probability(model, center: str, context: str,
+                        relative_position: int = 1) -> float:
+    """Exact softmax probability of ``context`` given ``center``; in
+    structured mode it depends on the relative position."""
+    slot = (0 if model.mode is Mode.CLASSIC
+            else position_slot(relative_position,
+                               model.output_matrices.shape[0] // 2))
+    matrix = model.output_matrices[slot]
+    scores = matrix @ model[center]
+    scores -= scores.max()
+    p = np.exp(scores)
+    return float(p[model.index[context]] / p.sum())
 
 
 # -- vocabulary -----------------------------------------------------------------
@@ -240,11 +255,65 @@ def test_empty_vocabulary_raises():
         train([], build_vocabulary([]), cfg())
 
 
-def test_full_softmax_limited_by_vocabulary_size():
+def test_full_softmax_limited_by_vocabulary_size(monkeypatch):
+    # checked before any pair is built: --epochs 0 must not return vectors
+    # for a vocabulary that --epochs 1 rejects
     rows = [[f"t{i}" for i in range(FULL_SOFTMAX_CAP + 1)]]
     v = build_vocabulary(rows)
-    with pytest.raises(ValueError, match="full softmax limited"):
-        train(rows, v, cfg(softmax_mode=SoftmaxMode.FULL_SOFTMAX))
+    calls = []
+    monkeypatch.setattr("qtwalk.skipgram.corpus_pairs",
+                        lambda *args: calls.append(args))
+    messages = []
+    for epochs in (0, 1):
+        with pytest.raises(ValueError) as exc_info:
+            train(rows, v, cfg(epochs=epochs,
+                               softmax_mode=SoftmaxMode.FULL_SOFTMAX))
+        messages.append(str(exc_info.value))
+    assert messages == [f"full softmax limited to {FULL_SOFTMAX_CAP} tokens, "
+                        f"vocabulary has {FULL_SOFTMAX_CAP + 1}"] * 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("softmax_mode", list(SoftmaxMode))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_chunk_length_does_not_change_training(monkeypatch, mode,
+                                               softmax_mode):
+    # Steps are prepared a chunk at a time; over two epochs, a chunk of one
+    # step, of three steps (which do not divide the epoch) and of more than
+    # an epoch's pairs must give the default's parameters, byte for byte,
+    # from the same steps at the same learning rates.
+    rng = np.random.default_rng(4)
+    rows = [[f"t{i}" for i in rng.integers(0, 30, size=8)]
+            for _ in range(400)]
+    v = build_vocabulary(rows)
+    c = cfg(dim=8, window=2, epochs=2, mode=mode, softmax_mode=softmax_mode)
+    _, contexts, _ = corpus_pairs(rows, v, c.window)
+    pairs = len(contexts)
+    negative_sampling = softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING
+    batch = _batch_size(contexts, _noise_probabilities(v)
+                        if negative_sampling else None, c.negatives)
+    steps = -(-pairs // batch)
+    assert pairs > CHUNK_PAIRS and pairs % batch and steps % 3
+    step_sizes = ([batch] * (steps - 1) + [pairs % batch]) * c.epochs
+    updates = c.epochs * pairs
+    rates = c.learning_rate * np.maximum(
+        1e-4, 1.0 - np.arange(updates) / updates)
+    seen = []
+
+    def recording(block, tokens, table, weights, *rest):
+        seen.append(weights.copy())
+        return _batch_gradient(block, tokens, table, weights, *rest)
+
+    monkeypatch.setattr("qtwalk.skipgram._batch_gradient", recording)
+    expected = None
+    for chunk_pairs in (CHUNK_PAIRS, 1, 3 * batch, pairs + 1):
+        monkeypatch.setattr("qtwalk.skipgram.CHUNK_PAIRS", chunk_pairs)
+        seen.clear()
+        got = train(rows, v, c).input_vectors.base.tobytes()
+        expected = expected or got
+        assert got == expected, chunk_pairs
+        assert [len(w) for w in seen] == step_sizes, chunk_pairs
+        assert np.concatenate(seen).tobytes() == rates.tobytes(), chunk_pairs
 
 
 def test_negative_sampling_agrees_with_full_softmax_rankings():
@@ -371,10 +440,11 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_training_holds_few_bytes_per_pair(mode):
-    # SGD holds 24 bytes per pair: int32 centers, contexts, slots and
-    # order, and one float64 rate.  The bound lies between the traced peak
-    # per pair of this layout (32 classic, 35 structured) and that of int64
-    # pairs with a rate array built from temporaries (65 and 67).
+    # SGD holds 16 bytes per pair: int32 centers, contexts, slots and
+    # order; noise draws, block rows and learning rates exist for one chunk
+    # of steps at a time.  The bound lies between the traced peak per pair
+    # of this layout (24 classic, 27 structured) and that of the same pairs
+    # with one float64 rate per pair of the epoch (32 and 35).
     rng = np.random.default_rng(0)
     rows = [[f"t{i}" for i in rng.integers(0, 400, size=12)]
             for _ in range(2000)]
@@ -387,7 +457,7 @@ def test_training_holds_few_bytes_per_pair(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / pairs < 48, peak / pairs
+    assert peak / pairs < 30, peak / pairs
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
@@ -422,7 +492,8 @@ def test_sum_rows_adds_each_rows_terms_in_input_order(size):
     expected: dict[int, np.ndarray] = {}
     for r, c, w in zip(rows.tolist(), columns, weights):
         expected[r] = expected.get(r, np.zeros(dim)) + w * x[c]
-    got_rows, sums = _sum_rows(rows, columns, weights, x, _row_tables(size))
+    indptr = np.searchsorted(columns, np.arange(len(x) + 1))
+    got_rows, sums = _sum_rows(rows, indptr, weights, x, _row_tables(size))
     assert got_rows.tolist() == sorted(expected)
     assert np.array_equal(sums, [expected[r] for r in sorted(expected)])
 
@@ -437,8 +508,9 @@ def test_sum_rows_leaves_its_tables_ready_for_the_next_call():
         columns = np.sort(rng.integers(0, 8, size=60))
         weights = rng.normal(size=60)
         x = rng.normal(size=(8, dim))
-        shared = _sum_rows(rows, columns, weights, x, tables)
-        fresh = _sum_rows(rows, columns, weights, x, _row_tables(size))
+        indptr = np.searchsorted(columns, np.arange(len(x) + 1))
+        shared = _sum_rows(rows, indptr, weights, x, tables)
+        fresh = _sum_rows(rows, indptr, weights, x, _row_tables(size))
         assert shared[0].tolist() == fresh[0].tolist() == sorted(set(rows))
         assert np.array_equal(shared[1], fresh[1])
         assert not tables[0].any()
@@ -516,7 +588,7 @@ def test_save_outputs_sidecar(tmp_path):
     rows = [["a", "b"]] * 4
     v = build_vocabulary(rows)
     model = train(rows, v, cfg(dim=3, mode=Mode.STRUCTURED))
-    assert model.window == 2 and model.output_matrices.shape[0] == 4
+    assert model.output_matrices.shape[0] == 4
     path = tmp_path / "vectors.tsv.out.npz"
     save_output_matrices(model, path)
     # written under the name given: numpy appends no second ".npz"

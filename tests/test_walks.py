@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtwalk.fixtures import chain_graph, random_graph
+from qtwalk.fixtures import random_graph
 from qtwalk.graph import build_graph
 from qtwalk.terms import Iri, QuotedTriple, Term, Triple
 from qtwalk.walks import (
@@ -21,6 +21,15 @@ from qtwalk.walks import (
 )
 
 from conftest import iri
+
+
+def chain_graph(length: int) -> list[Triple]:
+    """A simple node chain: c0 -next-> c1 -next-> ... c<length>."""
+    rel = Iri("urn:fixture:next")
+    return [
+        Triple(Iri(f"urn:fixture:c{i}"), rel, Iri(f"urn:fixture:c{i + 1}"))
+        for i in range(length)
+    ]
 
 
 def params(**kw) -> WalkParams:
