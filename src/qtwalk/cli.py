@@ -154,13 +154,23 @@ def _walk_params(args) -> wk.WalkParams:
     )
 
 
+def _output_path(path: str) -> Path:
+    """``path`` as an output file, checked before any work: its directory
+    must exist and it must not be a directory itself."""
+    output = Path(path)
+    if output.is_dir():
+        raise InputError(f"{path}: is a directory")
+    if not output.parent.is_dir():
+        raise InputError(f"{path}: no such directory: {output.parent}")
+    return output
+
+
 def cmd_walk(args) -> int:
     excluded = _excluded_predicates(args)
-    g = load_graph(args.input, excluded)
     params = _walk_params(args)
-    corpus = wk.generate_corpus(g, params)
-    output = Path(args.output)
-    _replace_atomically(output, lambda tmp: wk.write_corpus(corpus, tmp))
+    output = _output_path(args.output)
+    g = load_graph(args.input, excluded)
+    _replace_atomically(output, lambda tmp: wk.write_corpus(g, params, tmp))
     write_manifest(output, {
         "graph_fingerprint": g.fingerprint(),
         "strategy": params.strategy.value,

@@ -20,7 +20,11 @@ plain random walks that treat each QT as an opaque node.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import signal
+import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,9 +123,9 @@ def _qs_candidate(g: Graph, node: int,
     return candidates[below(len(candidates))] if candidates else None
 
 
-def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
+def random_walks(g: Graph, root: int, params: WalkParams) -> list[list[int]]:
     """Walks rooted at term id ``root`` per the combined random-walk
-    procedure."""
+    procedure, as term-id lists."""
     rng = _root_rng(g, params, root)
     below = _below(rng)
     parts, out_edges, qt_lookup = g.qt_parts, g.out_edges, g.qt_lookup
@@ -170,12 +174,12 @@ def random_walks(g: Graph, root: int, params: WalkParams) -> list[Walk]:
         wl = new_wl
         while len(wl) > params.n:
             wl.pop(below(len(wl)))
-    return [Walk(tuple(w), g) for w in wl]
+    return wl
 
 
-def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
+def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[list[int]]:
     """``n`` walks grown around term id ``focus``, extending either end per
-    depth iteration.
+    depth iteration, as term-id lists.
 
     The walk always starts at its current predecessor frontier and ends at
     its successor frontier, so extensions splice on without repeating the
@@ -187,7 +191,7 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
     alpha, beta = params.alpha, params.beta
     random_, below = rng.random, _below(rng)
 
-    walks: list[Walk] = []
+    walks: list[list[int]] = []
     for _ in range(params.n):
         # the walk is front[::-1] + back; front holds focus's predecessors
         front: list[int] = []
@@ -228,7 +232,7 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[Walk]:
                         back += (p, o)
                         ns_node = o
         front.reverse()
-        walks.append(Walk(tuple(front + back), g))
+        walks.append(front + back)
     return walks
 
 
@@ -240,22 +244,29 @@ def corpus_roots(g: Graph) -> list[Term]:
     return [g.terms[i] for i in g.roots]
 
 
+def _walker(params: WalkParams) -> Callable[..., list[list[int]]]:
+    return (random_walks if params.strategy is Strategy.RANDOM_WALK
+            else mid_walks)
+
+
 def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
     """Apply the configured strategy to every root node of the graph.
 
     Each root draws from an independent seeded substream, so the corpus is
     reproducible regardless of the order roots are processed in.  Walks
-    stay id sequences; text appears only when they are written out.
+    stay id sequences; ``Walk.texts`` looks their text up.  The ``walk``
+    command writes its corpus with :func:`write_corpus`, which builds no
+    ``Walk`` objects.
     """
-    walker = (random_walks if params.strategy is Strategy.RANDOM_WALK
-              else mid_walks)
+    walker = _walker(params)
     walks: list[Walk] = []
     for root in g.roots:
-        walks.extend(walker(g, root, params))
+        walks.extend(Walk(tuple(ids), g) for ids in walker(g, root, params))
     return WalkCorpus(walks=tuple(walks), params=params)
 
 
 CORPUS_MAGIC = "#qtwalk-corpus v1"
+_BATCH_ROOTS = 16  # roots per write: few, so the text in flight stays small
 
 
 def corpus_header(params: WalkParams) -> str:
@@ -266,11 +277,100 @@ def corpus_header(params: WalkParams) -> str:
     )
 
 
-def write_corpus(corpus: WalkCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(corpus_header(corpus.params) + "\n")
-        for walk in corpus.walks:
-            fh.write("\t".join(walk.texts()) + "\n")
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot tell or cannot
+    fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_walks(fh, g: Graph, params: WalkParams, roots) -> None:
+    """Write the walks of ``roots`` to the binary file ``fh``, one line of
+    tab-separated token texts per walk, in root order."""
+    walker, texts = _walker(params), g.texts
+    for start in range(0, len(roots), _BATCH_ROOTS):
+        fh.write("".join(
+            "\t".join([texts[i] for i in ids]) + "\n"
+            for root in roots[start:start + _BATCH_ROOTS]
+            for ids in walker(g, root, params)).encode("utf-8"))
+
+
+def _fork_shard(g: Graph, params: WalkParams, roots, part: str) -> int:
+    """Fork a child that writes the walks of ``roots`` to ``part`` and
+    exits, 0 on success; return its pid."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that fork() in a process with several threads
+        # may deadlock the child: it could inherit a lock another thread
+        # held.  In qtwalk the other threads are OpenBLAS's idle pool.  The
+        # child runs no numpy, only walks and writes, and ends in os._exit.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, "
+            r"use of fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        with open(part, "wb") as fh:
+            _write_walks(fh, g, params, roots)
+        code = 0
+    except Exception as exc:
+        sys.stderr.write(f"qtwalk: error: {exc}\n")
+        sys.stderr.flush()
+    finally:
+        os._exit(code)  # never return into the caller's stack
+
+
+def _append_file(fh, part: str) -> None:
+    """Append the file ``part`` to the binary file ``fh``, copied by the
+    kernel."""
+    fh.flush()
+    with open(part, "rb") as src:
+        size, sent = os.fstat(src.fileno()).st_size, 0
+        while sent < size:
+            sent += os.sendfile(fh.fileno(), src.fileno(), sent, size - sent)
+
+
+def write_corpus(g: Graph, params: WalkParams, path) -> None:
+    """Write the corpus of ``params`` over ``g`` to ``path``: the header,
+    then one line of tab-separated token texts per walk, root by root.
+
+    The roots are cut into contiguous shards, one per usable CPU.  A forked
+    child writes each shard after the first to a part file
+    ``<path>.<shard>.tmp``; this process writes the header and the first
+    shard, then appends the parts in shard order.  Each root draws from its
+    own substream, so the bytes equal those of one serial pass.  On every
+    path each child is reaped and each part file removed.
+    """
+    roots = g.roots
+    shards = max(1, min(_usable_cpus(), len(roots)))
+    cuts = [len(roots) * k // shards for k in range(shards + 1)]
+    parts = [f"{path}.{k}.tmp" for k in range(1, shards)]
+    children: list[int] = []  # forked and not yet reaped, in shard order
+    try:
+        for k, part in enumerate(parts, 1):
+            children.append(_fork_shard(g, params,
+                                        roots[cuts[k]:cuts[k + 1]], part))
+        with open(path, "wb") as fh:
+            fh.write(f"{corpus_header(params)}\n".encode("utf-8"))
+            _write_walks(fh, g, params, roots[:cuts[1]])
+            for k, part in enumerate(parts, 1):
+                status = os.waitpid(children[0], 0)[1]
+                del children[0]
+                if status:
+                    raise ChildProcessError(
+                        f"walk shard {k + 1} of {shards} failed: exit status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+                _append_file(fh, part)
+                os.unlink(part)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            if os.path.exists(part):
+                os.unlink(part)
 
 
 def read_corpus_lines(path) -> tuple[str, list[list[str]]]:

@@ -38,7 +38,7 @@ from qtwalk.skipgram import (
     load_embeddings,
 )
 from qtwalk.terms import QuotedTriple, RDF_TYPE, serialize_term, serialize_triple
-from qtwalk.walks import Strategy, WalkParams, random_walks
+from qtwalk.walks import Strategy, Walk, WalkParams, random_walks
 
 from test_cli import run_walk_train, write_gold
 from test_evaluate import (
@@ -102,7 +102,8 @@ def test_criterion_2_plain_mode_equals_independent_walker():
         root = roots[i % len(roots)]
         params = WalkParams(strategy=Strategy.RANDOM_WALK, n=1, d=depth,
                             alpha=0.0, beta=0.0, seed=i)
-        (walk,) = random_walks(g, root, params)
+        (ids,) = random_walks(g, root, params)
+        walk = Walk(tuple(ids), g)
         # every step must be a plain asserted-triple move: QTs stay opaque
         tokens = walk.tokens
         for j in range(0, len(tokens) - 2, 2):

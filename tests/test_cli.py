@@ -4,11 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qtwalk import cli, walks
 from qtwalk.cli import main, read_manifest
 from qtwalk.parser import MAX_QT_DEPTH
 from qtwalk.skipgram import load_embeddings
@@ -584,3 +587,90 @@ def test_missing_gold_file_is_exit_code_one(tmp_path, fixture_graph):
     empty.mkdir()
     assert main(["eval", str(emb), "--gold-dir", str(empty),
                  "--tasks", "clustering"]) == 1
+
+
+# -- walk output: root shards, failures, the output path ------------------------
+
+# Runs ``walk`` in 3 root shards with the walker failing on one root, then
+# prints this process's pid, the exit code and whether every child was
+# reaped.  A shard child that returned into the caller would print too.
+FAILING_WALK = """
+import os, sys
+from qtwalk import cli, walks
+
+graph, corpus, failing_shard = sys.argv[1:]
+roots = cli.load_graph(graph).roots
+bad_root = roots[0] if failing_shard == "first" else roots[-1]
+mid_walks = walks.mid_walks
+
+def failing_walker(g, root, params):
+    if root == bad_root:
+        raise ValueError(f"no walks from root {root}")
+    return mid_walks(g, root, params)
+
+walks._usable_cpus = lambda: 3
+walks.mid_walks = failing_walker
+code = cli.main(["walk", graph, corpus, "--walks", "4", "--depth", "4"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(os.getpid(), code, reaped)
+"""
+
+
+@pytest.mark.parametrize("failing_shard", ["first", "last"])
+def test_failed_walk_shard_leaves_no_file_or_child(tmp_path, fixture_graph,
+                                                   failing_shard):
+    corpus = tmp_path / "walks.tsv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c", FAILING_WALK, str(fixture_graph),
+             str(corpus), failing_shard],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    # the first shard fails in this process, the last one in a child
+    assert out == f"{proc.pid} 1 True\n"
+    assert "qtwalk: error: no walks from root " in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+    assert not Path(f"{corpus}.manifest").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sharded_walk_warns_nothing(tmp_path, fixture_graph, monkeypatch):
+    # Python 3.12+ warns on fork() while another thread runs.  It clears the
+    # warning when a filter turns it into an error, so record it instead.
+    monkeypatch.setattr(walks, "_usable_cpus", lambda: 2)
+    corpus = tmp_path / "walks.tsv"
+    idle = threading.Event()
+    thread = threading.Thread(target=idle.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["walk", str(fixture_graph), str(corpus),
+                         *small_walk_flags()]) == 0
+    finally:
+        idle.set()
+        thread.join()
+    assert [str(w.message) for w in caught] == []
+    assert read_corpus_lines(corpus)[1]
+
+
+@pytest.mark.parametrize("output", ["missing/walks.tsv", "."])
+def test_walk_output_is_checked_before_the_graph_is_read(
+        tmp_path, fixture_graph, capsys, monkeypatch, output):
+    def unreachable(*args):
+        raise AssertionError("the graph was read")
+
+    monkeypatch.setattr(cli, "load_graph", unreachable)
+    path = tmp_path / output
+    assert main(["walk", str(fixture_graph), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qtwalk: error: {path}: ")
+    assert ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))

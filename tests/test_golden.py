@@ -21,8 +21,9 @@ from qtwalk.parser import ParseError, parse_document, parse_term
 from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
                              build_vocabulary, train)
 from qtwalk.terms import serialize_term, serialize_triple
-from qtwalk.walks import (Strategy, WalkParams, generate_corpus,
-                          read_corpus_lines, write_corpus)
+from qtwalk import walks
+from qtwalk.walks import (Strategy, WalkParams, read_corpus_lines,
+                          write_corpus)
 
 from conftest import random_term
 
@@ -97,11 +98,14 @@ EMBEDDING_SHA256 = (
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("strategy", ["random", "mid"])
 @pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
-def test_corpus_bytes_are_pinned(tmp_path, seed, strategy, alpha, beta):
+def test_corpus_bytes_are_pinned(tmp_path, monkeypatch, seed, strategy,
+                                 alpha, beta):
+    # written in 3 root shards, 2 of them by forked children
+    monkeypatch.setattr(walks, "_usable_cpus", lambda: 3)
     params = WalkParams(strategy=Strategy(strategy), n=6, d=6, alpha=alpha,
                         beta=beta, seed=seed)
     path = tmp_path / "walks.tsv"
-    write_corpus(generate_corpus(golden_graph(seed), params), path)
+    write_corpus(golden_graph(seed), params, path)
     assert sha256(path.read_bytes()) == CORPUS_SHA256[
         (seed, strategy, alpha, beta)]
 

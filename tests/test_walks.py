@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtwalk.walks as walks_module
 from qtwalk.fixtures import random_graph
 from qtwalk.graph import build_graph
 from qtwalk.terms import Iri, QuotedTriple, Term, Triple
@@ -30,6 +32,11 @@ def chain_graph(length: int) -> list[Triple]:
         Triple(Iri(f"urn:fixture:c{i}"), rel, Iri(f"urn:fixture:c{i + 1}"))
         for i in range(length)
     ]
+
+
+def walks_of(walker, g, root: int, p: WalkParams) -> list[Walk]:
+    """The walker's term-id lists for ``root``, as ``Walk`` objects."""
+    return [Walk(tuple(ids), g) for ids in walker(g, root, p)]
 
 
 def params(**kw) -> WalkParams:
@@ -111,7 +118,7 @@ def test_random_walks_are_legal(alpha, beta):
         g = build_graph(random_graph(seed, triples=40, qt_probability=0.4))
         p = params(alpha=alpha, beta=beta, n=30, d=6, seed=seed)
         for root in g.roots[:20]:
-            for walk in random_walks(g, root, p):
+            for walk in walks_of(random_walks, g, root, p):
                 assert legal_walk(walk.tokens, g), walk.texts()
 
 
@@ -121,7 +128,7 @@ def test_mid_walks_are_legal_forward_and_backward():
         p = params(strategy=Strategy.MID_WALK, alpha=0.5, beta=0.5,
                    n=10, d=5, seed=seed)
         for root in g.roots[:10]:
-            for walk in mid_walks(g, root, p):
+            for walk in walks_of(mid_walks, g, root, p):
                 assert legal_walk(walk.tokens, g), walk.texts()
 
 
@@ -167,7 +174,7 @@ def test_walk_properties_on_random_graphs(graph_seed, triples, qt_probability,
 def test_plain_mode_keeps_qts_opaque(nested_example):
     g = nested_example["graph"]
     p = params(alpha=0.0, beta=0.0, n=50, d=6)
-    walks = random_walks(g, g.id_of(nested_example["e1"]), p)
+    walks = walks_of(random_walks, g, g.id_of(nested_example["e1"]), p)
     expected = (
         nested_example["e1"], nested_example["r1"], nested_example["outer"],
         nested_example["r6"], nested_example["e7"],
@@ -182,7 +189,7 @@ def test_plain_mode_keeps_qts_opaque(nested_example):
 def test_decomposition_exposes_qt_components(nested_example):
     g = nested_example["graph"]
     p = params(alpha=1.0, beta=0.0, n=400, d=6)
-    walks = random_walks(g, g.id_of(nested_example["e1"]), p)
+    walks = walks_of(random_walks, g, g.id_of(nested_example["e1"]), p)
     flat = [w.tokens for w in walks]
     outer, inner = nested_example["outer"], nested_example["inner"]
     # the outer QT decomposes into (inner, r3, e4) right after it
@@ -196,7 +203,7 @@ def test_decomposition_exposes_qt_components(nested_example):
 def test_object_to_qt_hop_from_root(nested_example):
     g = nested_example["graph"]
     p = params(alpha=0.0, beta=1.0, n=50, d=4)
-    walks = random_walks(g, g.id_of(nested_example["e4"]), p)
+    walks = walks_of(random_walks, g, g.id_of(nested_example["e4"]), p)
     # e4 sits in the object role of the outer QT, so every walk hops there
     for w in walks:
         assert w.tokens[:2] == (nested_example["e4"], nested_example["outer"])
@@ -215,8 +222,8 @@ def test_hop_has_priority_over_decomposition():
     # the premise: both an oq-step and a qs-step are open at e
     assert g.qts_by_object[g.id_of(e)] == (g.id_of(q_obj),)
     assert g.qts_by_subject[g.id_of(e)] == (g.id_of(q_subj),)
-    walks = random_walks(g, g.id_of(e),
-                         params(alpha=1.0, beta=1.0, n=20, d=1))
+    walks = walks_of(random_walks, g, g.id_of(e),
+                     params(alpha=1.0, beta=1.0, n=20, d=1))
     assert all(w.tokens[:2] == (e, q_obj) for w in walks)
 
 
@@ -251,10 +258,10 @@ def test_walk_count_never_exceeds_n():
 def test_isolated_root_walks_to_itself():
     lone = iri("lone")
     g = build_graph([Triple(iri("a"), iri("p"), lone)])
-    walks = random_walks(g, g.id_of(lone),
-                         params(alpha=0.0, beta=0.0, n=5, d=4))
+    walks = walks_of(random_walks, g, g.id_of(lone),
+                     params(alpha=0.0, beta=0.0, n=5, d=4))
     assert [w.tokens for w in walks] == [(lone,)]
-    mids = mid_walks(g, g.id_of(lone), params(
+    mids = walks_of(mid_walks, g, g.id_of(lone), params(
         strategy=Strategy.MID_WALK, alpha=0.0, beta=0.0, n=3, d=4))
     # backward extension is still possible via the incoming triple
     for w in mids:
@@ -311,13 +318,12 @@ def test_params_validation():
 def test_corpus_file_round_trip(tmp_path):
     g = build_graph(random_graph(2, triples=30, qt_probability=0.3))
     p = params(strategy=Strategy.MID_WALK, n=4, d=4, seed=7)
-    corpus = generate_corpus(g, p)
     path = tmp_path / "walks.tsv"
-    write_corpus(corpus, path)
+    write_corpus(g, p, path)
     header, rows = read_corpus_lines(path)
     assert header == corpus_header(p)
     assert header.startswith("#qtwalk-corpus v1 seed=7 ")
-    assert rows == [w.texts() for w in corpus.walks]
+    assert rows == [w.texts() for w in generate_corpus(g, p).walks]
     # one str per distinct token: the rows share it, not copies of it
     first = {}
     for token in (t for row in rows for t in row):
@@ -330,3 +336,70 @@ def test_read_corpus_rejects_other_files(tmp_path):
     path.write_text("not a corpus\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_corpus_lines(path)
+
+
+def serial_corpus(g, p: WalkParams) -> bytes:
+    """The corpus file of one serial pass over ``generate_corpus``."""
+    return "".join([corpus_header(p) + "\n"] + [
+        "\t".join(w.texts()) + "\n" for w in generate_corpus(g, p).walks
+    ]).encode("utf-8")
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Record the pid of each shard child ``write_corpus`` forks."""
+    forked: list[int] = []
+    fork_shard = walks_module._fork_shard
+
+    def counted(*args):
+        forked.append(fork_shard(*args))
+        return forked[-1]
+
+    monkeypatch.setattr(walks_module, "_fork_shard", counted)
+    return forked
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sharded_corpus_equals_the_serial_one(tmp_path, monkeypatch,
+                                              strategy, seed, cpus):
+    g = build_graph(random_graph(seed, triples=30, qt_probability=0.4,
+                                 max_depth=5))
+    p = params(strategy=strategy, n=5, d=6, seed=seed)
+    monkeypatch.setattr(walks_module, "_usable_cpus", lambda: cpus)
+    forked = count_forks(monkeypatch)
+    path = tmp_path / "walks.tsv"
+    write_corpus(g, p, path)
+    assert path.read_bytes() == serial_corpus(g, p)
+    assert len(forked) == cpus - 1
+    assert os.listdir(tmp_path) == ["walks.tsv"]  # no part file left
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_more_cpus_than_roots_gives_a_shard_per_root(tmp_path, monkeypatch,
+                                                     strategy):
+    # a small graph: one child per root but the first
+    g = build_graph(random_graph(4, triples=3, qt_probability=0.5,
+                                 max_depth=5))
+    p = params(strategy=strategy, n=3, d=5, seed=4)
+    monkeypatch.setattr(walks_module, "_usable_cpus",
+                        lambda: len(g.roots) + 5)
+    forked = count_forks(monkeypatch)
+    path = tmp_path / "walks.tsv"
+    write_corpus(g, p, path)
+    assert path.read_bytes() == serial_corpus(g, p)
+    assert len(forked) == len(g.roots) - 1
+    assert os.listdir(tmp_path) == ["walks.tsv"]
+
+
+def test_empty_graph_writes_the_header_without_forking(tmp_path,
+                                                       monkeypatch):
+    g = build_graph([])
+    p = params()
+    monkeypatch.setattr(walks_module, "_usable_cpus", lambda: 4)
+    forked = count_forks(monkeypatch)
+    path = tmp_path / "walks.tsv"
+    write_corpus(g, p, path)
+    assert path.read_bytes() == f"{corpus_header(p)}\n".encode("utf-8")
+    assert forked == []
+
