@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import os
 import sys
@@ -47,6 +48,26 @@ def _replace_atomically(path: Path, write) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _output_path(path: str) -> Path:
+    """``path`` as an output file, checked before any work: its directory
+    must exist and it must not be a directory itself."""
+    output = Path(path)
+    if output.is_dir():
+        raise InputError(f"{path}: is a directory")
+    if not output.parent.is_dir():
+        raise InputError(f"{path}: no such directory: {output.parent}")
+    return output
+
+
+def _write_text(output: Path | None, text: str) -> None:
+    """Write ``text`` to ``output`` atomically, or to stdout if None."""
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        _replace_atomically(
+            output, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def write_manifest(path: Path, entries: dict[str, str]) -> None:
@@ -113,7 +134,7 @@ def _excluded_predicates(args) -> tuple[str, ...]:
     return tuple(args.exclude_predicate)
 
 
-def write_triples(triples, path: str) -> None:
+def write_triples(triples, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for t in triples:
             fh.write(serialize_triple(t) + "\n")
@@ -122,24 +143,22 @@ def write_triples(triples, path: str) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_convert(args) -> int:
+    output = _output_path(args.output)
+    report_path = _output_path(args.report or args.output + ".report.tsv")
     g_triples = parse_document(Path(args.input).read_text(encoding="utf-8"))
     converted, report = conv.convert_document(
         g_triples, link_to_wrapper=not args.link_to_inner
     )
-    write_triples(converted, args.output)
-    report_path = args.report or args.output + ".report.tsv"
-    Path(report_path).write_text(report.tsv(), encoding="utf-8")
+    _replace_atomically(output, lambda tmp: write_triples(converted, tmp))
+    _write_text(report_path, report.tsv())
     return 0
 
 
 def cmd_stats(args) -> int:
+    output = _output_path(args.output) if args.output else None
     g = load_graph(args.input)
     stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
-    text = gr.stats_tsv(stats)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(output, gr.stats_tsv(stats))
     return 0
 
 
@@ -152,17 +171,6 @@ def _walk_params(args) -> wk.WalkParams:
         beta=args.beta,
         seed=args.seed,
     )
-
-
-def _output_path(path: str) -> Path:
-    """``path`` as an output file, checked before any work: its directory
-    must exist and it must not be a directory itself."""
-    output = Path(path)
-    if output.is_dir():
-        raise InputError(f"{path}: is a directory")
-    if not output.parent.is_dir():
-        raise InputError(f"{path}: no such directory: {output.parent}")
-    return output
 
 
 def cmd_walk(args) -> int:
@@ -204,15 +212,17 @@ def _train_config(args) -> sg.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    output = _output_path(args.output)
+    outputs_path = (_output_path(f"{output}.out.npz") if args.save_outputs
+                    else None)
     # a corpus edited after walking trains, but vouches for nothing
     manifest = read_bound_manifest(args.input, strict=False)
     _, rows = wk.read_corpus_lines(args.input)
     vocab = sg.build_vocabulary(rows, cfg.min_count)
     model = sg.train(rows, vocab, cfg)
-    output = Path(args.output)
     _replace_atomically(output, lambda tmp: sg.save_embeddings(model, tmp))
-    if args.save_outputs:
-        _replace_atomically(Path(f"{output}.out.npz"),
+    if outputs_path is not None:
+        _replace_atomically(outputs_path,
                             lambda tmp: sg.save_output_matrices(model, tmp))
     manifest.update({
         "dim": str(cfg.dim),
@@ -241,6 +251,7 @@ def _gold_path(gold_dir: str, task: str) -> Path:
 
 
 def cmd_eval(args) -> int:
+    output = _output_path(args.output) if args.output else None
     emb = sg.load_embeddings(args.input)
     manifest = read_bound_manifest(args.input, strict=True)
     tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
@@ -269,11 +280,7 @@ def cmd_eval(args) -> int:
         else:
             reports.append(ev.eval_qt_similarity(
                 emb, ev.load_similarity(path)))
-    text = ev.reports_tsv(reports)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(output, ev.reports_tsv(reports))
     return 0
 
 
@@ -304,7 +311,9 @@ def _grid(flag: str, text: str | None, field: str, parse,
 
 
 def cmd_sweep(args) -> int:
-    # every cell is checked before the graph is read or any cell trains
+    # every cell and the output are checked before the graph is read or
+    # any cell trains
+    output = _output_path(args.output) if args.output else None
     excluded = _excluded_predicates(args)
     base = _walk_params(args)
     depths = _grid("--grid-depth", args.grid_depth, "d", int, base)
@@ -315,33 +324,33 @@ def cmd_sweep(args) -> int:
     cfg = _train_config(args)
     g = load_graph(args.input, excluded)
     gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
-    rows = []
-    for params in cells:
-        model = run_pipeline(g, params, cfg)
-        report = ev.eval_classification(model, gold, seed=args.seed)
-        for metric, value in report.metrics.items():
-            rows.append(
+
+    def write_rows(fh, shard) -> None:
+        for params in shard:
+            model = run_pipeline(g, params, cfg)
+            report = ev.eval_classification(model, gold, seed=args.seed)
+            fh.write("".join(
                 f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
-                f"\tclassification\t{metric}\t{value!r}"
-            )
-    text = "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n" + "".join(
-        r + "\n" for r in rows
-    )
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+                f"\tclassification\t{metric}\t{value!r}\n"
+                for metric, value in report.metrics.items()).encode("utf-8"))
+
+    # each cell seeds its own walks and training: cells run in any process
+    rows = io.BytesIO()
+    wk.run_in_shards(cells, write_rows, rows)
+    _write_text(output, "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n"
+                + rows.getvalue().decode("utf-8"))
     return 0
 
 
 def cmd_gen_fixture(args) -> int:
+    output = _output_path(args.output)
     triples = random_graph(
         seed=args.seed,
         triples=args.triples,
         qt_probability=args.qt_probability,
         max_depth=args.max_depth,
     )
-    write_triples(triples, args.output)
+    _replace_atomically(output, lambda tmp: write_triples(triples, tmp))
     return 0
 
 

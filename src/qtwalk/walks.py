@@ -22,12 +22,16 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import shutil
 import signal
 import sys
+import tempfile
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
+from typing import BinaryIO
 
 from .graph import Graph
 from .terms import Term
@@ -296,14 +300,19 @@ def _write_walks(fh, g: Graph, params: WalkParams, roots) -> None:
             for ids in walker(g, root, params)).encode("utf-8"))
 
 
-def _fork_shard(g: Graph, params: WalkParams, roots, part: str) -> int:
-    """Fork a child that writes the walks of ``roots`` to ``part`` and
-    exits, 0 on success; return its pid."""
+def _fork_shard(write: Callable[[BinaryIO, Sequence], None], shard: Sequence,
+                part: BinaryIO) -> int:
+    """Fork a child that calls ``write(part, shard)`` and exits, 0 on
+    success; return its pid."""
     with warnings.catch_warnings():
         # Python 3.12+ warns that fork() in a process with several threads
         # may deadlock the child: it could inherit a lock another thread
-        # held.  In qtwalk the other threads are OpenBLAS's idle pool.  The
-        # child runs no numpy, only walks and writes, and ends in os._exit.
+        # held.  qtwalk starts no thread, and OpenBLAS's pool is no such
+        # risk: its pthread_atfork handler stops the pool before fork(),
+        # and the next BLAS call in either process starts it again.
+        # test_forked_child_runs_blas_after_the_parent_did runs a matrix
+        # product in children forked after the parent's product started
+        # the pool.  The child ends in os._exit.
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded, "
             r"use of fork\(\)", DeprecationWarning)
@@ -312,8 +321,8 @@ def _fork_shard(g: Graph, params: WalkParams, roots, part: str) -> int:
         return pid
     code = 1
     try:
-        with open(part, "wb") as fh:
-            _write_walks(fh, g, params, roots)
+        write(part, shard)
+        part.flush()
         code = 0
     except Exception as exc:
         sys.stderr.write(f"qtwalk: error: {exc}\n")
@@ -322,55 +331,60 @@ def _fork_shard(g: Graph, params: WalkParams, roots, part: str) -> int:
         os._exit(code)  # never return into the caller's stack
 
 
-def _append_file(fh, part: str) -> None:
-    """Append the file ``part`` to the binary file ``fh``, copied by the
-    kernel."""
-    fh.flush()
-    with open(part, "rb") as src:
-        size, sent = os.fstat(src.fileno()).st_size, 0
-        while sent < size:
-            sent += os.sendfile(fh.fileno(), src.fileno(), sent, size - sent)
+def run_in_shards(jobs: Sequence, write: Callable[[BinaryIO, Sequence], None],
+                  out: BinaryIO, part_dir=None) -> None:
+    """Write ``write(fh, shard)`` for each shard of ``jobs`` to the binary
+    file ``out``, in shard order.
+
+    The jobs are cut into contiguous shards, one per usable CPU and never
+    more than there are jobs.  This process writes the first shard to
+    ``out`` itself.  A forked child writes each other shard to an unnamed
+    temporary file in ``part_dir`` (the system's temporary directory if
+    None); this process appends the parts in shard order.  So ``out``
+    holds the bytes of one serial pass when ``write`` depends only on its
+    shard.  On any failure each child is killed and reaped; the parts have
+    no name, and closing them removes them.
+    """
+    shards = max(1, min(_usable_cpus(), len(jobs)))
+    cuts = [len(jobs) * k // shards for k in range(shards + 1)]
+    parts: list[BinaryIO] = []
+    children: list[int] = []  # forked and not yet reaped, in shard order
+    try:
+        for k in range(1, shards):
+            parts.append(tempfile.TemporaryFile(dir=part_dir))
+            children.append(_fork_shard(write, jobs[cuts[k]:cuts[k + 1]],
+                                        parts[-1]))
+        write(out, jobs[:cuts[1]])
+        for k, part in enumerate(parts, 1):
+            status = os.waitpid(children[0], 0)[1]
+            del children[0]
+            if status:
+                raise ChildProcessError(
+                    f"shard {k + 1} of {shards} failed: exit status "
+                    f"{os.waitstatus_to_exitcode(status)}")
+            part.seek(0)
+            shutil.copyfileobj(part, out)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
 
 
 def write_corpus(g: Graph, params: WalkParams, path) -> None:
     """Write the corpus of ``params`` over ``g`` to ``path``: the header,
     then one line of tab-separated token texts per walk, root by root.
 
-    The roots are cut into contiguous shards, one per usable CPU.  A forked
-    child writes each shard after the first to a part file
-    ``<path>.<shard>.tmp``; this process writes the header and the first
-    shard, then appends the parts in shard order.  Each root draws from its
-    own substream, so the bytes equal those of one serial pass.  On every
-    path each child is reaped and each part file removed.
+    The roots are written in shards by :func:`run_in_shards`, with the
+    parts beside ``path``.  Each root draws from its own substream, so the
+    bytes equal those of one serial pass.
     """
-    roots = g.roots
-    shards = max(1, min(_usable_cpus(), len(roots)))
-    cuts = [len(roots) * k // shards for k in range(shards + 1)]
-    parts = [f"{path}.{k}.tmp" for k in range(1, shards)]
-    children: list[int] = []  # forked and not yet reaped, in shard order
-    try:
-        for k, part in enumerate(parts, 1):
-            children.append(_fork_shard(g, params,
-                                        roots[cuts[k]:cuts[k + 1]], part))
-        with open(path, "wb") as fh:
-            fh.write(f"{corpus_header(params)}\n".encode("utf-8"))
-            _write_walks(fh, g, params, roots[:cuts[1]])
-            for k, part in enumerate(parts, 1):
-                status = os.waitpid(children[0], 0)[1]
-                del children[0]
-                if status:
-                    raise ChildProcessError(
-                        f"walk shard {k + 1} of {shards} failed: exit status "
-                        f"{os.waitstatus_to_exitcode(status)}")
-                _append_file(fh, part)
-                os.unlink(part)
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            if os.path.exists(part):
-                os.unlink(part)
+    with open(path, "wb") as fh:
+        fh.write(f"{corpus_header(params)}\n".encode("utf-8"))
+        run_in_shards(g.roots,
+                      lambda out, roots: _write_walks(out, g, params, roots),
+                      fh, Path(path).parent)
 
 
 def read_corpus_lines(path) -> tuple[str, list[list[str]]]:

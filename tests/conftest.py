@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qtwalk import walks
 from qtwalk.fixtures import random_iri, random_literal, random_quoted
 from qtwalk.graph import build_graph
 from qtwalk.terms import Iri, QuotedTriple, Term, Triple
@@ -30,6 +31,19 @@ def nested_qt_document(depth: int) -> str:
         term = (f"<< {term} <urn:x:p> <urn:x:b> >>" if level % 2 == 0
                 else f"<< <urn:x:b> <urn:x:p> {term} >>")
     return f"{term} <urn:x:q> <urn:x:c> .\n"
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Record the pid of each shard child ``walks.run_in_shards`` forks."""
+    forked: list[int] = []
+    fork_shard = walks._fork_shard
+
+    def counted(*args):
+        forked.append(fork_shard(*args))
+        return forked[-1]
+
+    monkeypatch.setattr(walks, "_fork_shard", counted)
+    return forked
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import RDF_TYPE
 from qtwalk.walks import read_corpus_lines
 
-from conftest import nested_qt_document
+from conftest import count_forks, nested_qt_document
 
 
 @pytest.fixture
@@ -674,3 +674,145 @@ def test_walk_output_is_checked_before_the_graph_is_read(
     assert err.startswith(f"qtwalk: error: {path}: ")
     assert ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# -- sweep cells in shards -----------------------------------------------------
+
+def sweep_args(graph, gold_dir, out):
+    return ["sweep", str(graph), "--gold-dir", str(gold_dir),
+            "--output", str(out), "--grid-alpha", "0.0,0.5",
+            "--grid-beta", "0.0,0.5", "--walks", "4", "--depth", "4",
+            "--exclude-predicate", RDF_TYPE, *small_train_flags()]
+
+
+def test_sharded_sweep_gives_the_same_bytes_on_any_cpu_count(
+        tmp_path, fixture_graph, monkeypatch):
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    forked = count_forks(monkeypatch)
+    outputs = set()
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(walks, "_usable_cpus", lambda: cpus)
+        forked.clear()
+        out = tmp_path / f"sweep-{cpus}.tsv"
+        assert main(sweep_args(fixture_graph, gold_dir, out)) == 0
+        assert len(forked) == min(cpus, 4) - 1  # 4 cells, a shard per CPU
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+    assert len(outputs.pop().splitlines()) == 1 + 4
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# Runs ``sweep`` over 4 cells in 3 shards with the cell ``alpha, beta``
+# failing, then prints this process's pid, the exit code and whether every
+# child was reaped.  A shard child that returned into the caller would
+# print too.
+FAILING_SWEEP = """
+import os, sys
+from qtwalk import cli, walks
+
+alpha, beta, argv = float(sys.argv[1]), float(sys.argv[2]), sys.argv[3:]
+run_pipeline = cli.run_pipeline
+
+def failing_pipeline(g, params, cfg):
+    if (params.alpha, params.beta) == (alpha, beta):
+        raise ValueError(f"cell {alpha} {beta} failed")
+    return run_pipeline(g, params, cfg)
+
+walks._usable_cpus = lambda: 3
+cli.run_pipeline = failing_pipeline
+code = cli.main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(os.getpid(), code, reaped)
+"""
+
+
+# the first cell runs in this process, the last in the last child's shard
+@pytest.mark.parametrize("failing_cell", ["0.0 0.0", "0.5 0.5"])
+def test_failed_sweep_cell_leaves_no_file_or_child(tmp_path, fixture_graph,
+                                                   failing_cell):
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    out = tmp_path / "sweep.tsv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c", FAILING_SWEEP, *failing_cell.split(),
+             *sweep_args(fixture_graph, gold_dir, out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        stdout, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert stdout == f"{proc.pid} 1 True\n"
+    assert f"qtwalk: error: cell {failing_cell} failed\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- every output is checked before any work, and written atomically ----------
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("work began before the output was checked")
+
+
+@pytest.mark.parametrize("output", ["missing/out.tsv", "."])
+@pytest.mark.parametrize("command, stage", [
+    (["train", "walks.tsv", "{out}"], (walks, "read_corpus_lines")),
+    (["sweep", "graph.ttls", "--gold-dir", ".", "--output", "{out}"],
+     (cli, "load_graph")),
+    (["stats", "graph.ttls", "--output", "{out}"], (cli, "load_graph")),
+    (["eval", "vectors.tsv", "--gold-dir", ".", "--output", "{out}"],
+     (cli.sg, "load_embeddings")),
+    (["convert", "scenes.ttl", "{out}"], (cli, "parse_document")),
+    (["convert", "scenes.ttl", "g2.ttls", "--report", "{out}"],
+     (cli, "parse_document")),
+    (["gen-fixture", "{out}"], (cli, "random_graph")),
+], ids=["train", "sweep", "stats", "eval", "convert", "convert-report",
+        "gen-fixture"])
+def test_outputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                             command, stage, output):
+    monkeypatch.setattr(*stage, unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert main([output if arg == "{out}" else arg for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qtwalk: error: {output}: ")
+    assert ".tmp" not in err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_train_checks_its_outputs_sidecar_before_reading(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(walks, "read_corpus_lines", unreachable)
+    emb = tmp_path / "vectors.tsv"
+    sidecar = tmp_path / "vectors.tsv.out.npz"
+    sidecar.mkdir()
+    assert main(["train", str(tmp_path / "walks.tsv"), str(emb),
+                 "--save-outputs"]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {sidecar}: is a directory\n")
+    assert list(tmp_path.rglob("*")) == [sidecar]
+
+
+def test_failed_convert_write_keeps_the_old_output(tmp_path, fixture_graph,
+                                                   monkeypatch):
+    out = tmp_path / "g2.ttls"
+    out.write_text("old\n", encoding="utf-8")
+    serialize = cli.serialize_triple
+    written: list[str] = []
+
+    def failing_serialize(t):
+        if written:
+            raise ValueError("disk full")
+        written.append(serialize(t))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "serialize_triple", failing_serialize)
+    assert main(["convert", str(fixture_graph), str(out)]) == 1
+    assert written  # the failure came mid-write
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert not Path(f"{out}.report.tsv").exists()
+    assert not list(tmp_path.glob("*.tmp"))

@@ -210,6 +210,22 @@ def test_training_learns_a_dominant_context():
     assert softmax_probability(model, "b", "a") > 0.9
 
 
+@pytest.mark.parametrize("softmax_mode", list(SoftmaxMode))
+def test_structured_training_learns_which_side_a_context_is_on(softmax_mode):
+    # a always precedes b and c always follows it: trained structured
+    # output planes must tell position -1 from +1
+    rows = [["a", "b", "c"]] * 200
+    model = train(rows, build_vocabulary(rows),
+                  cfg(dim=8, window=1, epochs=20, mode=Mode.STRUCTURED,
+                      softmax_mode=softmax_mode))
+
+    def p(context, relative_position):
+        return softmax_probability(model, "b", context, relative_position)
+
+    assert p("a", -1) > 0.9 > p("a", 1)
+    assert p("c", 1) > 0.9 > p("c", -1)
+
+
 def test_tokens_sharing_contexts_end_up_closer():
     # x and y always occur beside c1, p and q beside c2; tokens with the
     # same context distribution should get the more similar input vectors

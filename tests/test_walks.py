@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from qtwalk.walks import (
     write_corpus,
 )
 
-from conftest import iri
+from conftest import count_forks, iri
 
 
 def chain_graph(length: int) -> list[Triple]:
@@ -345,19 +347,6 @@ def serial_corpus(g, p: WalkParams) -> bytes:
     ]).encode("utf-8")
 
 
-def count_forks(monkeypatch) -> list[int]:
-    """Record the pid of each shard child ``write_corpus`` forks."""
-    forked: list[int] = []
-    fork_shard = walks_module._fork_shard
-
-    def counted(*args):
-        forked.append(fork_shard(*args))
-        return forked[-1]
-
-    monkeypatch.setattr(walks_module, "_fork_shard", counted)
-    return forked
-
-
 @pytest.mark.parametrize("strategy", list(Strategy))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -403,3 +392,45 @@ def test_empty_graph_writes_the_header_without_forking(tmp_path,
     assert path.read_bytes() == f"{corpus_header(p)}\n".encode("utf-8")
     assert forked == []
 
+
+
+# Starts OpenBLAS's thread pool with a matrix product, then runs a product
+# in each of 2 children forked by ``run_in_shards`` and prints whether every
+# shard's product was right and every child was reaped.
+BLAS_IN_FORKED_CHILDREN = """
+import io, os
+import numpy as np
+from qtwalk import walks
+
+a = np.random.default_rng(0).random((512, 512))
+product = a @ a
+
+def write(fh, shard):
+    for _ in shard:
+        fh.write(b"1" if np.allclose(a @ a, product) else b"0")
+
+walks._usable_cpus = lambda: 3
+out = io.BytesIO()
+walks.run_in_shards(range(3), write, out)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(out.getvalue().decode(), reaped)
+"""
+
+
+def test_forked_child_runs_blas_after_the_parent_did():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    with subprocess.Popen(
+            [sys.executable, "-c", BLAS_IN_FORKED_CHILDREN],
+            env=dict(os.environ, PYTHONPATH=src), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a child deadlocked in BLAS hangs its parent
+    assert proc.returncode == 0, err
+    assert out == "111 True\n"
