@@ -6,7 +6,8 @@ commands can verify provenance (notably the label-leak guard for the
 classification task).  A manifest also records the sha256 of its
 artifact; ``eval`` refuses an input whose manifest records another hash,
 ``train`` carries such a corpus manifest no further, and both ignore a
-manifest that records none.
+manifest that records none.  Each command checks all its outputs, manifests
+included, before any work, and publishes them together once it is done.
 
 Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 """
@@ -14,6 +15,7 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -37,43 +39,43 @@ class InputError(Exception):
     pass
 
 
-# -- manifests ---------------------------------------------------------------
+# -- outputs and manifests ---------------------------------------------------
 
-def _replace_atomically(path: Path, write) -> None:
-    """Call ``write(tmp)`` on a temp file beside ``path``, then rename it
-    over ``path``: readers see the old file or the whole new one."""
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """Check each output path before any work, then yield a temp path
+    beside each (None, for stdout, stays None).  When the block returns,
+    each temp file written replaces its path and each path whose temp file
+    was not written is removed; when it raises, every old file stays."""
+    staged = {path: Path(f"{path}.{os.getpid()}.tmp")
+              for path in paths if path is not None}
+    for path in staged:
+        if Path(path).is_dir():
+            raise InputError(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise InputError(f"{path}: no such directory: {Path(path).parent}")
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        yield [staged.get(path) for path in paths]
+        for path, tmp in staged.items():
+            if tmp.exists():
+                os.replace(tmp, path)
+            else:
+                Path(path).unlink(missing_ok=True)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
-def _output_path(path: str) -> Path:
-    """``path`` as an output file, checked before any work: its directory
-    must exist and it must not be a directory itself."""
-    output = Path(path)
-    if output.is_dir():
-        raise InputError(f"{path}: is a directory")
-    if not output.parent.is_dir():
-        raise InputError(f"{path}: no such directory: {output.parent}")
-    return output
-
-
-def _write_text(output: Path | None, text: str) -> None:
-    """Write ``text`` to ``output`` atomically, or to stdout if None."""
-    if output is None:
+def _write_text(path: Path | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout if None."""
+    if path is None:
         sys.stdout.write(text)
     else:
-        _replace_atomically(
-            output, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
 
 
-def write_manifest(path: Path, entries: dict[str, str]) -> None:
-    text = "".join(f"{key}\t{value}\n" for key, value in entries.items())
-    _replace_atomically(Path(str(path) + ".manifest"),
-                        lambda tmp: tmp.write_text(text, encoding="utf-8"))
+def _manifest_text(entries: dict[str, str]) -> str:
+    return "".join(f"{key}\t{value}\n" for key, value in entries.items())
 
 
 def _file_sha256(path) -> str:
@@ -114,11 +116,8 @@ def read_bound_manifest(path, *, strict: bool) -> dict[str, str]:
 # -- shared loading -----------------------------------------------------------
 
 def load_graph(path: str, exclude_predicates: tuple[str, ...] = ()) -> gr.Graph:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    return gr.parse_graph(text, exclude_predicates)
+    return gr.parse_graph(Path(path).read_text(encoding="utf-8"),
+                          exclude_predicates)
 
 
 def _excluded_predicates(args) -> tuple[str, ...]:
@@ -143,22 +142,21 @@ def write_triples(triples, path) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_convert(args) -> int:
-    output = _output_path(args.output)
-    report_path = _output_path(args.report or args.output + ".report.tsv")
-    g_triples = parse_document(Path(args.input).read_text(encoding="utf-8"))
-    converted, report = conv.convert_document(
-        g_triples, link_to_wrapper=not args.link_to_inner
-    )
-    _replace_atomically(output, lambda tmp: write_triples(converted, tmp))
-    _write_text(report_path, report.tsv())
+    with _outputs(args.output, args.report or args.output + ".report.tsv"
+                  ) as (output, report_path):
+        converted, report = conv.convert_document(
+            parse_document(Path(args.input).read_text(encoding="utf-8")),
+            link_to_wrapper=not args.link_to_inner)
+        write_triples(converted, output)
+        _write_text(report_path, report.tsv())
     return 0
 
 
 def cmd_stats(args) -> int:
-    output = _output_path(args.output) if args.output else None
-    g = load_graph(args.input)
-    stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
-    _write_text(output, gr.stats_tsv(stats))
+    with _outputs(args.output or None) as (output,):
+        g = load_graph(args.input)
+        stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
+        _write_text(output, gr.stats_tsv(stats))
     return 0
 
 
@@ -176,20 +174,21 @@ def _walk_params(args) -> wk.WalkParams:
 def cmd_walk(args) -> int:
     excluded = _excluded_predicates(args)
     params = _walk_params(args)
-    output = _output_path(args.output)
-    g = load_graph(args.input, excluded)
-    _replace_atomically(output, lambda tmp: wk.write_corpus(g, params, tmp))
-    write_manifest(output, {
-        "graph_fingerprint": g.fingerprint(),
-        "strategy": params.strategy.value,
-        "n": str(params.n),
-        "d": str(params.d),
-        "alpha": repr(params.alpha),
-        "beta": repr(params.beta),
-        "walk_seed": str(params.seed),
-        "excluded_predicates": " ".join(excluded),
-        "artifact_sha256": _file_sha256(output),
-    })
+    with _outputs(args.output, args.output + ".manifest") as (output,
+                                                              manifest):
+        g = load_graph(args.input, excluded)
+        wk.write_corpus(g, params, output)
+        _write_text(manifest, _manifest_text({
+            "graph_fingerprint": g.fingerprint(),
+            "strategy": params.strategy.value,
+            "n": str(params.n),
+            "d": str(params.d),
+            "alpha": repr(params.alpha),
+            "beta": repr(params.beta),
+            "walk_seed": str(params.seed),
+            "excluded_predicates": " ".join(excluded),
+            "artifact_sha256": _file_sha256(output),
+        }))
     return 0
 
 
@@ -212,31 +211,30 @@ def _train_config(args) -> sg.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    output = _output_path(args.output)
-    outputs_path = (_output_path(f"{output}.out.npz") if args.save_outputs
-                    else None)
-    # a corpus edited after walking trains, but vouches for nothing
-    manifest = read_bound_manifest(args.input, strict=False)
-    _, rows = wk.read_corpus_lines(args.input)
-    vocab = sg.build_vocabulary(rows, cfg.min_count)
-    model = sg.train(rows, vocab, cfg)
-    _replace_atomically(output, lambda tmp: sg.save_embeddings(model, tmp))
-    if outputs_path is not None:
-        _replace_atomically(outputs_path,
-                            lambda tmp: sg.save_output_matrices(model, tmp))
-    manifest.update({
-        "dim": str(cfg.dim),
-        "window": str(cfg.window),
-        "epochs": str(cfg.epochs),
-        "negatives": str(cfg.negatives),
-        "learning_rate": repr(cfg.learning_rate),
-        "min_count": str(cfg.min_count),
-        "train_seed": str(cfg.seed),
-        "mode": cfg.mode.value,
-        "softmax": cfg.softmax_mode.value,
-        "artifact_sha256": _file_sha256(output),
-    })
-    write_manifest(output, manifest)
+    # the sidecar is listed even without --save-outputs: an older one goes
+    with _outputs(args.output, args.output + ".manifest",
+                  args.output + ".out.npz") as (output, manifest_out, sidecar):
+        # a corpus edited after walking trains, but vouches for nothing
+        manifest = read_bound_manifest(args.input, strict=False)
+        _, rows = wk.read_corpus_lines(args.input)
+        vocab = sg.build_vocabulary(rows, cfg.min_count)
+        model = sg.train(rows, vocab, cfg)
+        sg.save_embeddings(model, output)
+        if args.save_outputs:
+            sg.save_output_matrices(model, sidecar)
+        manifest.update({
+            "dim": str(cfg.dim),
+            "window": str(cfg.window),
+            "epochs": str(cfg.epochs),
+            "negatives": str(cfg.negatives),
+            "learning_rate": repr(cfg.learning_rate),
+            "min_count": str(cfg.min_count),
+            "train_seed": str(cfg.seed),
+            "mode": cfg.mode.value,
+            "softmax": cfg.softmax_mode.value,
+            "artifact_sha256": _file_sha256(output),
+        })
+        _write_text(manifest_out, _manifest_text(manifest))
     return 0
 
 
@@ -251,36 +249,36 @@ def _gold_path(gold_dir: str, task: str) -> Path:
 
 
 def cmd_eval(args) -> int:
-    output = _output_path(args.output) if args.output else None
-    emb = sg.load_embeddings(args.input)
-    manifest = read_bound_manifest(args.input, strict=True)
-    tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
-    for task in tasks:
-        if task not in _TASKS:
-            raise InputError(f"unknown task {task!r}")
-    if "classification" in tasks and not args.allow_leak:
-        excluded = manifest.get("excluded_predicates", "").split(" ")
-        if RDF_TYPE not in excluded:
-            raise InputError(
-                "classification on embeddings trained without excluding "
-                "rdf:type leaks labels; pass --allow-leak to override"
-            )
-    reports = []
-    for task in tasks:
-        path = _gold_path(args.gold_dir, task)
-        if task == "classification":
-            reports.append(ev.eval_classification(
-                emb, ev.load_labeled_tsv(path), seed=args.seed))
-        elif task == "clustering":
-            reports.append(ev.eval_clustering(
-                emb, ev.load_labeled_tsv(path), seed=args.seed))
-        elif task == "relatedness":
-            reports.append(ev.eval_relatedness(
-                emb, ev.load_relatedness(path)))
-        else:
-            reports.append(ev.eval_qt_similarity(
-                emb, ev.load_similarity(path)))
-    _write_text(output, ev.reports_tsv(reports))
+    with _outputs(args.output or None) as (output,):
+        emb = sg.load_embeddings(args.input)
+        manifest = read_bound_manifest(args.input, strict=True)
+        tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
+        for task in tasks:
+            if task not in _TASKS:
+                raise InputError(f"unknown task {task!r}")
+        if "classification" in tasks and not args.allow_leak:
+            excluded = manifest.get("excluded_predicates", "").split(" ")
+            if RDF_TYPE not in excluded:
+                raise InputError(
+                    "classification on embeddings trained without excluding "
+                    "rdf:type leaks labels; pass --allow-leak to override"
+                )
+        reports = []
+        for task in tasks:
+            path = _gold_path(args.gold_dir, task)
+            if task == "classification":
+                reports.append(ev.eval_classification(
+                    emb, ev.load_labeled_tsv(path), seed=args.seed))
+            elif task == "clustering":
+                reports.append(ev.eval_clustering(
+                    emb, ev.load_labeled_tsv(path), seed=args.seed))
+            elif task == "relatedness":
+                reports.append(ev.eval_relatedness(
+                    emb, ev.load_relatedness(path)))
+            else:
+                reports.append(ev.eval_qt_similarity(
+                    emb, ev.load_similarity(path)))
+        _write_text(output, ev.reports_tsv(reports))
     return 0
 
 
@@ -313,7 +311,6 @@ def _grid(flag: str, text: str | None, field: str, parse,
 def cmd_sweep(args) -> int:
     # every cell and the output are checked before the graph is read or
     # any cell trains
-    output = _output_path(args.output) if args.output else None
     excluded = _excluded_predicates(args)
     base = _walk_params(args)
     depths = _grid("--grid-depth", args.grid_depth, "d", int, base)
@@ -322,35 +319,36 @@ def cmd_sweep(args) -> int:
     cells = [dataclasses.replace(base, d=d, alpha=a, beta=b)
              for d, a, b in itertools.product(depths, alphas, betas)]
     cfg = _train_config(args)
-    g = load_graph(args.input, excluded)
-    gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
+    with _outputs(args.output or None) as (output,):
+        g = load_graph(args.input, excluded)
+        gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
 
-    def write_rows(fh, shard) -> None:
-        for params in shard:
-            model = run_pipeline(g, params, cfg)
-            report = ev.eval_classification(model, gold, seed=args.seed)
-            fh.write("".join(
-                f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
-                f"\tclassification\t{metric}\t{value!r}\n"
-                for metric, value in report.metrics.items()).encode("utf-8"))
+        def write_rows(fh, shard) -> None:
+            for params in shard:
+                model = run_pipeline(g, params, cfg)
+                report = ev.eval_classification(model, gold, seed=args.seed)
+                fh.write("".join(
+                    f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
+                    f"\tclassification\t{metric}\t{value!r}\n"
+                    for metric, value in report.metrics.items()
+                ).encode("utf-8"))
 
-    # each cell seeds its own walks and training: cells run in any process
-    rows = io.BytesIO()
-    wk.run_in_shards(cells, write_rows, rows)
-    _write_text(output, "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n"
-                + rows.getvalue().decode("utf-8"))
+        # each cell seeds its own walks and training: any process runs it
+        rows = io.BytesIO()
+        wk.run_in_shards(cells, write_rows, rows)
+        _write_text(output, "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n"
+                    + rows.getvalue().decode("utf-8"))
     return 0
 
 
 def cmd_gen_fixture(args) -> int:
-    output = _output_path(args.output)
-    triples = random_graph(
-        seed=args.seed,
-        triples=args.triples,
-        qt_probability=args.qt_probability,
-        max_depth=args.max_depth,
-    )
-    _replace_atomically(output, lambda tmp: write_triples(triples, tmp))
+    with _outputs(args.output) as (output,):
+        write_triples(random_graph(
+            seed=args.seed,
+            triples=args.triples,
+            qt_probability=args.qt_probability,
+            max_depth=args.max_depth,
+        ), output)
     return 0
 
 

@@ -13,9 +13,9 @@ and learning rates are prepared for a chunk of whole steps at a time
 chunk length does not change the bytes.  The input vectors and the output
 planes are views of one parameter block, so each step gathers the rows it
 reads once and applies one summed update.  Both objectives go through one
-batched gradient, ``_batch_gradient``, which the public ``*_objective``
-functions also return next to a loss they compute apart from it, so the
-finite-difference checks cover the update that training applies.
+batched gradient, ``_batch_gradient``, which ``mean_objective`` also
+returns next to a loss it computes apart from it, so the finite-difference
+checks cover the update that training applies.
 The batch size is derived from the corpus so that no parameter row collects
 too many summed gradient terms in one step (see ``_batch_size``).
 """
@@ -506,33 +506,14 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     return model
 
 
-def full_softmax_objective(input_vectors: np.ndarray,
-                           output_matrices: np.ndarray,
-                           pairs, window: int, structured: bool):
-    """Mean negative log softmax likelihood over pairs, with exact
-    gradients for every parameter, from the batch gradient that training
-    applies.  Used by the finite-difference checks.
-    """
-    return _mean_objective(input_vectors, output_matrices, pairs, window,
-                           structured, None)
-
-
-def negative_sampling_objective(input_vectors: np.ndarray,
-                                output_matrices: np.ndarray, pairs,
-                                negatives, window: int, structured: bool):
-    """Mean negative-sampling loss over pairs, pair i scored against the
-    noise tokens ``negatives[i]``, with exact gradients for every
-    parameter, from the batch gradient that training applies.
-    """
-    negatives = np.asarray(negatives, dtype=np.int64)
-    return _mean_objective(input_vectors, output_matrices, pairs, window,
-                           structured, negatives)
-
-
-def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
-    """(mean loss, input gradient, output gradient).  The loss is computed
-    here from the parameters, apart from the gradient core, so that the
-    finite-difference checks test the core against it."""
+def mean_objective(inputs: np.ndarray, outputs: np.ndarray, pairs,
+                   window: int, structured: bool, negatives=None):
+    """(mean loss, input gradient, output gradient) over ``pairs``: the
+    exact softmax loss if ``negatives`` is None, else the negative-sampling
+    loss with pair i scored against the noise tokens ``negatives[i]``.  The
+    gradients come from the batch gradient that training applies; the loss
+    is computed here from the parameters, apart from it, so that the
+    finite-difference checks test the one against the other."""
     centers, contexts, rel = np.array(pairs, dtype=np.int64).T
     slots = position_slot(rel, window) if structured else np.zeros_like(rel)
     v = inputs[centers]
@@ -543,6 +524,7 @@ def _mean_objective(inputs, outputs, pairs, window, structured, negatives):
                   - scores[np.arange(len(centers)), contexts])
         negatives = np.empty((len(centers), 0), dtype=np.int64)
     else:
+        negatives = np.asarray(negatives, dtype=np.int64)
         u = outputs[slots[:, None], np.column_stack((contexts, negatives))]
         scores = np.einsum("bd,bkd->bk", v, u)
         losses = (np.logaddexp(0.0, -scores[:, 0])

@@ -34,8 +34,8 @@ from qtwalk.skipgram import (
     Mode,
     SoftmaxMode,
     TrainConfig,
-    full_softmax_objective,
     load_embeddings,
+    mean_objective,
 )
 from qtwalk.terms import QuotedTriple, RDF_TYPE, serialize_term, serialize_triple
 from qtwalk.walks import Strategy, Walk, WalkParams, random_walks
@@ -227,7 +227,7 @@ def test_criterion_6_gradient_check(structured):
          int(rng.choice(positions)))
         for _ in range(40)
     ]
-    _, grad_in, grad_out = full_softmax_objective(
+    _, grad_in, grad_out = mean_objective(
         inputs, outputs, pairs, window, structured
     )
     h = 1e-5
@@ -242,11 +242,11 @@ def test_criterion_6_gradient_check(structured):
             theta, grad = outputs, grad_out
         orig = theta[idx]
         theta[idx] = orig + h
-        up, _, _ = full_softmax_objective(inputs, outputs, pairs, window,
-                                          structured)
+        up, _, _ = mean_objective(inputs, outputs, pairs, window,
+                                  structured)
         theta[idx] = orig - h
-        down, _, _ = full_softmax_objective(inputs, outputs, pairs, window,
-                                            structured)
+        down, _, _ = mean_objective(inputs, outputs, pairs, window,
+                                    structured)
         theta[idx] = orig
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(grad[idx]), 1e-8)

@@ -13,6 +13,8 @@ import pytest
 
 from qtwalk import cli, walks
 from qtwalk.cli import main, read_manifest
+from qtwalk.convert import ConversionReport
+from qtwalk.graph import Graph
 from qtwalk.parser import MAX_QT_DEPTH
 from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import RDF_TYPE
@@ -759,29 +761,49 @@ def unreachable(*args, **kwargs):
     raise AssertionError("work began before the output was checked")
 
 
-@pytest.mark.parametrize("output", ["missing/out.tsv", "."])
-@pytest.mark.parametrize("command, stage", [
-    (["train", "walks.tsv", "{out}"], (walks, "read_corpus_lines")),
-    (["sweep", "graph.ttls", "--gold-dir", ".", "--output", "{out}"],
+# (id, command with the output as "{out}", the first expensive stage)
+OUTPUT_COMMANDS = [
+    ("train", ["train", "walks.tsv", "{out}"], (walks, "read_corpus_lines")),
+    ("sweep", ["sweep", "graph.ttls", "--gold-dir", ".", "--output", "{out}"],
      (cli, "load_graph")),
-    (["stats", "graph.ttls", "--output", "{out}"], (cli, "load_graph")),
-    (["eval", "vectors.tsv", "--gold-dir", ".", "--output", "{out}"],
+    ("stats", ["stats", "graph.ttls", "--output", "{out}"],
+     (cli, "load_graph")),
+    ("eval", ["eval", "vectors.tsv", "--gold-dir", ".", "--output", "{out}"],
      (cli.sg, "load_embeddings")),
-    (["convert", "scenes.ttl", "{out}"], (cli, "parse_document")),
-    (["convert", "scenes.ttl", "g2.ttls", "--report", "{out}"],
+    ("convert", ["convert", "scenes.ttl", "{out}"], (cli, "parse_document")),
+    ("convert-report",
+     ["convert", "scenes.ttl", "g2.ttls", "--report", "{out}"],
      (cli, "parse_document")),
-    (["gen-fixture", "{out}"], (cli, "random_graph")),
-], ids=["train", "sweep", "stats", "eval", "convert", "convert-report",
-        "gen-fixture"])
+    ("gen-fixture", ["gen-fixture", "{out}"], (cli, "random_graph")),
+]
+
+
+# ``bad`` is a path in a missing directory, or a directory the test makes
+@pytest.mark.parametrize("command, stage, bad", [
+    pytest.param([bad if arg == "{out}" else arg for arg in command], stage,
+                 bad, id=f"{name}-{bad}")
+    for bad in ("missing/out.tsv", ".")
+    for name, command, stage in OUTPUT_COMMANDS
+] + [
+    pytest.param(["walk", "graph.ttls", "out.tsv"], (cli, "load_graph"),
+                 "out.tsv.manifest", id="walk-manifest"),
+    pytest.param(["train", "walks.tsv", "out.tsv"],
+                 (walks, "read_corpus_lines"), "out.tsv.manifest",
+                 id="train-manifest"),
+])
 def test_outputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
-                                             command, stage, output):
+                                             command, stage, bad):
     monkeypatch.setattr(*stage, unreachable)
     monkeypatch.chdir(tmp_path)
-    assert main([output if arg == "{out}" else arg for arg in command]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"qtwalk: error: {output}: ")
-    assert ".tmp" not in err
-    assert list(tmp_path.rglob("*")) == []
+    if not bad.startswith("missing/"):
+        Path(bad).mkdir(exist_ok=True)
+    before = list(tmp_path.rglob("*"))
+    assert main(command) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {bad}: no such directory: missing\n"
+        if bad.startswith("missing/") else
+        f"qtwalk: error: {bad}: is a directory\n")
+    assert list(tmp_path.rglob("*")) == before
 
 
 def test_train_checks_its_outputs_sidecar_before_reading(tmp_path, capsys,
@@ -815,4 +837,50 @@ def test_failed_convert_write_keeps_the_old_output(tmp_path, fixture_graph,
     assert written  # the failure came mid-write
     assert out.read_text(encoding="utf-8") == "old\n"
     assert not Path(f"{out}.report.tsv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_convert_report_keeps_the_old_graph(tmp_path, fixture_graph,
+                                                   monkeypatch):
+    out = tmp_path / "g2.ttls"
+    out.write_text("old\n", encoding="utf-8")
+
+    def failing_tsv(self):
+        raise ValueError("disk full")
+
+    monkeypatch.setattr(ConversionReport, "tsv", failing_tsv)
+    assert main(["convert", str(fixture_graph), str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert not Path(f"{out}.report.tsv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_walk_keeps_the_old_corpus_and_manifest(tmp_path, fixture_graph,
+                                                       monkeypatch):
+    corpus = tmp_path / "walks.tsv"
+    manifest = Path(f"{corpus}.manifest")
+    assert main(["walk", str(fixture_graph), str(corpus),
+                 *small_walk_flags()]) == 0
+    old = corpus.read_bytes(), manifest.read_bytes()
+
+    def failing_fingerprint(self):
+        raise ValueError("no fingerprint")
+
+    # the corpus is written whole before the manifest needs the fingerprint
+    monkeypatch.setattr(Graph, "fingerprint", failing_fingerprint)
+    assert main(["walk", str(fixture_graph), str(corpus),
+                 *small_walk_flags(), "--seed", "2"]) == 1
+    assert (corpus.read_bytes(), manifest.read_bytes()) == old
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_train_without_save_outputs_removes_an_older_sidecar(tmp_path,
+                                                             fixture_graph):
+    corpus, emb = run_walk_train(tmp_path, fixture_graph,
+                                 train_flags=["--save-outputs"])
+    sidecar = Path(f"{emb}.out.npz")
+    assert sidecar.exists()
+    assert main(["train", str(corpus), str(emb), *small_train_flags()]) == 0
+    assert not sidecar.exists()
+    assert Path(f"{emb}.manifest").exists()
     assert not list(tmp_path.glob("*.tmp"))

@@ -26,9 +26,8 @@ from qtwalk.skipgram import (
     build_vocabulary,
     corpus_pairs,
     extract_pairs,
-    full_softmax_objective,
     load_embeddings,
-    negative_sampling_objective,
+    mean_objective,
     position_slot,
     save_embeddings,
     save_output_matrices,
@@ -549,17 +548,11 @@ def test_softmax_gradients_match_finite_differences(structured,
          int(rng.choice([-2, -1, 1, 2])))
         for _ in range(12)
     ]
-    if negative_sampling:
-        # repeated rows within and across pairs exercise the summed scatter
-        negatives = rng.integers(n, size=(len(pairs), 3))
-
-        def objective(inputs, outputs, pairs, window, structured):
-            return negative_sampling_objective(inputs, outputs, pairs,
-                                               negatives, window, structured)
-    else:
-        objective = full_softmax_objective
-    loss, grad_in, grad_out = objective(
-        inputs, outputs, pairs, window, structured
+    # repeated rows within and across pairs exercise the summed scatter
+    negatives = (rng.integers(n, size=(len(pairs), 3)) if negative_sampling
+                 else None)
+    loss, grad_in, grad_out = mean_objective(
+        inputs, outputs, pairs, window, structured, negatives
     )
     h = 1e-5
     for _ in range(20):
@@ -572,9 +565,11 @@ def test_softmax_gradients_match_finite_differences(structured,
             theta, grad = outputs, grad_out
         orig = theta[idx]
         theta[idx] = orig + h
-        up, _, _ = objective(inputs, outputs, pairs, window, structured)
+        up, _, _ = mean_objective(inputs, outputs, pairs, window,
+                                  structured, negatives)
         theta[idx] = orig - h
-        down, _, _ = objective(inputs, outputs, pairs, window, structured)
+        down, _, _ = mean_objective(inputs, outputs, pairs, window,
+                                    structured, negatives)
         theta[idx] = orig
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(grad[idx]), 1e-8)
