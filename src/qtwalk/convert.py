@@ -29,7 +29,6 @@ from .terms import (
 )
 
 HAS_PREDICATE = f"{KGC_NS}hasPredicate"
-SUBJECT_ROLE = f"{KGC_NS}subject"
 
 OBJECT_ROLE_PRIORITY = ("what", "whom", "where", "on", "to", "from")
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .parser import parse_into
 from .terms import (
@@ -115,13 +117,18 @@ class Graph:
         return frozenset(self.terms[q] for q in self.qt_ids)
 
     def fingerprint(self) -> str:
-        """sha256 over the sorted canonical triple serializations."""
+        """sha256 over the sorted canonical triple serializations.
+
+        The lines are hashed one at a time in id order, which is their
+        text order: ids are numbered in text order, and the only term text
+        that is a prefix of another is a literal's before its ``@lang`` or
+        ``^^`` suffix, whose next character sorts above the space that
+        follows a term in a line."""
         texts = self.texts
         digest = hashlib.sha256()
-        for line in sorted(f"{texts[s]} {texts[p]} {texts[o]} ."
-                           for s, p, o in self.triple_ids):
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
+        for s, p, o in sorted(self.triple_ids):
+            digest.update(f"{texts[s]} {texts[p]} {texts[o]} .\n"
+                          .encode("utf-8"))
         return digest.hexdigest()
 
 
@@ -190,13 +197,19 @@ class Interner:
     def graph(self, exclude_predicates=()) -> Graph:
         """The indexed graph of the asserted triples, less those whose
         predicate IRI is in ``exclude_predicates``.  A term that occurs
-        only in excluded triples is not in the graph."""
+        only in excluded triples is not in the graph.
+
+        The interner is spent afterwards: each of its tables is let go as
+        soon as its renumbered copy exists, so the graph is built without
+        holding both copies of every table."""
+        asserted = list(self._asserted)
+        del self._asserted
+        excluded = {self._ids.get(value) for value in exclude_predicates}
+        del self._ids
         texts, parts = self._texts, self._parts
         n = len(texts)
-        asserted = list(self._asserted)
         kept = range(n)
         if exclude_predicates:
-            excluded = {self._ids.get(value) for value in exclude_predicates}
             asserted = [spo for spo in asserted if spo[1] not in excluded]
             referenced = bytearray(n)
             for s, p, o in asserted:
@@ -216,53 +229,66 @@ class Interner:
             return None if spo is None else (rank[spo[0]], rank[spo[1]],
                                              rank[spo[2]])
 
-        n = len(order)
-        qt_parts = tuple(renumbered(parts[old]) for old in order)
         triple_ids = tuple(map(renumbered, asserted))
-
-        out_edges: list[list] = [[] for _ in range(n)]
-        in_edges: list[list] = [[] for _ in range(n)]
-        is_node = bytearray(n)
-        for s, p, o in triple_ids:
-            out_edges[s].append((p, o))
-            in_edges[o].append((s, p))
-            is_node[s] = is_node[o] = 1
+        del asserted
+        qt_parts = tuple(renumbered(parts[old]) for old in order)
+        del self._parts, parts
+        atoms = tuple(self._atoms[old] for old in order)
+        del self._atoms
+        sorted_texts = tuple(texts[old] for old in order)
+        del self._texts, texts, order, rank
+        n = len(sorted_texts)
 
         qt_ids = tuple(q for q in range(n) if qt_parts[q] is not None)
-        by_subject: list[list] = [[] for _ in range(n)]
-        by_object: list[list] = [[] for _ in range(n)]
-        for q in qt_ids:  # ascending, so every list comes out sorted
-            s, _, o = qt_parts[q]
-            by_subject[s].append(q)
-            by_object[o].append(q)
-            is_node[s] = is_node[o] = 1
+        rows = sorted(triple_ids)  # so that every group comes out sorted
+        out_edges = _grouped(n, rows, itemgetter(0), itemgetter(1, 2))
+        in_edges = _grouped(n, rows, itemgetter(2), itemgetter(0, 1))
+        qts_by_subject = _grouped(n, qt_ids, lambda q: qt_parts[q][0])
+        qts_by_object = _grouped(n, qt_ids, lambda q: qt_parts[q][2])
 
-        sorted_texts = tuple(texts[old] for old in order)
         return Graph(
             triple_ids=triple_ids,
             texts=sorted_texts,
             ids={text: i for i, text in enumerate(sorted_texts)},
-            atoms=tuple(self._atoms[old] for old in order),
-            out_edges=tuple(tuple(sorted(e)) for e in out_edges),
-            in_edges=tuple(tuple(sorted(e)) for e in in_edges),
-            qts_by_subject=tuple(map(tuple, by_subject)),
-            qts_by_object=tuple(map(tuple, by_object)),
+            atoms=atoms,
+            out_edges=out_edges,
+            in_edges=in_edges,
+            qts_by_subject=qts_by_subject,
+            qts_by_object=qts_by_object,
             qt_parts=qt_parts,
             qt_lookup={qt_parts[q]: q for q in qt_ids},
             qt_ids=qt_ids,
             # a literal's text, and only a literal's, starts with '"'
-            roots=tuple(i for i in range(n) if is_node[i]
-                        and sorted_texts[i][0] != '"'),
+            roots=tuple(i for i in range(n) if sorted_texts[i][0] != '"' and (
+                out_edges[i] or in_edges[i] or qts_by_subject[i]
+                or qts_by_object[i])),
         )
+
+
+def _grouped(n: int, rows, key, value=None) -> tuple:
+    """Per id ``0..n-1``, the tuple of ``value(row)`` (the row itself if
+    ``value`` is None) for the ``rows`` whose ``key`` is that id, in the
+    order of ``rows``: a stable sort by ``key`` groups them."""
+    index = [()] * n
+    for k, group in groupby(sorted(rows, key=key), key):
+        index[k] = tuple(group if value is None else map(value, group))
+    return tuple(index)
+
+
+def intern_document(text: str) -> Interner:
+    """An interner fed every term and asserted triple of a Turtle-star
+    document.  Once it returns, nothing here holds the text, so a caller
+    that passes the text straight in indexes the graph without it."""
+    interner = Interner()
+    parse_into(text, interner)
+    return interner
 
 
 def parse_graph(text: str, exclude_predicates=()) -> Graph:
     """The graph of a Turtle-star document, parsed straight to ids: no Term
     object is built.  Triples whose predicate IRI is in
     ``exclude_predicates`` are left out (see ``Interner.graph``)."""
-    interner = Interner()
-    parse_into(text, interner)
-    return interner.graph(exclude_predicates)
+    return intern_document(text).graph(exclude_predicates)
 
 
 def build_graph(triples) -> Graph:

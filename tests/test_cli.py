@@ -127,9 +127,19 @@ def test_manifest_hashes_an_artifact_larger_than_one_chunk(tmp_path):
     assert main(["walk", str(graph), str(corpus), "--walks", "12",
                  "--depth", "8", "--seed", "1"]) == 0
     data = corpus.read_bytes()
-    assert len(data) > 1 << 20  # the hash reads files in 1 MiB chunks
+    assert len(data) > 1 << 20  # many times the hash's read buffer
     assert read_manifest(corpus)["artifact_sha256"] == (
         hashlib.sha256(data).hexdigest())
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, cli._HASH_BUFFER - 1, cli._HASH_BUFFER, cli._HASH_BUFFER + 1,
+    5 * cli._HASH_BUFFER + 17])
+def test_file_sha256_equals_hashing_the_whole_file(tmp_path, size):
+    path = tmp_path / "artifact"
+    path.write_bytes((bytes(range(251)) * (size // 251 + 1))[:size])
+    assert cli._file_sha256(path) == (
+        hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_copied_manifest_fails_the_leak_guard(tmp_path, fixture_graph,
@@ -804,6 +814,21 @@ def test_outputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
         if bad.startswith("missing/") else
         f"qtwalk: error: {bad}: is a directory\n")
     assert list(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("report", ["out.ttls", "sub/../out.ttls"])
+def test_an_output_path_given_twice_is_refused(tmp_path, capsys, monkeypatch,
+                                               report):
+    monkeypatch.setattr(cli, "parse_document", unreachable)
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    Path("out.ttls").write_text("old\n", encoding="utf-8")
+    before = list(tmp_path.rglob("*"))
+    assert main(["convert", "scenes.ttl", "out.ttls", "--report", report]) == 1
+    assert capsys.readouterr().err == (
+        "qtwalk: error: out.ttls: given for two outputs\n")
+    assert list(tmp_path.rglob("*")) == before
+    assert Path("out.ttls").read_text(encoding="utf-8") == "old\n"
 
 
 def test_train_checks_its_outputs_sidecar_before_reading(tmp_path, capsys,

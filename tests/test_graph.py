@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 
 import pytest
@@ -88,11 +89,33 @@ def test_fingerprint_is_order_independent():
     assert a.fingerprint() != c.fingerprint()
 
 
+# "x" is a prefix of "x"@en and "x"^^<...>, the one way a term text can
+# be a prefix of another; with a non-ASCII literal and a nested QT
+PREFIX_LITERALS = parse_document("""\
+<urn:t:s> <urn:t:p> "x" , "x"@en , "x"^^<urn:t:dt> , "xy" , "\u00e9t\u00e9"@fr .
+<urn:t:s> <urn:t:p> << <urn:t:s> <urn:t:p> << <urn:t:a> <urn:t:q> "x"@en >> >> .
+<< <urn:t:a> <urn:t:q> "x" >> <urn:t:p> "x" , "\u00e9" .
+""")
+
+
+def sorted_lines_fingerprint(g) -> str:
+    """The fingerprint by its definition: sha256 over the sorted lines."""
+    digest = hashlib.sha256()
+    for line in sorted(serialize_triple(t) for t in g.triples):
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def test_indexes_agree_with_linear_scan():
     """Every index answer must equal a brute-force scan of the triples."""
-    for seed in range(8):
-        triples = random_graph(seed, triples=60, qt_probability=0.4)
+    graphs = [random_graph(seed, triples=60, qt_probability=0.4)
+              for seed in range(8)]
+    for triples in graphs + [PREFIX_LITERALS]:
         g = build_graph(triples)
+        assert g.fingerprint() == sorted_lines_fingerprint(g)
+        text = document(triples)
+        assert id_path(text) == term_path(text)
         dedup = list(dict.fromkeys(triples))
 
         all_qts = set()
@@ -123,6 +146,14 @@ def test_indexes_agree_with_linear_scan():
             assert set(qts(g, g.qts_by_object, i)) == {
                 q for q in all_qts if q.object == node
             }
+            assert list(g.out_edges[i]) == sorted(
+                (p, o) for s, p, o in g.triple_ids if s == i)
+            assert list(g.in_edges[i]) == sorted(
+                (s, p) for s, p, o in g.triple_ids if o == i)
+            assert list(g.qts_by_subject[i]) == [
+                q for q in g.qt_ids if g.qt_parts[q][0] == i]
+            assert list(g.qts_by_object[i]) == [
+                q for q in g.qt_ids if g.qt_parts[q][2] == i]
 
 
 def test_index_tuples_are_deterministically_ordered():
