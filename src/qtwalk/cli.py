@@ -255,21 +255,25 @@ def cmd_train(args) -> int:
 _TASKS = ("classification", "clustering", "relatedness", "qt_similarity")
 
 
-def _gold_path(gold_dir: str, task: str) -> Path:
-    path = Path(gold_dir) / f"{task}.tsv"
-    if not path.exists():
-        raise InputError(f"gold file not found: {path}")
-    return path
+def _gold_files(gold_dir: str, tasks) -> list[Path]:
+    """Each task's gold file, ``<gold_dir>/<task>.tsv``, once every task
+    name is known and every file is found."""
+    for task in tasks:
+        if task not in _TASKS:
+            raise InputError(f"unknown task {task!r}")
+    paths = [Path(gold_dir) / f"{task}.tsv" for task in tasks]
+    for path in paths:
+        if not path.is_file():
+            raise InputError(f"gold file not found: {path}")
+    return paths
 
 
 def cmd_eval(args) -> int:
+    tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
     with _outputs(args.output or None) as (output,):
+        gold_files = _gold_files(args.gold_dir, tasks)
         emb = sg.load_embeddings(args.input)
         manifest = read_bound_manifest(args.input, strict=True)
-        tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
-        for task in tasks:
-            if task not in _TASKS:
-                raise InputError(f"unknown task {task!r}")
         if "classification" in tasks and not args.allow_leak:
             excluded = manifest.get("excluded_predicates", "").split(" ")
             if RDF_TYPE not in excluded:
@@ -278,8 +282,7 @@ def cmd_eval(args) -> int:
                     "rdf:type leaks labels; pass --allow-leak to override"
                 )
         reports = []
-        for task in tasks:
-            path = _gold_path(args.gold_dir, task)
+        for task, path in zip(tasks, gold_files):
             if task == "classification":
                 reports.append(ev.eval_classification(
                     emb, ev.load_labeled_tsv(path), seed=args.seed))
@@ -323,8 +326,8 @@ def _grid(flag: str, text: str | None, field: str, parse,
 
 
 def cmd_sweep(args) -> int:
-    # every cell and the output are checked before the graph is read or
-    # any cell trains
+    # every cell, the output and the gold file are checked before the graph
+    # is read or any cell trains
     excluded = _excluded_predicates(args)
     base = _walk_params(args)
     depths = _grid("--grid-depth", args.grid_depth, "d", int, base)
@@ -334,18 +337,18 @@ def cmd_sweep(args) -> int:
              for d, a, b in itertools.product(depths, alphas, betas)]
     cfg = _train_config(args)
     with _outputs(args.output or None) as (output,):
+        [gold_file] = _gold_files(args.gold_dir, ["classification"])
+        gold = ev.load_labeled_tsv(gold_file)
         g = load_graph(args.input, excluded)
-        gold = ev.load_labeled_tsv(_gold_path(args.gold_dir, "classification"))
 
         def write_rows(fh, shard) -> None:
             for params in shard:
                 model = run_pipeline(g, params, cfg)
                 report = ev.eval_classification(model, gold, seed=args.seed)
-                fh.write("".join(
-                    f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
-                    f"\tclassification\t{metric}\t{value!r}\n"
-                    for metric, value in report.metrics.items()
-                ).encode("utf-8"))
+                cell = f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
+                fh.write("".join(f"{cell}\t{task}\t{metric}\t{value}\n"
+                                 for task, metric, value in report.rows()
+                                 ).encode("utf-8"))
 
         # each cell seeds its own walks and training: any process runs it
         rows = io.BytesIO()

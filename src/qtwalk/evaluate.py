@@ -42,10 +42,6 @@ class TooFewPerClass(ValueError):
 class LabeledSet:
     records: tuple[tuple[str, str], ...]
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted({label for _, label in self.records})
-
 
 @dataclass(frozen=True)
 class RelatednessGold:
@@ -234,13 +230,21 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (ends - (counts - 1) / 2.0)[inverse]
 
 
-def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Pair-counting ARI over two partitions of the same items."""
+def _contingency(labels_a, labels_b) -> np.ndarray:
+    """How many items have each pair of labels: a row per label of
+    ``labels_a`` and a column per label of ``labels_b``, in first-seen
+    order."""
     a_ids = {v: i for i, v in enumerate(dict.fromkeys(labels_a))}
     b_ids = {v: i for i, v in enumerate(dict.fromkeys(labels_b))}
     table = np.zeros((len(a_ids), len(b_ids)), dtype=np.int64)
     for a, b in zip(labels_a, labels_b, strict=True):
         table[a_ids[a], b_ids[b]] += 1
+    return table
+
+
+def adjusted_rand_index(labels_a, labels_b) -> float:
+    """Pair-counting ARI over two partitions of the same items."""
+    table = _contingency(labels_a, labels_b)
 
     def _comb2(x):
         return x * (x - 1) // 2
@@ -258,12 +262,7 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 
 def clustering_accuracy(cluster_ids, labels) -> float:
     """Accuracy under the maximum-weight cluster-to-label assignment."""
-    c_ids = {v: i for i, v in enumerate(dict.fromkeys(cluster_ids))}
-    l_ids = {v: i for i, v in enumerate(dict.fromkeys(labels))}
-    table = np.zeros((len(c_ids), len(l_ids)), dtype=np.int64)
-    for c, l in zip(cluster_ids, labels, strict=True):
-        table[c_ids[c], l_ids[l]] += 1
-    return _max_assignment(table) / len(labels)
+    return _max_assignment(_contingency(cluster_ids, labels)) / len(labels)
 
 
 def _max_assignment(table: np.ndarray) -> int:
@@ -397,17 +396,22 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def _resolve_tokens(emb: EmbeddingModel, tokens, task: str
-                    ) -> tuple[list[str], list[str]]:
-    present = [t for t in tokens if t in emb]
-    missing = [t for t in tokens if t not in emb]
-    if len(present) < 0.9 * len(tokens):
+def _labeled_vectors(emb: EmbeddingModel, gold: LabeledSet, task: str
+                     ) -> tuple[list[str], list[str], np.ndarray, list[str]]:
+    """The gold tokens the embedding has, their labels, their vectors as
+    rows, and the gold tokens it lacks; ``MissingToken`` when fewer than
+    90% are present."""
+    present = [t for t, _ in gold.records if t in emb]
+    missing = [t for t, _ in gold.records if t not in emb]
+    if len(present) < 0.9 * len(gold.records):
         shown = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
         raise MissingToken(
-            f"{task}: only {len(present)}/{len(tokens)} gold tokens are in "
-            f"the embedding; missing {shown}"
+            f"{task}: only {len(present)}/{len(gold.records)} gold tokens "
+            f"are in the embedding; missing {shown}"
         )
-    return present, missing
+    label_of = dict(gold.records)
+    return (present, [label_of[t] for t in present],
+            np.array([emb[t] for t in present]), missing)
 
 
 # -- tasks ----------------------------------------------------------------------
@@ -420,10 +424,8 @@ KNN_K = 3
 
 def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
                         seed: int = 0) -> EvalReport:
-    tokens = [t for t, _ in gold.records]
-    present, missing = _resolve_tokens(emb, tokens, "classification")
-    label_of = dict(gold.records)
-    labels = [label_of[t] for t in present]
+    present, labels, x, missing = _labeled_vectors(emb, gold,
+                                                   "classification")
     per_class: dict[str, int] = {}
     for label in labels:
         per_class[label] = per_class.get(label, 0) + 1
@@ -431,7 +433,6 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
     if small:
         raise TooFewPerClass(f"classes below {FOLDS} members: {small}")
 
-    x = np.array([emb[t] for t in present])
     fold_of = stratified_folds(labels, FOLDS, seed)
     correct = 0
     for fold in range(FOLDS):
@@ -450,11 +451,7 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
 
 def eval_clustering(emb: EmbeddingModel, gold: LabeledSet, seed: int = 0
                     ) -> EvalReport:
-    tokens = [t for t, _ in gold.records]
-    present, missing = _resolve_tokens(emb, tokens, "clustering")
-    label_of = dict(gold.records)
-    labels = [label_of[t] for t in present]
-    x = np.array([emb[t] for t in present])
+    _, labels, x, missing = _labeled_vectors(emb, gold, "clustering")
     k = len(set(labels))
     assign = kmeans(x, k, seed=seed)
     return EvalReport(

@@ -17,6 +17,7 @@ input triples.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -32,7 +33,9 @@ from .terms import (
     Term,
     Triple,
     literal_text,
+    quoted_text,
     serialize_term,
+    triple_text,
 )
 
 _DEPTH_NAMES = {1: "Single", 2: "Double", 3: "Triple", 4: "Quadruple"}
@@ -44,9 +47,10 @@ Pairs = tuple[tuple[int, int], ...]
 class Graph:
     """Interned terms and their per-id indexes.
 
-    ``texts[i]`` is term ``i``'s canonical string; ``texts`` is sorted and
-    ``ids`` inverts it.  ``atoms[i]`` is an IRI's value or a literal's
-    ``(lexical, datatype, language)``, ``None`` for a quoted triple.
+    ``texts[i]`` is term ``i``'s canonical string; ``texts`` is strictly
+    increasing, so ``id_of`` finds a text by bisection.  ``atoms[i]`` is an
+    IRI's value or a literal's ``(lexical, datatype, language)``, ``None``
+    for a quoted triple.
     ``triple_ids`` are the asserted triples as ids, in first-occurrence
     order, ``qt_ids`` the sorted ids of all quoted triples and
     ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
@@ -65,7 +69,6 @@ class Graph:
 
     triple_ids: tuple[tuple[int, int, int], ...]
     texts: tuple[str, ...] = field(repr=False)
-    ids: dict[str, int] = field(repr=False)
     atoms: tuple = field(repr=False)
     out_edges: tuple[Pairs, ...] = field(repr=False)
     in_edges: tuple[Pairs, ...] = field(repr=False)
@@ -78,7 +81,9 @@ class Graph:
 
     def id_of(self, t: Term) -> int | None:
         """Id of a term, or None if it does not occur in the graph."""
-        return self.ids.get(serialize_term(t))
+        text = serialize_term(t)
+        i = bisect_left(self.texts, text)
+        return i if i < len(self.texts) and self.texts[i] == text else None
 
     def qts_parts_first(self) -> list[int]:
         """The QT ids, each after the QTs among its parts: a QT's text is
@@ -127,8 +132,8 @@ class Graph:
         texts = self.texts
         digest = hashlib.sha256()
         for s, p, o in sorted(self.triple_ids):
-            digest.update(f"{texts[s]} {texts[p]} {texts[o]} .\n"
-                          .encode("utf-8"))
+            digest.update(
+                (triple_text(texts[s], texts[p], texts[o]) + "\n").encode())
         return digest.hexdigest()
 
 
@@ -175,7 +180,7 @@ class Interner:
         i = self._ids.get(key)
         if i is None:
             texts = self._texts
-            i = self._add(key, f"<< {texts[s]} {texts[p]} {texts[o]} >>",
+            i = self._add(key, quoted_text(texts[s], texts[p], texts[o]),
                           None, key)
         return i
 
@@ -249,7 +254,6 @@ class Interner:
         return Graph(
             triple_ids=triple_ids,
             texts=sorted_texts,
-            ids={text: i for i, text in enumerate(sorted_texts)},
             atoms=atoms,
             out_edges=out_edges,
             in_edges=in_edges,

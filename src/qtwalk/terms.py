@@ -54,25 +54,12 @@ class Triple:
     object: Term
 
 
-_LITERAL_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
+# What a literal's lexical form escapes: backslash, the double quote and
+# the C0 controls, the common three by name.
+_LITERAL_ESCAPES = {i: f"\\u{i:04X}" for i in range(0x20)} | {
+    ord("\\"): "\\\\", ord('"'): '\\"',
+    ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
 }
-
-
-def _escape_lexical(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _LITERAL_ESCAPES:
-            out.append(_LITERAL_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def serialize_term(t: Term) -> str:
@@ -87,17 +74,16 @@ def serialize_term(t: Term) -> str:
     if isinstance(t, Literal):
         return literal_text(t.lexical, t.datatype, t.language)
     if isinstance(t, QuotedTriple):
-        return (
-            f"<< {serialize_term(t.subject)} {serialize_term(t.predicate)} "
-            f"{serialize_term(t.object)} >>"
-        )
+        return quoted_text(serialize_term(t.subject),
+                           serialize_term(t.predicate),
+                           serialize_term(t.object))
     raise TypeError(f"not a Term: {t!r}")
 
 
 def literal_text(lexical: str, datatype: str | None,
                  language: str | None) -> str:
     """Canonical text form of the literal with these fields."""
-    base = f'"{_escape_lexical(lexical)}"'
+    base = f'"{lexical.translate(_LITERAL_ESCAPES)}"'
     if language is not None:
         return f"{base}@{language}"
     if datatype is not None:
@@ -105,11 +91,21 @@ def literal_text(lexical: str, datatype: str | None,
     return base
 
 
+def quoted_text(s: str, p: str, o: str) -> str:
+    """Canonical text form of the quoted triple whose parts have the
+    canonical texts ``s``, ``p`` and ``o``."""
+    return f"<< {s} {p} {o} >>"
+
+
+def triple_text(s: str, p: str, o: str) -> str:
+    """An asserted triple's line, without its newline, from its parts'
+    canonical texts."""
+    return f"{s} {p} {o} ."
+
+
 def serialize_triple(t: Triple) -> str:
-    return (
-        f"{serialize_term(t.subject)} {serialize_term(t.predicate)} "
-        f"{serialize_term(t.object)} ."
-    )
+    return triple_text(serialize_term(t.subject), serialize_term(t.predicate),
+                       serialize_term(t.object))
 
 
 def qt_depth(t: Term) -> int:
@@ -117,12 +113,3 @@ def qt_depth(t: Term) -> int:
     if not isinstance(t, QuotedTriple):
         return 0
     return 1 + max(qt_depth(t.subject), qt_depth(t.object))
-
-
-def iter_subterms(t: Term):
-    """Yield ``t`` and every component term reachable by decomposition."""
-    yield t
-    if isinstance(t, QuotedTriple):
-        yield from iter_subterms(t.subject)
-        yield t.predicate
-        yield from iter_subterms(t.object)

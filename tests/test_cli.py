@@ -492,7 +492,10 @@ def test_non_finite_training_is_exit_code_one(tmp_path, fixture_graph,
 def test_bad_embedding_file_is_exit_code_one(tmp_path, capsys, header, body):
     emb = tmp_path / "vectors.tsv"
     emb.write_text(f"#qtwalk-emb v1 {header}\n{body}", encoding="utf-8")
-    assert main(["eval", str(emb), "--gold-dir", str(tmp_path)]) == 1
+    # the gold files are found before the embedding is read
+    (tmp_path / "classification.tsv").touch()
+    assert main(["eval", str(emb), "--gold-dir", str(tmp_path),
+                 "--tasks", "classification"]) == 1
     assert capsys.readouterr().err.startswith(f"qtwalk: error: {emb}: ")
 
 
@@ -814,6 +817,39 @@ def test_outputs_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
         if bad.startswith("missing/") else
         f"qtwalk: error: {bad}: is a directory\n")
     assert list(tmp_path.rglob("*")) == before
+
+
+# a directory in the gold file's place is no gold file
+@pytest.mark.parametrize("tasks, clustering_dir, message", [
+    ("classification,bogus", False, "unknown task 'bogus'"),
+    ("classification,clustering", False, "gold file not found: {gold}"),
+    (None, False, "gold file not found: {gold}"),
+    ("classification,clustering", True, "gold file not found: {gold}"),
+])
+def test_eval_checks_tasks_and_gold_files_before_the_embedding(
+        tmp_path, capsys, monkeypatch, tasks, clustering_dir, message):
+    monkeypatch.setattr(cli.sg, "load_embeddings", unreachable)
+    (tmp_path / "classification.tsv").write_text("<urn:a>\tA\n",
+                                                 encoding="utf-8")
+    gold = tmp_path / "clustering.tsv"
+    if clustering_dir:
+        gold.mkdir()
+    args = ["eval", str(tmp_path / "vectors.tsv"), "--gold-dir",
+            str(tmp_path), "--output", str(tmp_path / "report.tsv")]
+    assert main(args + (["--tasks", tasks] if tasks else [])) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {message.format(gold=gold)}\n")
+    assert not (tmp_path / "report.tsv").exists()
+
+
+def test_sweep_finds_its_gold_file_before_the_graph(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "load_graph", unreachable)
+    assert main(["sweep", str(tmp_path / "graph.ttls"), "--gold-dir",
+                 str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "qtwalk: error: gold file not found: "
+        f"{tmp_path / 'classification.tsv'}\n")
 
 
 @pytest.mark.parametrize("report", ["out.ttls", "sub/../out.ttls"])

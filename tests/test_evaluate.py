@@ -490,7 +490,6 @@ def test_load_labeled_tsv(tmp_path):
                     encoding="utf-8")
     gold = load_labeled_tsv(path)
     assert gold.records == (("<urn:a>", "Person"), ("<urn:b>", "Place"))
-    assert gold.labels == ["Person", "Place"]
     path.write_text("<urn:a>\tPerson\n<urn:a>\tPlace\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_labeled_tsv(path)

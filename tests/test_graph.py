@@ -11,9 +11,11 @@ from qtwalk.parser import MAX_QT_DEPTH, ParseError, parse_document
 from qtwalk.terms import (
     ID_PREDICATE,
     Iri,
+    Literal,
     QuotedTriple,
+    Term,
     Triple,
-    iter_subterms,
+    serialize_term,
     serialize_triple,
 )
 
@@ -37,6 +39,15 @@ def in_triples(g, i):
 
 def qts(g, index, i):
     return tuple(g.terms[q] for q in index[i])
+
+
+def iter_subterms(t: Term):
+    """Yield ``t`` and every component term reachable by decomposition."""
+    yield t
+    if isinstance(t, QuotedTriple):
+        yield from iter_subterms(t.subject)
+        yield t.predicate
+        yield from iter_subterms(t.object)
 
 
 def test_nested_example_indexes(nested_example):
@@ -132,8 +143,21 @@ def test_indexes_agree_with_linear_scan():
             for q in all_qts
         }
 
+        # id_of bisects texts, so they must be strictly increasing
+        assert all(a < b for a, b in zip(g.texts, g.texts[1:]))
+        # a long run of spaces sorts below every literal, and a literal
+        # below every IRI and QT
+        below, above = Literal(" " * 100), Iri("\U0010FFFF")
+        assert serialize_term(below) < g.texts[0]
+        assert serialize_term(above) > g.texts[-1]
+        between = [t for t in (Iri(f"{node.value}~") for node in g.terms
+                               if isinstance(node, Iri))
+                   if g.texts[0] < serialize_term(t) < g.texts[-1]
+                   and serialize_term(t) not in g.texts]
+        assert between
+        for t in [below, above, *between]:
+            assert g.id_of(t) is None
         for i, node in enumerate(g.terms):
-            assert g.ids[g.texts[i]] == i
             assert set(out_triples(g, i)) == {
                 t for t in dedup if t.subject == node
             }
@@ -260,7 +284,7 @@ def test_build_graph_leaves_no_garbage_cycles():
 
 def graph_fields(g) -> tuple:
     """Every index of ``g``, its fingerprint and both stats tables."""
-    return (g.texts, g.ids, g.atoms, g.triple_ids, g.qt_parts, g.qt_lookup,
+    return (g.texts, g.atoms, g.triple_ids, g.qt_parts, g.qt_lookup,
             g.qt_ids, g.out_edges, g.in_edges, g.qts_by_subject,
             g.qts_by_object, g.roots, g.fingerprint(),
             stats_tsv(compute_stats(g)),

@@ -13,6 +13,7 @@ from qtwalk.terms import (
     Triple,
     XSD_DECIMAL,
     XSD_INTEGER,
+    literal_text,
     serialize_term,
     serialize_triple,
 )
@@ -82,6 +83,38 @@ def test_literal_forms():
         Literal("42", datatype=XSD_INTEGER),
         Literal("-3.25", datatype=XSD_DECIMAL),
     ]
+
+
+_LITERAL_ESCAPES = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
+
+
+def escape_lexical(s: str) -> str:
+    """A literal's escaped lexical form, one character at a time."""
+    out = []
+    for ch in s:
+        if ch in _LITERAL_ESCAPES:
+            out.append(_LITERAL_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_literal_text_escapes_as_the_character_loop():
+    chars = [chr(i) for i in range(0x80)] + ["\x85", "\xa0", "\u00e9",
+                                             "\u2028", "\U0001F600"]
+    for ch in chars:
+        assert literal_text(ch, None, None) == f'"{escape_lexical(ch)}"'
+    everything = "".join(chars)
+    assert literal_text(everything, None, "en") == (
+        f'"{escape_lexical(everything)}"@en')
 
 
 def test_unicode_escapes():
