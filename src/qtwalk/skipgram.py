@@ -5,14 +5,17 @@ with one output matrix per relative context position, trained either by
 negative sampling (default) or by the exact softmax (small vocabularies
 only; kept as a verification path and for gradient checks).
 
-Training is minibatch SGD over int32 arrays of all (center, context,
-position) pairs.  Per pair it holds 16 bytes: the center, the context, the
-output plane and the place in the epoch's order.  Noise draws, block rows
-and learning rates are prepared for a chunk of whole steps at a time
-(``CHUNK_PAIRS``), from the one random stream in the same order, so the
-chunk length does not change the bytes.  The input vectors and the output
-planes are views of one parameter block, so each step gathers the rows it
-reads once and applies one summed update.  Both objectives go through one
+Training is minibatch SGD over all (center, context, position) pairs of
+the corpus.  They are numbered, not stored: a table of the kept tokens
+(``_pair_table``) holds each token's vocabulary id, the number of its first
+pair and how many of its pairs lie to its left, int32 where they fit.  Per
+pair SGD holds 4 bytes, the pair's place in the epoch's shuffled order.
+Centers, contexts, output planes, noise draws, block rows and learning
+rates are computed for a chunk of whole steps at a time (``CHUNK_PAIRS``),
+from the one random stream in the same order, so the chunk length does not
+change the bytes.  The input vectors and the output planes are views of
+one parameter block, so each step gathers the rows it reads once and
+applies one summed update.  Both objectives go through one
 batched gradient, ``_batch_gradient``, which ``mean_objective`` also
 returns next to a loss it computes apart from it, so the finite-difference
 checks cover the update that training applies.
@@ -153,7 +156,7 @@ def extract_pairs(walk_tokens, vocab: Vocabulary, window: int
     """(center, context, relative position) index pairs within the window.
 
     Tokens missing from the vocabulary are dropped before pairing.  This is
-    the per-row reference for ``corpus_pairs``, which training uses.
+    the per-row reference for ``_pair_table``, which training uses.
     """
     ids = [vocab.index[t] for t in walk_tokens if t in vocab.index]
     pairs: list[tuple[int, int, int]] = []
@@ -166,15 +169,17 @@ def extract_pairs(walk_tokens, vocab: Vocabulary, window: int
     return pairs
 
 
-def corpus_pairs(corpus_rows, vocab: Vocabulary, window: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pairs of the corpus as int32 (centers, contexts, relative
-    positions) arrays, in the order of ``extract_pairs`` applied row by row.
+def _pair_table(corpus_rows, vocab: Vocabulary, window: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of the corpus, numbered in the order of ``extract_pairs``
+    applied row by row, as a table of the kept tokens: (vocabulary ids,
+    index of each token's first pair, how many of its pairs lie to its
+    left).  The first-pair column has one more entry, the pair count, so
+    token t has ``first[t + 1] - first[t]`` pairs.  ``_pairs_at`` reads
+    pairs from it.  Columns are int32 where their values fit.
 
     The work is sized by the rows, not by ``window``: no pair reaches past
-    the longest kept row, so a longer window adds nothing.  Each pair-sized
-    array is built in place and freed once used, so the peak is 12 bytes
-    per pair, the size of the result.
+    the longest kept row, so a longer window adds nothing.
     """
     lengths = np.fromiter(map(len, corpus_rows), dtype=np.intp,
                           count=len(corpus_rows))
@@ -189,21 +194,29 @@ def corpus_pairs(corpus_rows, vocab: Vocabulary, window: int
     row_end = np.cumsum(row_len)
     pos = np.arange(len(ids))
     span = min(window, int(row_len.max(initial=0)) - 1)
-    before = np.minimum(pos - (row_end - row_len)[row_of], span)  # pairs
-    after = np.minimum(row_end[row_of] - 1 - pos, span)   # left and right
-    count = before + after
-    pairs = int(count.sum())
-    index = _index_dtype(pairs)
+    before = np.minimum(pos - (row_end - row_len)[row_of], span)
+    count = np.minimum(row_end[row_of] - 1 - pos, span)   # to the right
+    count += before
+    first = np.zeros(len(ids) + 1, dtype=_index_dtype(int(count.sum()) + 1))
+    np.cumsum(count, out=first[1:])
+    return ids, first, before.astype(_index_dtype(span + 1))
+
+
+def _pairs_at(table: tuple[np.ndarray, np.ndarray, np.ndarray],
+              at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, contexts, relative positions) of the pairs numbered ``at``
+    in a ``_pair_table``: the pairs that ``extract_pairs`` gives, in the
+    order of ``at``."""
+    ids, first, before = table
+    # the last token whose first pair is at or before the pair: tokens
+    # without pairs share their successor's first entry
+    token = np.searchsorted(first, at, side="right") - 1
     # the j-th pair of a token has relative position j - before, plus one
     # from 0 on, as no token pairs with itself
-    rel = np.arange(pairs, dtype=index)
-    rel -= np.repeat((np.cumsum(count) - count + before).astype(index), count)
+    rel = at - first[token]
+    rel -= before[token]
     rel += rel >= 0
-    at = np.repeat(pos.astype(index), count)
-    at += rel
-    contexts = ids[at]
-    del at
-    return np.repeat(ids, count), contexts, rel.astype(np.int32, copy=False)
+    return ids[token], ids[token + rel], rel
 
 
 def _init_model(vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
@@ -293,20 +306,21 @@ MAX_BATCH = 1024
 CHUNK_PAIRS = 4096
 
 
-def _batch_size(contexts: np.ndarray, noise: np.ndarray | None,
+def _batch_size(pair_counts: np.ndarray, noise: np.ndarray | None,
                 negatives: int) -> int:
     """Pairs per SGD step: ``COLLISION_BUDGET`` over the largest expected
     number of times one output row is hit per pair, within [1, MAX_BATCH].
 
-    A token's output row is hit by its share of the contexts, plus
-    ``negatives`` times its noise probability under negative sampling.
-    Centre rows need no term of their own: each pair (c, o, r) has its
-    mirror (o, c, -r), so a token's centre share equals its context share.
-    Structured mode splits a token's hits over 2 * window output planes;
-    the bound uses their sum.
+    ``pair_counts[t]`` is the number of pairs whose center is token t, as
+    ``train`` sums it from the pair counts of its ``_pair_table``.  Each
+    pair (c, o, r) has its mirror (o, c, -r), so that is also the number
+    of pairs whose context is t.  A token's output row is hit by that
+    share of the pairs, plus ``negatives`` times its noise probability
+    under negative sampling; its centre row by the same share, so it
+    needs no term of its own.  Structured mode splits a token's hits over
+    2 * window output planes; the bound uses their sum.
     """
-    tokens = 0 if noise is None else len(noise)
-    hits = np.bincount(contexts, minlength=tokens) / len(contexts)
+    hits = pair_counts / pair_counts.sum()
     if noise is not None:
         hits += negatives * noise
     return int(min(MAX_BATCH, max(1, COLLISION_BUDGET // hits.max())))
@@ -450,15 +464,12 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
             f"full softmax limited to {FULL_SOFTMAX_CAP} tokens, "
             f"vocabulary has {len(vocab)}"
         )
-    centers, contexts, rel = corpus_pairs(corpus_rows, vocab, cfg.window)
+    table = _pair_table(corpus_rows, vocab, cfg.window)
+    ids, first, _ = table
+    n_pairs = int(first[-1])
     model = _init_model(vocab, cfg)
-    if len(centers) == 0 or cfg.epochs == 0:
+    if n_pairs == 0 or cfg.epochs == 0:
         return model
-    if cfg.mode is Mode.CLASSIC:
-        slots = np.zeros_like(rel)
-    else:
-        slots = position_slot(rel, cfg.window)
-    del rel
 
     rng = np.random.default_rng(cfg.seed + 1)
     noise = None
@@ -466,10 +477,11 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     if cfg.softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING:
         noise = _noise_probabilities(vocab)
         cdf, k = _noise_cdf(noise), cfg.negatives
-    table = _noise_table(cdf)
-    batch = _batch_size(contexts, noise, cfg.negatives)
+    noise_table = _noise_table(cdf)
+    batch = _batch_size(
+        np.bincount(ids, weights=np.diff(first), minlength=len(vocab)),
+        noise, cfg.negatives)
     chunk = batch * max(1, CHUNK_PAIRS // batch)
-    n_pairs = len(centers)
     total_updates = cfg.epochs * n_pairs
     block = model.input_vectors.base   # the block both views share
     tables = _row_tables(len(block))
@@ -479,15 +491,18 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
         for epoch in range(cfg.epochs):
             order = np.arange(n_pairs, dtype=_index_dtype(n_pairs))
             rng.shuffle(order)      # the draws of rng.permutation(n_pairs)
-            for first in range(0, n_pairs, chunk):
+            for offset in range(0, n_pairs, chunk):
                 # A chunk of whole steps, prepared at once: its noise draws
                 # are the steps' draws in turn, as the stream fills in order.
-                at = order[first:first + chunk]
+                at = order[offset:offset + chunk]
+                centers, contexts, rel = _pairs_at(table, at)
+                slots = (np.zeros_like(rel) if cfg.mode is Mode.CLASSIC
+                         else position_slot(rel, cfg.window))
                 rows = _pair_rows(
-                    len(vocab), centers[at], contexts[at], slots[at],
-                    _draw_noise(cdf, table, rng.random((len(at), k))))
+                    len(vocab), centers, contexts, slots,
+                    _draw_noise(cdf, noise_table, rng.random((len(at), k))))
                 # lr * max(1e-4, 1 - update / total_updates), in place
-                update = epoch * n_pairs + first
+                update = epoch * n_pairs + offset
                 rates = np.arange(update, update + len(at), dtype=np.float64)
                 rates /= total_updates
                 np.subtract(1.0, rates, out=rates)

@@ -21,10 +21,11 @@ from qtwalk.skipgram import (
     _noise_cdf,
     _noise_probabilities,
     _noise_table,
+    _pair_table,
+    _pairs_at,
     _row_tables,
     _sum_rows,
     build_vocabulary,
-    corpus_pairs,
     extract_pairs,
     load_embeddings,
     mean_objective,
@@ -39,6 +40,13 @@ def cfg(**kw) -> TrainConfig:
     base = dict(dim=16, window=2, epochs=5, negatives=3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def pair_counts(table, vocab) -> np.ndarray:
+    """Pairs per vocabulary token as center, summed over the kept tokens of
+    a ``_pair_table``, as ``train`` hands them to ``_batch_size``."""
+    ids, first, _ = table
+    return np.bincount(ids, weights=np.diff(first), minlength=len(vocab))
 
 
 def softmax_probability(model, center: str, context: str,
@@ -123,11 +131,26 @@ def test_corpus_pairs_equal_concatenated_extract_pairs(rows, min_count,
                                                        window):
     # min_count > 1 drops tokens, so rows shrink or empty before pairing
     vocab = build_vocabulary(rows, min_count)
-    centers, contexts, rel = corpus_pairs(rows, vocab, window)
+    table = _pair_table(rows, vocab, window)
     expected = [p for row in rows for p in extract_pairs(row, vocab, window)]
-    got = list(zip(centers.tolist(), contexts.tolist(), rel.tolist()))
-    assert got == expected
-    assert centers.dtype == contexts.dtype == rel.dtype == np.int32
+    n = len(expected)
+    assert all(column.dtype == np.int32 for column in table)
+    assert table[1][-1] == n
+
+    def pairs(at):
+        return list(zip(*(a.tolist() for a in _pairs_at(table, at))))
+
+    assert pairs(np.arange(n, dtype=np.int32)) == expected
+    # training reads a chunk of a shuffled order at a time; also no pair,
+    # and only the last pair (after any tokens that have no pairs)
+    shuffled = np.random.default_rng(n).permutation(n).astype(np.int32)
+    for at in (shuffled[n // 3:2 * n // 3 + 1], shuffled[:0],
+               np.arange(n)[-1:]):
+        assert pairs(at) == [expected[i] for i in at.tolist()]
+    # _batch_size counts a token's pairs as center for its context share
+    contexts = np.array([p[1] for p in expected], dtype=np.intp)
+    np.testing.assert_array_equal(pair_counts(table, vocab),
+                                  np.bincount(contexts, minlength=len(vocab)))
 
 
 def test_corpus_pairs_work_is_sized_by_the_rows_not_the_window():
@@ -135,10 +158,10 @@ def test_corpus_pairs_work_is_sized_by_the_rows_not_the_window():
     # the pairs of window 2 without allocating anything window-sized.
     rows = [["a", "b", "c"]]
     vocab = build_vocabulary(rows)
-    expected = corpus_pairs(rows, vocab, 2)
+    expected = _pair_table(rows, vocab, 2)
     tracemalloc.start()
     try:
-        got = corpus_pairs(rows, vocab, 10 ** 6)
+        got = _pair_table(rows, vocab, 10 ** 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,7 +299,7 @@ def test_full_softmax_limited_by_vocabulary_size(monkeypatch):
     rows = [[f"t{i}" for i in range(FULL_SOFTMAX_CAP + 1)]]
     v = build_vocabulary(rows)
     calls = []
-    monkeypatch.setattr("qtwalk.skipgram.corpus_pairs",
+    monkeypatch.setattr("qtwalk.skipgram._pair_table",
                         lambda *args: calls.append(args))
     messages = []
     for epochs in (0, 1):
@@ -302,10 +325,10 @@ def test_chunk_length_does_not_change_training(monkeypatch, mode,
             for _ in range(400)]
     v = build_vocabulary(rows)
     c = cfg(dim=8, window=2, epochs=2, mode=mode, softmax_mode=softmax_mode)
-    _, contexts, _ = corpus_pairs(rows, v, c.window)
-    pairs = len(contexts)
+    table = _pair_table(rows, v, c.window)
+    pairs = int(table[1][-1])
     negative_sampling = softmax_mode is SoftmaxMode.NEGATIVE_SAMPLING
-    batch = _batch_size(contexts, _noise_probabilities(v)
+    batch = _batch_size(pair_counts(table, v), _noise_probabilities(v)
                         if negative_sampling else None, c.negatives)
     steps = -(-pairs // batch)
     assert pairs > CHUNK_PAIRS and pairs % batch and steps % 3
@@ -404,10 +427,12 @@ def test_noise_lookup_equals_searchsorted(counts, buckets):
 
 
 def test_batch_size_shrinks_with_negatives_and_hot_tokens():
+    # _batch_size takes each token's pair count, its count as a context
     def contexts(hot_share, n=1000, vocab=50):
         hot = int(hot_share * n)
-        return np.r_[np.zeros(hot, dtype=np.int64),
-                     np.arange(n - hot) % (vocab - 1) + 1]
+        return np.bincount(np.r_[np.zeros(hot, dtype=np.int64),
+                                 np.arange(n - hot) % (vocab - 1) + 1],
+                           minlength=vocab)
 
     noise = np.full(50, 1 / 50)
     sizes = [_batch_size(contexts(0.1), noise, k) for k in (1, 5, 10, 20)]
@@ -418,13 +443,14 @@ def test_batch_size_shrinks_with_negatives_and_hot_tokens():
     sizes = [_batch_size(contexts(0.2), noise, 5),
              _batch_size(contexts(0.2), skewed, 5)]
     assert sizes[0] > sizes[1]
-    for ctx in (contexts(0.0), contexts(1.0), np.arange(5000) % 50):
+    uniform = np.full(50, 100)
+    for counts in (contexts(0.0), contexts(1.0), uniform):
         for noise_probs in (None, noise, skewed):
             for k in (1, 5, 500):
-                assert 1 <= _batch_size(ctx, noise_probs, k) <= MAX_BATCH
+                assert 1 <= _batch_size(counts, noise_probs, k) <= MAX_BATCH
     # a uniform corpus without hot rows gets the cap, a single token 1 row
-    assert _batch_size(np.arange(5000) % 50, None, 5) == MAX_BATCH
-    assert _batch_size(np.zeros(10, dtype=np.int64), skewed, 500) == 1
+    assert _batch_size(uniform, None, 5) == MAX_BATCH
+    assert _batch_size(np.bincount([0] * 10, minlength=50), skewed, 500) == 1
 
 
 def test_hot_token_corpus_trains_at_derived_batch_size():
@@ -441,8 +467,8 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
     ]
     v = build_vocabulary(rows)
     assert v.tokens[0] == "hot" and v.counts[0] >= 0.2 * sum(v.counts)
-    _, contexts, _ = corpus_pairs(rows, v, window=2)
-    assert _batch_size(contexts, _noise_probabilities(v), 10) < 128
+    counts = pair_counts(_pair_table(rows, v, window=2), v)
+    assert _batch_size(counts, _noise_probabilities(v), 10) < 128
     model = train(rows, v, cfg(dim=16, window=2, epochs=3, negatives=10))
     tokens = [t for t in v.tokens if t != "hot"]
     x = np.array([model[t] for t in tokens])
@@ -455,24 +481,27 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_training_holds_few_bytes_per_pair(mode):
-    # SGD holds 16 bytes per pair: int32 centers, contexts, slots and
-    # order; noise draws, block rows and learning rates exist for one chunk
-    # of steps at a time.  The bound lies between the traced peak per pair
-    # of this layout (24 classic, 27 structured) and that of the same pairs
-    # with one float64 rate per pair of the epoch (32 and 35).
+    # SGD holds 4 bytes per pair, its place in the epoch's order, next to a
+    # table of 12 bytes per token (about 7.5 pairs each here); noise draws,
+    # block rows and learning rates exist for one chunk of steps at a time.
+    # The corpus is large enough that the fixed cost of a call (chunk
+    # tables, noise table, parameter block) is small per pair.  The bound
+    # lies between the traced peak per pair of this layout (7.7 classic,
+    # 8.5 structured) and that of int32 centers, contexts, slots and order
+    # held per pair, 16 bytes (20.3 and 20.6).
     rng = np.random.default_rng(0)
     rows = [[f"t{i}" for i in rng.integers(0, 400, size=12)]
-            for _ in range(2000)]
+            for _ in range(8000)]
     vocab = build_vocabulary(rows)
-    pairs = len(corpus_pairs(rows, vocab, 5)[0])
-    assert pairs >= 100_000
+    pairs = int(_pair_table(rows, vocab, 5)[1][-1])
+    assert pairs >= 700_000
     tracemalloc.start()
     try:
         train(rows, vocab, TrainConfig(dim=8, window=5, epochs=1, mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / pairs < 30, peak / pairs
+    assert peak / pairs < 14, peak / pairs
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
