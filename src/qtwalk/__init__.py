@@ -1,25 +1,3 @@
 """qtwalk: RDF-star graph embeddings via quoted-triple-aware walks."""
 
-from .terms import Iri, Literal, QuotedTriple, Term, Triple, serialize_term
-from .parser import ParseError, parse_document, parse_term
-from .graph import Graph, build_graph, compute_stats
-from .walks import Strategy, Walk, WalkCorpus, WalkParams, generate_corpus
-from .skipgram import (
-    EmbeddingModel,
-    Mode,
-    TrainConfig,
-    Vocabulary,
-    build_vocabulary,
-    train,
-)
-
-__all__ = [
-    "Iri", "Literal", "QuotedTriple", "Term", "Triple", "serialize_term",
-    "ParseError", "parse_document", "parse_term",
-    "Graph", "build_graph", "compute_stats",
-    "Strategy", "Walk", "WalkCorpus", "WalkParams", "generate_corpus",
-    "EmbeddingModel", "Mode", "TrainConfig", "Vocabulary",
-    "build_vocabulary", "train",
-]
-
 __version__ = "0.1.0"

@@ -1,17 +1,17 @@
 """Immutable indexed store for RDF-star graphs.
 
 ``Interner`` interns every distinct term once and numbers the terms
-0..N-1 in canonical-string order.  ``parse_graph`` has the parser feed it
-as each term closes, and ``build_graph`` feeds it by walking Term
-objects.  The indexes are plain per-id tuples over those ints:
-outgoing ``(p, o)`` and incoming ``(s, p)`` pairs of the asserted triples,
-and every quoted triple occurring anywhere in the graph (any nesting
-level) by its subject and object ids, which is what the QT-aware walks
-need.  ``Graph.id_of`` maps a term to its id.  Because id order is text
-order, a candidate list sorted by ids is sorted by the candidates'
-canonical text (``<< s p o >>`` for a triple), so candidate order, and
-with it every random draw of a walk, does not depend on the order of the
-input triples.
+0..N-1 in canonical-string order.  The parser feeds it as each term
+closes, from a document (``parse_graph``) or from Term objects written
+out as one (``build_graph``).  The indexes are plain per-id tuples over
+those ints: outgoing ``(p, o)`` and incoming ``(s, p)`` pairs of the
+asserted triples, and every quoted triple occurring anywhere in the
+graph (any nesting level) by its subject and object ids, which is what
+the QT-aware walks need.  ``Graph.id_of`` maps a term to its id.
+Because id order is text order, a candidate list sorted by ids is
+sorted by the candidates' canonical text (``<< s p o >>`` for a
+triple), so candidate order, and with it every random draw of a walk,
+does not depend on the order of the input triples.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .parser import parse_into
+from .parser import parse_into, parse_term
 from .terms import (
     ID_PREDICATE,
     Iri,
-    Literal,
     QuotedTriple,
     RDF_TYPE,
     Term,
@@ -35,6 +34,7 @@ from .terms import (
     literal_text,
     quoted_text,
     serialize_term,
+    serialize_triple,
     triple_text,
 )
 
@@ -48,9 +48,7 @@ class Graph:
     """Interned terms and their per-id indexes.
 
     ``texts[i]`` is term ``i``'s canonical string; ``texts`` is strictly
-    increasing, so ``id_of`` finds a text by bisection.  ``atoms[i]`` is an
-    IRI's value or a literal's ``(lexical, datatype, language)``, ``None``
-    for a quoted triple.
+    increasing, so ``id_of`` finds a text by bisection.
     ``triple_ids`` are the asserted triples as ids, in first-occurrence
     order, ``qt_ids`` the sorted ids of all quoted triples and
     ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
@@ -64,12 +62,11 @@ class Graph:
     a subject or object position, at any nesting level.
 
     Term objects (``terms``, ``triples``, ``node_set``, ``qt_set``) are
-    built from these on first use only.
+    built from the texts and ``qt_parts`` on first use only.
     """
 
     triple_ids: tuple[tuple[int, int, int], ...]
     texts: tuple[str, ...] = field(repr=False)
-    atoms: tuple = field(repr=False)
     out_edges: tuple[Pairs, ...] = field(repr=False)
     in_edges: tuple[Pairs, ...] = field(repr=False)
     qts_by_subject: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -93,11 +90,10 @@ class Graph:
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
-        """Term ``i`` for every id ``i``."""
-        terms: list = [
-            None if atom is None else
-            Iri(atom) if isinstance(atom, str) else Literal(*atom)
-            for atom in self.atoms]
+        """Term ``i`` for every id ``i``: IRIs and literals parsed from
+        their texts, each QT built from its parts' Term objects."""
+        terms: list = [None if parts is not None else parse_term(text)
+                       for text, parts in zip(self.texts, self.qt_parts)]
         for q in self.qts_parts_first():
             s, p, o = self.qt_parts[q]
             terms[q] = QuotedTriple(terms[s], terms[p], terms[o])
@@ -150,21 +146,19 @@ class Interner:
     def __init__(self):
         self._ids: dict = {}
         self._texts: list[str] = []
-        self._atoms: list = []
         self._parts: list[tuple[int, int, int] | None] = []
         self._asserted: dict[tuple[int, int, int], None] = {}
 
-    def _add(self, key, text: str, atom, parts) -> int:
+    def _add(self, key, text: str, parts) -> int:
         i = self._ids[key] = len(self._texts)
         self._texts.append(text)
-        self._atoms.append(atom)
         self._parts.append(parts)
         return i
 
     def iri(self, value: str) -> int:
         i = self._ids.get(value)
         if i is None:
-            i = self._add(value, f"<{value}>", value, None)
+            i = self._add(value, f"<{value}>", None)
         return i
 
     def literal(self, lexical: str, datatype: str | None,
@@ -172,7 +166,7 @@ class Interner:
         key = (lexical, datatype, language)
         i = self._ids.get(key)
         if i is None:
-            i = self._add(key, literal_text(*key), key, None)
+            i = self._add(key, literal_text(*key), None)
         return i
 
     def quoted(self, s: int, p: int, o: int) -> int:
@@ -181,23 +175,12 @@ class Interner:
         if i is None:
             texts = self._texts
             i = self._add(key, quoted_text(texts[s], texts[p], texts[o]),
-                          None, key)
+                          key)
         return i
 
     def triple(self, s: int, p: int, o: int) -> None:
         """Assert a triple; a duplicate keeps its first position."""
         self._asserted[s, p, o] = None
-
-    def term(self, t: Term) -> int:
-        """Intern a Term object, its parts first."""
-        if isinstance(t, QuotedTriple):
-            return self.quoted(self.term(t.subject), self.term(t.predicate),
-                               self.term(t.object))
-        if isinstance(t, Iri):
-            return self.iri(t.value)
-        if isinstance(t, Literal):
-            return self.literal(t.lexical, t.datatype, t.language)
-        raise TypeError(f"not a Term: {t!r}")
 
     def graph(self, exclude_predicates=()) -> Graph:
         """The indexed graph of the asserted triples, less those whose
@@ -238,8 +221,6 @@ class Interner:
         del asserted
         qt_parts = tuple(renumbered(parts[old]) for old in order)
         del self._parts, parts
-        atoms = tuple(self._atoms[old] for old in order)
-        del self._atoms
         sorted_texts = tuple(texts[old] for old in order)
         del self._texts, texts, order, rank
         n = len(sorted_texts)
@@ -254,7 +235,6 @@ class Interner:
         return Graph(
             triple_ids=triple_ids,
             texts=sorted_texts,
-            atoms=atoms,
             out_edges=out_edges,
             in_edges=in_edges,
             qts_by_subject=qts_by_subject,
@@ -296,13 +276,10 @@ def parse_graph(text: str, exclude_predicates=()) -> Graph:
 
 
 def build_graph(triples) -> Graph:
-    """Index a collection of Triple objects.  Duplicate asserted triples
-    are dropped."""
-    interner = Interner()
-    term = interner.term
-    for t in triples:
-        interner.triple(term(t.subject), term(t.predicate), term(t.object))
-    return interner.graph()
+    """Index a collection of Triple objects, written out as a document and
+    parsed back: duplicate asserted triples are dropped, and what a graph
+    file cannot hold, such as a literal subject, raises ``ParseError``."""
+    return parse_graph("".join(serialize_triple(t) + "\n" for t in triples))
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,10 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics
 
 
-# Deepest quoted-triple nesting accepted.  Parsing, interning and
-# serialization recurse once per level, so this keeps a document well
-# inside Python's default recursion limit; deeper input is a positioned
-# ParseError.
+# Deepest quoted-triple nesting accepted.  Parsing and serialization
+# recurse once per level (interning does not), so this keeps a document
+# well inside Python's default recursion limit; deeper input is a
+# positioned ParseError.
 MAX_QT_DEPTH = 400
 
 # One token per match, after any whitespace and comments.  A token's

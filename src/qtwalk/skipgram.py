@@ -187,19 +187,26 @@ def _pair_table(corpus_rows, vocab: Vocabulary, window: int
                           itertools.chain.from_iterable(corpus_rows),
                           itertools.repeat(-1)),
                       dtype=np.int32, count=int(lengths.sum()))
-    kept = ids >= 0
+    kept = np.flatnonzero(ids >= 0)
     ids = ids[kept]
-    row_of = np.repeat(np.arange(len(lengths)), lengths)[kept]
-    row_len = np.bincount(row_of, minlength=len(lengths))
-    row_end = np.cumsum(row_len)
-    pos = np.arange(len(ids))
+    dtype = _index_dtype(len(ids) + 1)
+    # each row's start among the kept tokens, then the end of the last
+    row_start = np.zeros(len(lengths) + 1, dtype=dtype)
+    row_start[1:] = kept.searchsorted(np.cumsum(lengths))
+    del kept
+    row_len = np.diff(row_start)
     span = min(window, int(row_len.max(initial=0)) - 1)
-    before = np.minimum(pos - (row_end - row_len)[row_of], span)
-    count = np.minimum(row_end[row_of] - 1 - pos, span)   # to the right
+    # each token's place in its row, and how far it lies from the row's end
+    before = np.arange(len(ids), dtype=dtype)
+    before -= np.repeat(row_start[:-1], row_len)
+    count = np.repeat(row_len - 1, row_len)
+    count -= before
+    np.minimum(before, span, out=before)
+    np.minimum(count, span, out=count)   # to the right
     count += before
     first = np.zeros(len(ids) + 1, dtype=_index_dtype(int(count.sum()) + 1))
     np.cumsum(count, out=first[1:])
-    return ids, first, before.astype(_index_dtype(span + 1))
+    return ids, first, before.astype(_index_dtype(span + 1), copy=False)
 
 
 def _pairs_at(table: tuple[np.ndarray, np.ndarray, np.ndarray],

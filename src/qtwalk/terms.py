@@ -106,10 +106,3 @@ def triple_text(s: str, p: str, o: str) -> str:
 def serialize_triple(t: Triple) -> str:
     return triple_text(serialize_term(t.subject), serialize_term(t.predicate),
                        serialize_term(t.object))
-
-
-def qt_depth(t: Term) -> int:
-    """Nesting depth of a quoted triple; non-QT terms have depth 0."""
-    if not isinstance(t, QuotedTriple):
-        return 0
-    return 1 + max(qt_depth(t.subject), qt_depth(t.object))

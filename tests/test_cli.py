@@ -466,6 +466,19 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert out.strip() == ""
 
 
+def test_graph_and_walk_modules_load_no_numpy_or_scipy():
+    # the package root imports nothing, so only training and evaluation
+    # load numpy and scipy
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, qtwalk.walks, qtwalk.graph, qtwalk.parser, "
+            "qtwalk.convert, qtwalk.fixtures; print(' '.join(m for m in "
+            "('numpy', 'scipy') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
 def test_missing_input_file_is_exit_code_one(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "absent.ttls")]) == 1
     assert "error" in capsys.readouterr().err

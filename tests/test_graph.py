@@ -76,6 +76,32 @@ def test_build_graph_deduplicates():
     assert len(g.triples) == 1
 
 
+def nested_qt(depth: int) -> QuotedTriple:
+    qt = QuotedTriple(iri("s"), iri("p"), iri("o"))
+    for _ in range(depth - 1):
+        qt = QuotedTriple(iri("s"), iri("p"), qt)
+    return qt
+
+
+# build_graph reads its triples through the parser, so it accepts exactly
+# what a graph file can hold
+@pytest.mark.parametrize("triple, message", [
+    (Triple(Iri("urn:a\tb"), iri("p"), iri("o")), "illegal character"),
+    (Triple(iri("s"), iri("p"), nested_qt(MAX_QT_DEPTH + 1)),
+     "nested deeper than"),
+    (Triple(Literal("x"), iri("p"), iri("o")), "expected a term"),
+], ids=["tab-in-iri", "too-deep", "literal-subject"])
+def test_build_graph_rejects_what_a_file_cannot_hold(triple, message):
+    with pytest.raises(ParseError, match=message):
+        build_graph([triple])
+
+
+def test_build_graph_lower_cases_language_tags():
+    g = build_graph([Triple(iri("s"), iri("p"), Literal("x", language="EN"))])
+    assert Literal("x", language="en") in g.terms
+    assert Literal("x", language="EN") not in g.terms
+
+
 def test_node_set_covers_nested_components(nested_example):
     g = nested_example["graph"]
     for name in ("e1", "e2", "e3", "e4", "e7"):
@@ -280,11 +306,16 @@ def test_build_graph_leaves_no_garbage_cycles():
         gc.enable()
 
 
-# -- the id path (parse_graph) against the Term path --------------------------
+# -- the parser's two sinks: the interner against Term objects ----------------
+#
+# ``parse_graph`` feeds the interner straight from a document; the Term
+# sink (``parse_document``) builds Term objects, which ``build_graph``
+# serializes and feeds back to the interner.  The two must give the same
+# graph, or the same error.
 
 def graph_fields(g) -> tuple:
     """Every index of ``g``, its fingerprint and both stats tables."""
-    return (g.texts, g.atoms, g.triple_ids, g.qt_parts, g.qt_lookup,
+    return (g.texts, g.triple_ids, g.qt_parts, g.qt_lookup,
             g.qt_ids, g.out_edges, g.in_edges, g.qts_by_subject,
             g.qts_by_object, g.roots, g.fingerprint(),
             stats_tsv(compute_stats(g)),
@@ -292,8 +323,9 @@ def graph_fields(g) -> tuple:
 
 
 def term_path(text: str, exclude=()):
-    """``build_graph`` over the parsed Term objects, less the triples with
-    an excluded predicate, or the parse error's text."""
+    """The Term sink's triples, less those with an excluded predicate,
+    serialized and read back by ``build_graph``, or the parse error's
+    text."""
     try:
         triples = parse_document(text)
     except ParseError as exc:
@@ -303,6 +335,8 @@ def term_path(text: str, exclude=()):
 
 
 def id_path(text: str, exclude=()):
+    """The interner fed straight from ``text``, or the parse error's
+    text."""
     try:
         g = parse_graph(text, exclude)
     except ParseError as exc:
@@ -340,11 +374,12 @@ def test_id_path_equals_term_path_on_deep_graphs(seed, exclude):
     g = parse_graph(text, exclude)
     if "urn:only:p" in exclude:
         assert not [t for t in g.texts if "urn:only:" in t]
-    # the lazily built Term objects match build_graph's
-    expected = build_graph([t for t in parse_document(text)
-                            if t.predicate.value not in exclude])
+    # the lazily built Term objects match build_graph's and the Term sink's
+    parsed = [t for t in parse_document(text)
+              if t.predicate.value not in exclude]
+    expected = build_graph(parsed)
     assert g.terms == expected.terms
-    assert g.triples == expected.triples
+    assert g.triples == expected.triples == tuple(dict.fromkeys(parsed))
 
 
 def test_id_path_equals_term_path_at_the_depth_limit():

@@ -170,6 +170,25 @@ def test_corpus_pairs_work_is_sized_by_the_rows_not_the_window():
     assert peak < 1 << 20, peak
 
 
+def test_pair_table_build_holds_few_bytes_per_token():
+    # The table is 12 bytes per kept token.  Built from the row starts in
+    # int32 with its columns reused in place, its traced peak is 17.4 bytes
+    # per token here; built through intp row numbers, positions and
+    # gathered row bounds per token, it was 51.0.
+    rng = np.random.default_rng(0)
+    rows = [[f"t{i}" for i in rng.integers(0, 400, size=12)]
+            for _ in range(8000)]
+    vocab = build_vocabulary(rows)
+    tracemalloc.start()
+    try:
+        ids = _pair_table(rows, vocab, 5)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 96_000
+    assert peak / len(ids) < 30, peak / len(ids)
+
+
 def test_position_slots_cover_both_sides():
     window = 3
     slots = [position_slot(r, window) for r in (-3, -2, -1, 1, 2, 3)]
