@@ -302,8 +302,8 @@ def cmd_eval(args) -> int:
 def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
                  ) -> sg.EmbeddingModel:
     """walk -> train, in memory; used by the sweep command and tests."""
-    corpus = wk.generate_corpus(g, params)
-    rows = [walk.texts() for walk in corpus.walks]
+    # the corpus is not bound, so no Walk outlives the rows while training
+    rows = [walk.texts() for walk in wk.generate_corpus(g, params).walks]
     vocab = sg.build_vocabulary(rows, cfg.min_count)
     return sg.train(rows, vocab, cfg)
 
@@ -343,8 +343,10 @@ def cmd_sweep(args) -> int:
 
         def write_rows(fh, shard) -> None:
             for params in shard:
-                model = run_pipeline(g, params, cfg)
-                report = ev.eval_classification(model, gold, seed=args.seed)
+                # the model is not bound, so it is freed before the next
+                # cell trains
+                report = ev.eval_classification(run_pipeline(g, params, cfg),
+                                                gold, seed=args.seed)
                 cell = f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
                 fh.write("".join(f"{cell}\t{task}\t{metric}\t{value}\n"
                                  for task, metric, value in report.rows()

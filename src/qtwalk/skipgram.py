@@ -271,13 +271,15 @@ MAX_NOISE_BUCKETS = 1 << 20
 def _noise_table(cdf: np.ndarray) -> np.ndarray:
     """For B equal buckets of [0, 1), the token that
     ``np.searchsorted(cdf, u)`` gives for every draw u in the bucket, or -1
-    where the bucket straddles a token boundary.  B is the smallest power
-    of two of at least ``NOISE_BUCKETS_PER_TOKEN`` buckets per token, at
-    most ``MAX_NOISE_BUCKETS``."""
+    where the bucket straddles a token boundary, int32 where the tokens fit
+    it.  B is the smallest power of two of at least
+    ``NOISE_BUCKETS_PER_TOKEN`` buckets per token, at most
+    ``MAX_NOISE_BUCKETS``."""
     wanted = NOISE_BUCKETS_PER_TOKEN * len(cdf)
     buckets = min(MAX_NOISE_BUCKETS, 1 << (wanted - 1).bit_length())
     edges = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
-    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    table = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    return table.astype(_index_dtype(len(cdf)), copy=False)
 
 
 def _draw_noise(cdf: np.ndarray, table: np.ndarray, u: np.ndarray
@@ -427,6 +429,9 @@ def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
         # output row rows[i, j] takes delta * v[i], row 2i + 1
         interleaved = np.concatenate((d_v, v), axis=1).reshape(2 * b, -1)
         terms = np.concatenate((ones[:b], delta), axis=1)
+        # the gathered rows are not needed again: the sums and the update
+        # reuse their memory
+        del x, v, u, d_v
         return _sum_rows(rows.ravel(), indptr[:2 * b + 1], terms.ravel(),
                          interleaved, tables)
     v = block[rows[:, 0]]
@@ -521,6 +526,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
                         block, len(vocab), rows[step], rates[step], tables,
                         layout)
                     block[touched] -= grad
+                    del touched, grad   # before the next step gathers
             del order               # before the next epoch allocates its own
     if not np.isfinite(block).all():
         raise ValueError("training diverged to non-finite vectors; "

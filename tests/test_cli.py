@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +730,42 @@ def test_sharded_sweep_gives_the_same_bytes_on_any_cpu_count(
     assert len(outputs) == 1
     assert len(outputs.pop().splitlines()) == 1 + 4
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sweep_shard_holds_one_cells_model_and_corpus(
+        tmp_path, fixture_graph, monkeypatch):
+    # 4 cells in one shard: when a cell starts training, the previous
+    # cell's model and this cell's Walk objects are gone
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    monkeypatch.setattr(walks, "_usable_cpus", lambda: 1)
+    models, cell_walks, seen = [], [], []
+    run_pipeline, generate_corpus, train = (
+        cli.run_pipeline, walks.generate_corpus, cli.sg.train)
+
+    def recording_pipeline(g, params, cfg):
+        model = run_pipeline(g, params, cfg)
+        models.append(weakref.ref(model))
+        return model
+
+    def recording_corpus(g, params):
+        corpus = generate_corpus(g, params)
+        cell_walks[:] = map(weakref.ref, corpus.walks[:3])
+        return corpus
+
+    def checking_train(rows, vocab, cfg):
+        # (previous model dead, this cell's walks dead) on entry
+        seen.append((not models or models[-1]() is None,
+                     bool(cell_walks) and all(r() is None for r in cell_walks)))
+        return train(rows, vocab, cfg)
+
+    monkeypatch.setattr(cli, "run_pipeline", recording_pipeline)
+    monkeypatch.setattr(walks, "generate_corpus", recording_corpus)
+    monkeypatch.setattr(cli.sg, "train", checking_train)
+    out = tmp_path / "sweep.tsv"
+    assert main(sweep_args(fixture_graph, gold_dir, out)) == 0
+    assert len(models) == 4
+    assert seen == [(True, True)] * 4
 
 
 # Runs ``sweep`` over 4 cells in 3 shards with the cell ``alpha, beta``
