@@ -81,10 +81,12 @@ def _manifest_text(entries: dict[str, str]) -> str:
     return "".join(f"{key}\t{value}\n" for key, value in entries.items())
 
 
-# glibc's malloc raises its mmap threshold to the largest mapped block
-# freed, so the buffer's size shapes where later arrays live.  At 1 MiB it
-# stays mapped, as the chunks it replaced were; a 64 or 256 KiB buffer left
-# ``train`` 0.1-0.2 MiB higher in peak RSS in the kgrc-train benchmark.
+# The buffer serves ``train`` and ``eval``, which hash their input (``walk``
+# hashes its corpus as it writes it).  glibc's malloc raises its mmap
+# threshold to the largest mapped block freed, so the buffer's size shapes
+# where later arrays live.  At 1 MiB it stays mapped, as the chunks it
+# replaced were; a 64 or 256 KiB buffer left ``train`` 0.1-0.2 MiB higher
+# in peak RSS in the kgrc-train benchmark.
 _HASH_BUFFER = 1 << 20
 
 
@@ -191,7 +193,7 @@ def cmd_walk(args) -> int:
     with _outputs(args.output, args.output + ".manifest") as (output,
                                                               manifest):
         g = load_graph(args.input, excluded)
-        wk.write_corpus(g, params, output)
+        digest = wk.write_corpus(g, params, output)
         _write_text(manifest, _manifest_text({
             "graph_fingerprint": g.fingerprint(),
             "strategy": params.strategy.value,
@@ -201,7 +203,7 @@ def cmd_walk(args) -> int:
             "beta": repr(params.beta),
             "walk_seed": str(params.seed),
             "excluded_predicates": " ".join(excluded),
-            "artifact_sha256": _file_sha256(output),
+            "artifact_sha256": digest,
         }))
     return 0
 

@@ -48,14 +48,15 @@ class Graph:
     """Interned terms and their per-id indexes.
 
     ``texts[i]`` is term ``i``'s canonical string; ``texts`` is strictly
-    increasing, so ``id_of`` finds a text by bisection.
-    ``triple_ids`` are the asserted triples as ids, in first-occurrence
-    order, ``qt_ids`` the sorted ids of all quoted triples and
-    ``qt_lookup`` maps a QT's ``(s, p, o)`` to its id.
+    increasing, so ``id_of`` finds a text by bisection.  ``qt_ids`` are
+    the sorted ids of all quoted triples and ``qt_lookup`` maps a QT's
+    ``(s, p, o)`` to its id.
 
     Per id: ``out_edges`` holds the sorted ``(p, o)`` pairs of the
     asserted triples with that subject, ``in_edges`` the sorted ``(s, p)``
-    pairs of those with that object, ``qts_by_subject``/``qts_by_object``
+    pairs of those with that object (each asserted triple is held by
+    these two indexes only, so ``out_edges`` in id order lists them all
+    sorted), ``qts_by_subject``/``qts_by_object``
     the sorted ids of the quoted triples with that subject/object,
     ``qt_parts`` the ``(s, p, o)`` of a quoted triple (``None`` for other
     terms).  ``roots`` are the sorted ids of the IRIs and quoted triples in
@@ -65,7 +66,6 @@ class Graph:
     built from the texts and ``qt_parts`` on first use only.
     """
 
-    triple_ids: tuple[tuple[int, int, int], ...]
     texts: tuple[str, ...] = field(repr=False)
     out_edges: tuple[Pairs, ...] = field(repr=False)
     in_edges: tuple[Pairs, ...] = field(repr=False)
@@ -101,11 +101,11 @@ class Graph:
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
-        """The asserted triples, duplicates dropped, in first-occurrence
-        order."""
+        """The asserted triples, duplicates dropped, in id order."""
         terms = self.terms
         return tuple(Triple(terms[s], terms[p], terms[o])
-                     for s, p, o in self.triple_ids)
+                     for s, edges in enumerate(self.out_edges)
+                     for p, o in edges)
 
     @cached_property
     def node_set(self) -> frozenset[Term]:
@@ -120,16 +120,18 @@ class Graph:
     def fingerprint(self) -> str:
         """sha256 over the sorted canonical triple serializations.
 
-        The lines are hashed one at a time in id order, which is their
-        text order: ids are numbered in text order, and the only term text
-        that is a prefix of another is a literal's before its ``@lang`` or
-        ``^^`` suffix, whose next character sorts above the space that
-        follows a term in a line."""
+        The lines are hashed one at a time in id order, as ``out_edges``
+        lists them, which is their text order: ids are numbered in text
+        order, and the only term text that is a prefix of another is a
+        literal's before its ``@lang`` or ``^^`` suffix, whose next
+        character sorts above the space that follows a term in a line."""
         texts = self.texts
         digest = hashlib.sha256()
-        for s, p, o in sorted(self.triple_ids):
-            digest.update(
-                (triple_text(texts[s], texts[p], texts[o]) + "\n").encode())
+        for s, edges in enumerate(self.out_edges):
+            for p, o in edges:
+                digest.update(
+                    (triple_text(texts[s], texts[p], texts[o]) + "\n"
+                     ).encode())
         return digest.hexdigest()
 
 
@@ -140,14 +142,15 @@ class Interner:
     keyed by its value, a literal by its fields and a quoted triple by the
     ids of its parts, so a part always has a lower id than its QT.  A
     quoted triple's canonical string is built from its parts' strings.
-    ``graph`` renumbers the ids in canonical-string order.
+    Asserted triples are kept in a set, so a duplicate is dropped as it
+    arrives.  ``graph`` renumbers the ids in canonical-string order.
     """
 
     def __init__(self):
         self._ids: dict = {}
         self._texts: list[str] = []
         self._parts: list[tuple[int, int, int] | None] = []
-        self._asserted: dict[tuple[int, int, int], None] = {}
+        self._asserted: set[tuple[int, int, int]] = set()
 
     def _add(self, key, text: str, parts) -> int:
         i = self._ids[key] = len(self._texts)
@@ -179,8 +182,8 @@ class Interner:
         return i
 
     def triple(self, s: int, p: int, o: int) -> None:
-        """Assert a triple; a duplicate keeps its first position."""
-        self._asserted[s, p, o] = None
+        """Assert a triple; a duplicate is dropped."""
+        self._asserted.add((s, p, o))
 
     def graph(self, exclude_predicates=()) -> Graph:
         """The indexed graph of the asserted triples, less those whose
@@ -189,8 +192,9 @@ class Interner:
 
         The interner is spent afterwards: each of its tables is let go as
         soon as its renumbered copy exists, so the graph is built without
-        holding both copies of every table."""
-        asserted = list(self._asserted)
+        holding both copies of every table.  Every id is one int object,
+        shared by every index that holds it."""
+        asserted = self._asserted
         del self._asserted
         excluded = {self._ids.get(value) for value in exclude_predicates}
         del self._ids
@@ -209,15 +213,17 @@ class Interner:
             kept = [i for i in range(n) if referenced[i]]
 
         order = sorted(kept, key=texts.__getitem__)
+        ids = list(range(len(order)))
         rank = [0] * n
-        for new, old in enumerate(order):
+        for new, old in zip(ids, order):
             rank[old] = new
 
         def renumbered(spo):
             return None if spo is None else (rank[spo[0]], rank[spo[1]],
                                              rank[spo[2]])
 
-        triple_ids = tuple(map(renumbered, asserted))
+        # sorted, so that every group below comes out sorted
+        rows = sorted(map(renumbered, asserted))
         del asserted
         qt_parts = tuple(renumbered(parts[old]) for old in order)
         del self._parts, parts
@@ -225,15 +231,14 @@ class Interner:
         del self._texts, texts, order, rank
         n = len(sorted_texts)
 
-        qt_ids = tuple(q for q in range(n) if qt_parts[q] is not None)
-        rows = sorted(triple_ids)  # so that every group comes out sorted
         out_edges = _grouped(n, rows, itemgetter(0), itemgetter(1, 2))
         in_edges = _grouped(n, rows, itemgetter(2), itemgetter(0, 1))
+        del rows
+        qt_ids = tuple(q for q in ids if qt_parts[q] is not None)
         qts_by_subject = _grouped(n, qt_ids, lambda q: qt_parts[q][0])
         qts_by_object = _grouped(n, qt_ids, lambda q: qt_parts[q][2])
 
         return Graph(
-            triple_ids=triple_ids,
             texts=sorted_texts,
             out_edges=out_edges,
             in_edges=in_edges,
@@ -243,7 +248,7 @@ class Interner:
             qt_lookup={qt_parts[q]: q for q in qt_ids},
             qt_ids=qt_ids,
             # a literal's text, and only a literal's, starts with '"'
-            roots=tuple(i for i in range(n) if sorted_texts[i][0] != '"' and (
+            roots=tuple(i for i in ids if sorted_texts[i][0] != '"' and (
                 out_edges[i] or in_edges[i] or qts_by_subject[i]
                 or qts_by_object[i])),
         )
@@ -313,13 +318,14 @@ def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
     properties: set[int] = set()
     standard = 0
 
-    for s, p, o in g.triple_ids:
-        properties.add(p)
-        if p == rdf_type:
-            classes.add(o)
-            instances.add(s)
-        if parts[s] is None and parts[o] is None:
-            standard += 1
+    for s, edges in enumerate(g.out_edges):
+        for p, o in edges:
+            properties.add(p)
+            if p == rdf_type:
+                classes.add(o)
+                instances.add(s)
+            if parts[s] is None and parts[o] is None:
+                standard += 1
 
     depth = [0] * len(parts)
     by_depth: dict[int, int] = {}

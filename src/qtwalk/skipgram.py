@@ -616,17 +616,22 @@ def _parse_header(path, header: str) -> tuple[int, int, Mode]:
 
 
 def load_embeddings(path) -> EmbeddingModel:
-    """The model an embedding file holds, without output planes."""
+    """The model an embedding file holds, without output planes.
+
+    Each row is parsed straight into a float64 array (numpy reads each
+    value as ``float`` does), and the rows are stacked once all are read,
+    so no Python float outlives its row and the header's ``count`` sizes
+    nothing before the rows are seen."""
     with open(path, "r", encoding="utf-8") as fh:
         count, dim, mode = _parse_header(path, fh.readline().rstrip("\n"))
         index: dict[str, int] = {}
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             token, _, values = line.rstrip("\n").partition("\t")
             try:
-                row = [float(x) for x in values.split(" ")]
+                row = np.array(values.split(" "), dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: token {token!r}: {exc}") from None
@@ -643,7 +648,7 @@ def load_embeddings(path) -> EmbeddingModel:
         raise DimensionMismatch(
             f"{path}: header declares {count} tokens, found {len(rows)}"
         )
-    vectors = np.array(rows) if rows else np.zeros((0, dim))
+    vectors = np.stack(rows) if rows else np.zeros((0, dim))
     return EmbeddingModel(
         mode=mode,
         tokens=tuple(index),

@@ -333,8 +333,8 @@ def _fork_shard(write: Callable[[BinaryIO, Sequence], None], shard: Sequence,
 
 def run_in_shards(jobs: Sequence, write: Callable[[BinaryIO, Sequence], None],
                   out: BinaryIO, part_dir=None) -> None:
-    """Write ``write(fh, shard)`` for each shard of ``jobs`` to the binary
-    file ``out``, in shard order.
+    """Write ``write(fh, shard)`` for each shard of ``jobs`` to ``out``, a
+    binary file or anything else with its ``write``, in shard order.
 
     The jobs are cut into contiguous shards, one per usable CPU and never
     more than there are jobs.  This process writes the first shard to
@@ -372,19 +372,36 @@ def run_in_shards(jobs: Sequence, write: Callable[[BinaryIO, Sequence], None],
             part.close()
 
 
-def write_corpus(g: Graph, params: WalkParams, path) -> None:
+class _HashedWriter:
+    """A binary file's ``write`` that also hashes every byte written."""
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self._fh.write(data)
+
+
+def write_corpus(g: Graph, params: WalkParams, path) -> str:
     """Write the corpus of ``params`` over ``g`` to ``path``: the header,
     then one line of tab-separated token texts per walk, root by root.
+    Return the sha256 hex digest of the bytes written.
 
     The roots are written in shards by :func:`run_in_shards`, with the
     parts beside ``path``.  Each root draws from its own substream, so the
-    bytes equal those of one serial pass.
+    bytes equal those of one serial pass.  The bytes are hashed as they
+    reach the file, the children's parts as they are copied in, so the
+    file is never read back.
     """
     with open(path, "wb") as fh:
-        fh.write(f"{corpus_header(params)}\n".encode("utf-8"))
+        hashed = _HashedWriter(fh)
+        hashed.write(f"{corpus_header(params)}\n".encode("utf-8"))
         run_in_shards(g.roots,
                       lambda out, roots: _write_walks(out, g, params, roots),
-                      fh, Path(path).parent)
+                      hashed, Path(path).parent)
+    return hashed.digest.hexdigest()
 
 
 def read_corpus_lines(path) -> tuple[str, list[list[str]]]:

@@ -121,16 +121,39 @@ def test_manifests_record_the_sha256_of_their_artifact(tmp_path,
         "vectors.tsv.out.npz", "vectors.tsv.manifest"])
 
 
-def test_manifest_hashes_an_artifact_larger_than_one_chunk(tmp_path):
+# with 3 shards, the two children's parts are hashed as they are copied in
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_manifest_hashes_an_artifact_larger_than_one_chunk(tmp_path,
+                                                           monkeypatch, cpus):
+    monkeypatch.setattr(walks, "_usable_cpus", lambda: cpus)
+    forked = count_forks(monkeypatch)
     graph, corpus = tmp_path / "graph.ttls", tmp_path / "walks.tsv"
     assert main(["gen-fixture", str(graph), "--seed", "3",
                  "--triples", "300"]) == 0
     assert main(["walk", str(graph), str(corpus), "--walks", "12",
                  "--depth", "8", "--seed", "1"]) == 0
+    assert len(forked) == cpus - 1
     data = corpus.read_bytes()
-    assert len(data) > 1 << 20  # many times the hash's read buffer
+    assert len(data) > 1 << 20  # many times a read buffer
     assert read_manifest(corpus)["artifact_sha256"] == (
         hashlib.sha256(data).hexdigest())
+
+
+def test_walk_hashes_its_corpus_without_reading_it_back(tmp_path,
+                                                        monkeypatch,
+                                                        fixture_graph):
+    corpus = tmp_path / "walks.tsv"
+    file_sha256 = cli._file_sha256
+
+    def no_corpus(path):
+        assert not Path(path).name.startswith(corpus.name), path
+        return file_sha256(path)
+
+    monkeypatch.setattr(cli, "_file_sha256", no_corpus)
+    assert main(["walk", str(fixture_graph), str(corpus),
+                 *small_walk_flags()]) == 0
+    assert read_manifest(corpus)["artifact_sha256"] == (
+        hashlib.sha256(corpus.read_bytes()).hexdigest())
 
 
 @pytest.mark.parametrize("size", [
@@ -337,6 +360,10 @@ def test_eval_names_the_task_and_missing_token(tmp_path, capsys, task, gold,
     ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
      "#qtwalk-emb v1 count=0 dim=-3 mode=classic\n",
      "{emb}:1: header needs count >= 0 and dim >= 1, got count=0 dim=-3"),
+    # nothing is sized from the header's count before the rows are read
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     TINY_EMBEDDING.replace("count=2", f"count={10 ** 12}"),
+     "{emb}: header declares 1000000000000 tokens, found 2"),
     ("relatedness", "\t<urn:b>\n<urn:a>\n" + TEN_CANDIDATES, TINY_EMBEDDING,
      "{gold}:1: candidate before any seed"),
     ("clustering", "<urn:a>\tA\n<urn:b> B\n", TINY_EMBEDDING,
