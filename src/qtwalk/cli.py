@@ -42,16 +42,21 @@ class InputError(Exception):
 # -- outputs and manifests ---------------------------------------------------
 
 @contextlib.contextmanager
-def _outputs(*paths: str | None):
+def _outputs(inputs, *paths: str | None):
     """Check each output path before any work, then yield a temp path
-    beside each (None, for stdout, stays None).  When the block returns,
-    each temp file written replaces its path and each path whose temp file
-    was not written is removed; when it raises, every old file stays."""
+    beside each (None, for stdout, stays None).  No output may name one of
+    the command's ``inputs``.  When the block returns, each temp file
+    written replaces its path and each path whose temp file was not
+    written is removed; when it raises, every old file stays."""
     named = [path for path in paths if path is not None]
     resolved = [Path(path).resolve() for path in named]
+    read = [Path(path).resolve() for path in inputs]
     for path, where in zip(named, resolved):
         if resolved.count(where) > 1:
             raise InputError(f"{path}: given for two outputs")
+        if any(where == source or where.exists() and source.exists()
+               and os.path.samefile(where, source) for source in read):
+            raise InputError(f"{path}: is also an input")
         if Path(path).is_dir():
             raise InputError(f"{path}: is a directory")
         if not Path(path).parent.is_dir():
@@ -158,7 +163,8 @@ def write_triples(triples, path) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_convert(args) -> int:
-    with _outputs(args.output, args.report or args.output + ".report.tsv"
+    with _outputs([args.input], args.output,
+                  args.report or args.output + ".report.tsv"
                   ) as (output, report_path):
         converted, report = conv.convert_document(
             parse_document(Path(args.input).read_text(encoding="utf-8")),
@@ -169,7 +175,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    with _outputs(args.output or None) as (output,):
+    with _outputs([args.input], args.output or None) as (output,):
         g = load_graph(args.input)
         stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
         _write_text(output, gr.stats_tsv(stats))
@@ -190,8 +196,8 @@ def _walk_params(args) -> wk.WalkParams:
 def cmd_walk(args) -> int:
     excluded = _excluded_predicates(args)
     params = _walk_params(args)
-    with _outputs(args.output, args.output + ".manifest") as (output,
-                                                              manifest):
+    with _outputs([args.input], args.output, args.output + ".manifest"
+                  ) as (output, manifest):
         g = load_graph(args.input, excluded)
         digest = wk.write_corpus(g, params, output)
         _write_text(manifest, _manifest_text({
@@ -228,8 +234,9 @@ def _train_config(args) -> sg.TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     # the sidecar is listed even without --save-outputs: an older one goes
-    with _outputs(args.output, args.output + ".manifest",
-                  args.output + ".out.npz") as (output, manifest_out, sidecar):
+    with _outputs([args.input, args.input + ".manifest"], args.output,
+                  args.output + ".manifest", args.output + ".out.npz"
+                  ) as (output, manifest_out, sidecar):
         # a corpus edited after walking trains, but vouches for nothing
         manifest = read_bound_manifest(args.input, strict=False)
         _, rows = wk.read_corpus_lines(args.input)
@@ -257,23 +264,29 @@ def cmd_train(args) -> int:
 _TASKS = ("classification", "clustering", "relatedness", "qt_similarity")
 
 
-def _gold_files(gold_dir: str, tasks) -> list[Path]:
-    """Each task's gold file, ``<gold_dir>/<task>.tsv``, once every task
-    name is known and every file is found."""
+def _gold_paths(gold_dir: str, tasks) -> list[Path]:
+    """Each task's gold file name, ``<gold_dir>/<task>.tsv``."""
+    return [Path(gold_dir) / f"{task}.tsv" for task in tasks]
+
+
+def _check_gold(tasks, paths) -> None:
+    """Every task name is known and every gold file is found."""
     for task in tasks:
         if task not in _TASKS:
             raise InputError(f"unknown task {task!r}")
-    paths = [Path(gold_dir) / f"{task}.tsv" for task in tasks]
     for path in paths:
         if not path.is_file():
             raise InputError(f"gold file not found: {path}")
-    return paths
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
-    with _outputs(args.output or None) as (output,):
-        gold_files = _gold_files(args.gold_dir, tasks)
+    gold_files = _gold_paths(args.gold_dir, tasks)
+    with _outputs([args.input, args.input + ".manifest", *gold_files],
+                  args.output or None) as (output,):
+        _check_gold(tasks, gold_files)
         emb = sg.load_embeddings(args.input)
         manifest = read_bound_manifest(args.input, strict=True)
         if "classification" in tasks and not args.allow_leak:
@@ -338,9 +351,10 @@ def cmd_sweep(args) -> int:
     cells = [dataclasses.replace(base, d=d, alpha=a, beta=b)
              for d, a, b in itertools.product(depths, alphas, betas)]
     cfg = _train_config(args)
-    with _outputs(args.output or None) as (output,):
-        [gold_file] = _gold_files(args.gold_dir, ["classification"])
-        gold = ev.load_labeled_tsv(gold_file)
+    gold_files = _gold_paths(args.gold_dir, ["classification"])
+    with _outputs([args.input, *gold_files], args.output or None) as (output,):
+        _check_gold(["classification"], gold_files)
+        gold = ev.load_labeled_tsv(gold_files[0])
         g = load_graph(args.input, excluded)
 
         def write_rows(fh, shard) -> None:
@@ -363,7 +377,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_fixture(args) -> int:
-    with _outputs(args.output) as (output,):
+    with _outputs([], args.output) as (output,):
         write_triples(random_graph(
             seed=args.seed,
             triples=args.triples,

@@ -12,6 +12,7 @@ are told apart by nesting each occurrence under a reserved id predicate:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -149,9 +150,7 @@ def assign_subjects(qts: list[QuotedTriple]) -> list[Term]:
     Combinations occurring more than once get a wrapper QT with a distinct
     integer id; unique combinations stay unwrapped.
     """
-    occurrence_counts: dict[QuotedTriple, int] = {}
-    for qt in qts:
-        occurrence_counts[qt] = occurrence_counts.get(qt, 0) + 1
+    occurrence_counts = Counter(qts)
     next_id: dict[QuotedTriple, int] = {}
     subjects: list[Term] = []
     for qt in qts:

@@ -15,6 +15,7 @@ every CLI command.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,31 +108,22 @@ def load_labeled_tsv(path) -> LabeledSet:
 def load_relatedness(path) -> RelatednessGold:
     """Blocks of a seed line followed by 10 indented candidates in rank
     order."""
-    records: list[tuple[str, tuple[str, ...]]] = []
-    seed: str | None = None
-    candidates: list[str] = []
-
-    def _flush():
-        if seed is None:
-            return
+    blocks: list[tuple[str, list[str]]] = []
+    for lineno, line in _lines(path):
+        if line[0] not in " \t":
+            blocks.append((line.strip(), []))
+        elif not blocks:
+            raise ValueError(f"{path}:{lineno}: candidate before any seed")
+        else:
+            blocks[-1][1].append(line.strip())
+    for seed, candidates in blocks:
         if len(candidates) != 10:
             raise ValueError(
                 f"{path}: seed {seed!r} has {len(candidates)} candidates, "
                 "expected 10"
             )
-        records.append((seed, tuple(candidates)))
-
-    for lineno, line in _lines(path):
-        if line[0] not in " \t":
-            _flush()
-            seed = line.strip()
-            candidates = []
-        elif seed is None:
-            raise ValueError(f"{path}:{lineno}: candidate before any seed")
-        else:
-            candidates.append(line.strip())
-    _flush()
-    return RelatednessGold(_nonempty(path, records))
+    return RelatednessGold(_nonempty(
+        path, [(seed, tuple(candidates)) for seed, candidates in blocks]))
 
 
 def load_similarity(path) -> SimilarityGold:
@@ -426,10 +418,7 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
                         seed: int = 0) -> EvalReport:
     present, labels, x, missing = _labeled_vectors(emb, gold,
                                                    "classification")
-    per_class: dict[str, int] = {}
-    for label in labels:
-        per_class[label] = per_class.get(label, 0) + 1
-    small = {l: c for l, c in per_class.items() if c < FOLDS}
+    small = {l: c for l, c in Counter(labels).items() if c < FOLDS}
     if small:
         raise TooFewPerClass(f"classes below {FOLDS} members: {small}")
 

@@ -48,9 +48,9 @@ class Graph:
     """Interned terms and their per-id indexes.
 
     ``texts[i]`` is term ``i``'s canonical string; ``texts`` is strictly
-    increasing, so ``id_of`` finds a text by bisection.  ``qt_ids`` are
-    the sorted ids of all quoted triples and ``qt_lookup`` maps a QT's
-    ``(s, p, o)`` to its id.
+    increasing, so ``id_of`` finds a text by bisection.  ``qt_lookup``
+    maps a QT's ``(s, p, o)`` to its id, in ascending id order, so its
+    values are the sorted ids of all quoted triples.
 
     Per id: ``out_edges`` holds the sorted ``(p, o)`` pairs of the
     asserted triples with that subject, ``in_edges`` the sorted ``(s, p)``
@@ -73,7 +73,6 @@ class Graph:
     qts_by_object: tuple[tuple[int, ...], ...] = field(repr=False)
     qt_parts: tuple[tuple[int, int, int] | None, ...] = field(repr=False)
     qt_lookup: dict[tuple[int, int, int], int] = field(repr=False)
-    qt_ids: tuple[int, ...] = field(repr=False)
     roots: tuple[int, ...] = field(repr=False)
 
     def id_of(self, t: Term) -> int | None:
@@ -86,7 +85,7 @@ class Graph:
         """The QT ids, each after the QTs among its parts: a QT's text is
         longer than either part's."""
         texts = self.texts
-        return sorted(self.qt_ids, key=lambda q: len(texts[q]))
+        return sorted(self.qt_lookup.values(), key=lambda q: len(texts[q]))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -115,7 +114,7 @@ class Graph:
     @cached_property
     def qt_set(self) -> frozenset[QuotedTriple]:
         """Every quoted triple, at any nesting level."""
-        return frozenset(self.terms[q] for q in self.qt_ids)
+        return frozenset(self.terms[q] for q in self.qt_lookup.values())
 
     def fingerprint(self) -> str:
         """sha256 over the sorted canonical triple serializations.
@@ -185,7 +184,7 @@ class Interner:
         """Assert a triple; a duplicate is dropped."""
         self._asserted.add((s, p, o))
 
-    def graph(self, exclude_predicates=()) -> Graph:
+    def graph(self, exclude_predicates) -> Graph:
         """The indexed graph of the asserted triples, less those whose
         predicate IRI is in ``exclude_predicates``.  A term that occurs
         only in excluded triples is not in the graph.
@@ -246,7 +245,6 @@ class Interner:
             qts_by_object=qts_by_object,
             qt_parts=qt_parts,
             qt_lookup={qt_parts[q]: q for q in qt_ids},
-            qt_ids=qt_ids,
             # a literal's text, and only a literal's, starts with '"'
             roots=tuple(i for i in ids if sorted_texts[i][0] != '"' and (
                 out_edges[i] or in_edges[i] or qts_by_subject[i]

@@ -96,6 +96,10 @@ _TOKEN_RE = re.compile(r"""
 # end of input or bad escape that stopped it.
 _STRING_BODY_RE = re.compile(r'[^"\\\n]*(?:\\.[^"\\\n]*)*')
 _IRI_BODY_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
+# One escape in a string body: \u and 4 hex digits, \U and 8, or a
+# backslash and any one character (a 'u' or 'U' here lacks its digits).
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))",
+                        re.DOTALL)
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -317,41 +321,24 @@ class _Parser:
         return self.sink.literal(lexical, self._iri_value(m, kind), None)
 
     def _unescape(self, body: str, start: int) -> str:
-        """``body`` with its escapes replaced; errors are positioned at the
-        literal's opening quote, ``start``."""
-        chars: list[str] = []
-        pos = 0
-        while True:
-            escape = body.find("\\", pos)
-            if escape < 0:
-                chars.append(body[pos:])
-                return "".join(chars)
-            chars.append(body[pos:escape])
-            ch = body[escape + 1:escape + 2]
-            pos = escape + 2
-            if ch in _STRING_ESCAPES:
-                chars.append(_STRING_ESCAPES[ch])
-                continue
-            if not ch:
+        """``body`` with its escapes replaced; the first bad one raises,
+        positioned at the literal's opening quote, ``start``."""
+        def decode(m) -> str:
+            digits = m[1] or m[2]
+            if digits:
+                code = int(digits, 16)
+                # beyond Unicode, or a surrogate, which UTF-8 cannot encode
+                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                    return chr(code)
+            elif m[3] in _STRING_ESCAPES:
+                return _STRING_ESCAPES[m[3]]
+            elif m[3] not in "uU":
                 raise self._error(ErrorKind.BAD_LITERAL,
-                                  "unterminated escape", start)
-            if ch not in "uU":
-                raise self._error(ErrorKind.BAD_LITERAL,
-                                  f"unknown escape '\\{ch}'", start)
-            width = 4 if ch == "u" else 8
-            digits = body[pos:pos + width]
-            pos += width
-            if len(digits) != width or any(
-                c not in "0123456789abcdefABCDEF" for c in digits
-            ):
-                raise self._error(ErrorKind.BAD_LITERAL,
-                                  "malformed unicode escape", start)
-            code = int(digits, 16)
-            # beyond Unicode, or a surrogate, which UTF-8 cannot encode
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise self._error(ErrorKind.BAD_LITERAL,
-                                  "malformed unicode escape", start)
-            chars.append(chr(code))
+                                  f"unknown escape '\\{m[3]}'", start)
+            raise self._error(ErrorKind.BAD_LITERAL,
+                              "malformed unicode escape", start)
+
+        return _ESCAPE_RE.sub(decode, body)
 
     def _numeric_literal(self, m):
         lexical = m["NUMBER"]

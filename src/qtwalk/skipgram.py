@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,10 +72,7 @@ def build_vocabulary(corpus_rows, min_count: int = 1) -> Vocabulary:
     Ties are broken by ascending token text so the assignment is a pure
     function of the corpus.
     """
-    counts: dict[str, int] = {}
-    for row in corpus_rows:
-        for token in row:
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(corpus_rows))
     kept = sorted(
         ((t, c) for t, c in counts.items() if c >= min_count),
         key=lambda tc: (-tc[1], tc[0]),
@@ -110,8 +108,9 @@ class TrainConfig:
                             ("min_count", self.min_count)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")

@@ -80,7 +80,6 @@ class Walk:
 @dataclass(frozen=True)
 class WalkCorpus:
     walks: tuple[Walk, ...]
-    params: WalkParams
 
 
 def _derive_seed(master: int, key: str) -> int:
@@ -266,7 +265,7 @@ def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
     walks: list[Walk] = []
     for root in g.roots:
         walks.extend(Walk(tuple(ids), g) for ids in walker(g, root, params))
-    return WalkCorpus(walks=tuple(walks), params=params)
+    return WalkCorpus(walks=tuple(walks))
 
 
 CORPUS_MAGIC = "#qtwalk-corpus v1"

@@ -337,6 +337,10 @@ def eval_error(tmp_path, capsys, task, gold, embedding=TINY_EMBEDDING):
 @pytest.mark.parametrize("task,gold,message", [
     ("relatedness", "<urn:nope>\n" + TEN_CANDIDATES,
      "relatedness: seed <urn:nope> is not in the embedding"),
+    ("relatedness", "<urn:a>\n\t<urn:b>\n"
+     + "".join(f"\t<urn:c{i}>\n" for i in range(9)),
+     "relatedness: seed <urn:a> has fewer than 2 candidates in the "
+     "embedding"),
     ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n<urn:a>\t<urn:c>\t0.1\n",
      "qt_similarity: <urn:c> is not in the embedding"),
     ("clustering", "<urn:x>\tA\n<urn:y>\tB\n",
@@ -458,6 +462,7 @@ def test_sweep_checks_every_grid_item_before_reading_input(
     ("--dim", "0", "dim must be >= 1, got 0"),
     ("--window", "-2", "window must be >= 1, got -2"),
     ("--negatives", "0", "negatives must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_training_configuration_errors_name_field_and_value(
         tmp_path, capsys, flag, value, message):
@@ -468,6 +473,18 @@ def test_training_configuration_errors_name_field_and_value(
         assert main([*command, flag, value]) == 1
         assert capsys.readouterr().err == f"qtwalk: error: {message}\n"
     assert not emb.exists()
+
+
+def test_eval_rejects_a_negative_seed_before_reading(tmp_path, capsys,
+                                                    monkeypatch):
+    # no gold file exists either: looking for one would fail differently
+    monkeypatch.setattr(cli.sg, "load_embeddings", unreachable)
+    out = tmp_path / "report.tsv"
+    assert main(["eval", str(tmp_path / "vectors.tsv"), "--gold-dir",
+                 str(tmp_path), "--output", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "qtwalk: error: --seed must be >= 0, got -1\n")
+    assert not out.exists()
 
 
 def test_one_pair_similarity_gold_is_exit_code_one(tmp_path, fixture_graph,
@@ -538,6 +555,21 @@ def test_bad_embedding_file_is_exit_code_one(tmp_path, capsys, header, body):
     assert main(["eval", str(emb), "--gold-dir", str(tmp_path),
                  "--tasks", "classification"]) == 1
     assert capsys.readouterr().err.startswith(f"qtwalk: error: {emb}: ")
+
+
+def test_internal_invariant_violation_is_exit_code_two(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       fixture_graph):
+    def broken(g, include_id_nesting=False):
+        raise AssertionError("ids out of order")
+
+    monkeypatch.setattr(cli.gr, "compute_stats", broken)
+    out = tmp_path / "stats.tsv"
+    assert main(["stats", str(fixture_graph), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "qtwalk: internal invariant violated: ids out of order\n")
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_parse_error_is_exit_code_one(tmp_path, capsys):
@@ -942,6 +974,66 @@ def test_an_output_path_given_twice_is_refused(tmp_path, capsys, monkeypatch,
         "qtwalk: error: out.ttls: given for two outputs\n")
     assert list(tmp_path.rglob("*")) == before
     assert Path("out.ttls").read_text(encoding="utf-8") == "old\n"
+
+
+# (id, command, the output that names an input); every file named in the
+# command exists, and none may be read
+OUTPUT_IS_INPUT = [
+    ("convert", ["convert", "g.ttls", "g.ttls"], "g.ttls"),
+    ("convert-report", ["convert", "g.ttls", "out.ttls", "--report",
+                        "g.ttls"], "g.ttls"),
+    ("stats", ["stats", "g.ttls", "--output", "g.ttls"], "g.ttls"),
+    ("walk", ["walk", "g.ttls", "./g.ttls"], "./g.ttls"),
+    ("walk-manifest", ["walk", "w.manifest", "w"], "w.manifest"),
+    ("train", ["train", "w.tsv", "w.tsv"], "w.tsv"),
+    ("train-manifest", ["train", "v.tsv.manifest", "v.tsv"],
+     "v.tsv.manifest"),
+    ("train-sidecar", ["train", "v.tsv.out.npz", "v.tsv"], "v.tsv.out.npz"),
+    ("eval", ["eval", "v.tsv", "--gold-dir", ".", "--output", "v.tsv"],
+     "v.tsv"),
+    ("eval-input-manifest", ["eval", "v.tsv", "--gold-dir", ".",
+                             "--output", "v.tsv.manifest"], "v.tsv.manifest"),
+    ("eval-gold", ["eval", "v.tsv", "--gold-dir", "gold", "--output",
+                   "gold/../gold/clustering.tsv"],
+     "gold/../gold/clustering.tsv"),
+    ("sweep", ["sweep", "g.ttls", "--gold-dir", ".", "--output", "g.ttls"],
+     "g.ttls"),
+    ("sweep-gold", ["sweep", "g.ttls", "--gold-dir", "gold", "--output",
+                    "gold/classification.tsv"], "gold/classification.tsv"),
+]
+
+
+@pytest.mark.parametrize("command, bad", [
+    pytest.param(command, bad, id=name)
+    for name, command, bad in OUTPUT_IS_INPUT])
+def test_an_output_that_is_also_an_input_is_refused(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    bad):
+    monkeypatch.chdir(tmp_path)
+    Path("gold").mkdir()
+    for name in ("g.ttls", "w.manifest", "w.tsv", "w.tsv.manifest",
+                 "v.tsv", "v.tsv.manifest", "v.tsv.out.npz",
+                 "gold/classification.tsv", "gold/clustering.tsv"):
+        Path(name).write_text(f"{name}: not for writing\n", encoding="utf-8")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(command) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {bad}: is also an input\n")
+    assert {p: p.read_bytes()
+            for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("link", [os.link, os.symlink])
+def test_an_output_linked_to_an_input_is_refused(tmp_path, capsys,
+                                                 fixture_graph, link):
+    text = fixture_graph.read_bytes()
+    other = tmp_path / "other.ttls"
+    link(fixture_graph, other)
+    assert main(["stats", str(fixture_graph), "--output", str(other)]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {other}: is also an input\n")
+    assert fixture_graph.read_bytes() == text
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_train_checks_its_outputs_sidecar_before_reading(tmp_path, capsys,

@@ -127,6 +127,33 @@ def test_missing_subject_and_object_become_nothing():
     assert report.nothing_substitutions == 2
 
 
+def test_literal_subject_becomes_nothing():
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    kdsb:9 kgc:hasPredicate kdp:sleep ; kgc:subject "Helen" ;
+        kgc:where kdsb:room ; kgc:when kdsb:night .
+    """
+    out, report = convert_document(parse_document(doc))
+    qt = QuotedTriple(Iri(OWL_NOTHING), kp("sleep"), kd("room"))
+    assert out == [Triple(qt, kgc("when"), kd("night"))]
+    assert report.nothing_substitutions == 1
+
+
+def test_scene_property_outside_kgc_is_reattached_as_metadata():
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    kdsb:9 kgc:hasPredicate kdp:sleep ; kgc:subject kdsb:Helen ;
+        <urn:ex:mood> kdsb:calm .
+    """
+    out, _ = convert_document(parse_document(doc))
+    qt = QuotedTriple(kd("Helen"), kp("sleep"), Iri(OWL_NOTHING))
+    assert out == [Triple(qt, Iri("urn:ex:mood"), kd("calm"))]
+
+
 def test_scene_without_predicate_is_dropped_and_reported():
     doc = f"""
     @prefix kgc: <{KGC_NS}> .

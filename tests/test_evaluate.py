@@ -234,6 +234,11 @@ def test_correlations_need_two_values(metric):
         metric([1.0], [2.0])
 
 
+def test_spearman_of_a_nan_input_is_nan():
+    assert math.isnan(spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman([1.0, 2.0, 3.0], [3.0, 2.0, float("nan")]))
+
+
 # -- single-metric behaviour ---------------------------------------------------------
 
 def test_cosine_hand_case_and_zero_vector():
@@ -262,6 +267,9 @@ def test_ari_known_partitions():
     )
     # single cluster against a 2-class labelling
     assert adjusted_rand_index([0, 0, 0, 0], ["a", "a", "b", "b"]) == 0.0
+    # two partitions that agree and leave nothing to chance
+    assert adjusted_rand_index([0, 0, 0], ["a", "a", "a"]) == 1.0
+    assert adjusted_rand_index([0, 1, 2], ["a", "b", "c"]) == 1.0
 
 
 def test_metrics_invariant_under_positive_scaling():
@@ -505,6 +513,13 @@ def test_load_relatedness_enforces_ten_candidates(tmp_path):
     path.write_text("<urn:seed>\n\t<urn:c0>\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_relatedness(path)
+    # the first short block is named, though a good block follows it
+    short = "<urn:short>\n" + "".join(f"\t<urn:c{i}>\n" for i in range(9))
+    path.write_text(short + block, encoding="utf-8")
+    with pytest.raises(ValueError) as exc_info:
+        load_relatedness(path)
+    assert str(exc_info.value) == (
+        f"{path}: seed '<urn:short>' has 9 candidates, expected 10")
 
 
 def test_load_similarity(tmp_path):

@@ -179,6 +179,9 @@ def test_indexes_agree_with_linear_scan():
                                              q.object)): q
             for q in all_qts
         }
+        # the QT ids, in ascending order
+        assert list(g.qt_lookup.values()) == [
+            i for i, parts in enumerate(g.qt_parts) if parts is not None]
 
         # id_of bisects texts, so they must be strictly increasing
         assert all(a < b for a, b in zip(g.texts, g.texts[1:]))
@@ -212,9 +215,9 @@ def test_indexes_agree_with_linear_scan():
             assert list(g.in_edges[i]) == sorted(
                 (s, p) for s, p, o in asserted if o == i)
             assert list(g.qts_by_subject[i]) == [
-                q for q in g.qt_ids if g.qt_parts[q][0] == i]
+                q for q in g.qt_lookup.values() if g.qt_parts[q][0] == i]
             assert list(g.qts_by_object[i]) == [
-                q for q in g.qt_ids if g.qt_parts[q][2] == i]
+                q for q in g.qt_lookup.values() if g.qt_parts[q][2] == i]
 
 
 def test_index_tuples_are_deterministically_ordered():
@@ -356,8 +359,8 @@ def graph_fields(g, triples) -> tuple:
     assert [(s, p, o) for s, edges in enumerate(g.out_edges)
             for p, o in edges] == asserted
     return (g.texts, asserted, g.qt_parts, g.qt_lookup,
-            g.qt_ids, g.out_edges, g.in_edges, g.qts_by_subject,
-            g.qts_by_object, g.roots, g.fingerprint(),
+            tuple(g.qt_lookup.values()), g.out_edges, g.in_edges,
+            g.qts_by_subject, g.qts_by_object, g.roots, g.fingerprint(),
             stats_tsv(compute_stats(g)),
             stats_tsv(compute_stats(g, include_id_nesting=True)))
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtwalk.fixtures import random_graph
 from qtwalk.parser import ErrorKind, ParseError, parse_document, parse_term
@@ -115,6 +115,73 @@ def test_literal_text_escapes_as_the_character_loop():
     everything = "".join(chars)
     assert literal_text(everything, None, "en") == (
         f'"{escape_lexical(everything)}"@en')
+
+
+_STRING_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+                   '"': '"', "'": "'", "\\": "\\"}
+
+
+def unescape_lexical(body: str) -> str:
+    """A string body with its escapes replaced, one escape at a time; the
+    first bad escape raises ``ValueError`` with the parser's message."""
+    chars = []
+    pos = 0
+    while True:
+        escape = body.find("\\", pos)
+        if escape < 0:
+            chars.append(body[pos:])
+            return "".join(chars)
+        chars.append(body[pos:escape])
+        ch = body[escape + 1:escape + 2]
+        pos = escape + 2
+        if ch in _STRING_ESCAPES:
+            chars.append(_STRING_ESCAPES[ch])
+            continue
+        if not ch:
+            raise ValueError("unterminated escape")
+        if ch not in "uU":
+            raise ValueError(f"unknown escape '\\{ch}'")
+        width = 4 if ch == "u" else 8
+        digits = body[pos:pos + width]
+        pos += width
+        if len(digits) != width or any(
+            c not in "0123456789abcdefABCDEF" for c in digits
+        ):
+            raise ValueError("malformed unicode escape")
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValueError("malformed unicode escape")
+        chars.append(chr(code))
+
+
+# A body is pieces: a character, a backslash and the character it escapes
+# (so no body ends in a lone backslash), or a whole unicode escape, which
+# may be a surrogate or lie beyond U+10FFFF.
+_BODY_CHARS = "uU0123456789abcdefABCDEFtnrx'q\u00e9\u2028\U0001F600"
+_body_pieces = st.lists(st.one_of(
+    st.sampled_from(_BODY_CHARS),
+    st.sampled_from(_BODY_CHARS + '"\\').map(lambda ch: "\\" + ch),
+    st.integers(0, 0xFFFF).map(lambda code: f"\\u{code:04x}"),
+    st.integers(0, 0x11FFFF).map(lambda code: f"\\U{code:08X}"),
+), max_size=12)
+
+
+@given(_body_pieces)
+@example(["\\u", "1", "2"])
+@example(["\\U", "0", "0", "0", "0", "0", "0", "4", "1", "\\q"])
+@settings(max_examples=500, deadline=None)
+def test_string_escapes_decode_as_the_reference_loop(pieces):
+    body = "".join(pieces)
+    try:
+        expected = Literal(unescape_lexical(body))
+    except ValueError as exc:
+        expected = (ErrorKind.BAD_LITERAL, 1, 1, str(exc))
+    try:
+        got = parse_term(f'"{body}"')
+    except ParseError as exc:
+        d = exc.diagnostics
+        got = (d.kind, d.line, d.column, d.message)
+    assert got == expected
 
 
 def test_unicode_escapes():

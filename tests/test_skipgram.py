@@ -683,6 +683,15 @@ def test_save_outputs_sidecar(tmp_path):
                               model.output_matrices)
 
 
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "vectors.tsv"
+    path.write_text("#qtwalk-emb v1 count=2 dim=2 mode=classic\n\n"
+                    "a\t0.5 0.25\n \t\nb\t1.0 2.0\n\n", encoding="utf-8")
+    loaded = load_embeddings(path)
+    assert loaded.tokens == ("a", "b")
+    assert np.array_equal(loaded.input_vectors, [[0.5, 0.25], [1.0, 2.0]])
+
+
 def test_load_rejects_inconsistent_dimensions(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text(
