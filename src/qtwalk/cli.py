@@ -239,9 +239,13 @@ def cmd_train(args) -> int:
                   ) as (output, manifest_out, sidecar):
         # a corpus edited after walking trains, but vouches for nothing
         manifest = read_bound_manifest(args.input, strict=False)
-        _, rows = wk.read_corpus_lines(args.input)
-        vocab = sg.build_vocabulary(rows, cfg.min_count)
-        model = sg.train(rows, vocab, cfg)
+        # The rows are handed over: popped from the one list that holds
+        # them, they reach train as its argument alone (from CPython 3.11
+        # the callee's frame takes over a call's arguments), so they are
+        # freed once train has built its pair table.
+        held = [wk.read_corpus_lines(args.input)[1]]
+        vocab = sg.build_vocabulary(held[0], cfg.min_count)
+        model = sg.train(held.pop(), vocab, cfg)
         sg.save_embeddings(model, output)
         if args.save_outputs:
             sg.save_output_matrices(model, sidecar)
@@ -317,10 +321,11 @@ def cmd_eval(args) -> int:
 def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
                  ) -> sg.EmbeddingModel:
     """walk -> train, in memory; used by the sweep command and tests."""
-    # the corpus is not bound, so no Walk outlives the rows while training
-    rows = [walk.texts() for walk in wk.generate_corpus(g, params).walks]
-    vocab = sg.build_vocabulary(rows, cfg.min_count)
-    return sg.train(rows, vocab, cfg)
+    # the walk corpus is not bound, so no Walk outlives the rows while
+    # training, and the rows are handed over (see cmd_train)
+    held = [[walk.texts() for walk in wk.generate_corpus(g, params).walks]]
+    vocab = sg.build_vocabulary(held[0], cfg.min_count)
+    return sg.train(held.pop(), vocab, cfg)
 
 
 def _grid(flag: str, text: str | None, field: str, parse,

@@ -8,17 +8,21 @@ only; kept as a verification path and for gradient checks).
 Training is minibatch SGD over all (center, context, position) pairs of
 the corpus.  They are numbered, not stored: a table of the kept tokens
 (``_pair_table``) holds each token's vocabulary id, the number of its first
-pair and how many of its pairs lie to its left, int32 where they fit.  Per
-pair SGD holds 4 bytes, the pair's place in the epoch's shuffled order.
+pair and how many of its pairs lie to its left, int32 where they fit, and
+a coarse index (``_coarse_index``) leads to a pair's token in a few steps
+of a bisection.
+Per pair SGD holds 4 bytes, the pair's place in the epoch's shuffled order.
 Centers, contexts, output planes, noise draws, block rows and learning
 rates are computed for a chunk of whole steps at a time (``CHUNK_PAIRS``),
 from the one random stream in the same order, so the chunk length does not
 change the bytes.  The input vectors and the output planes are views of
 one parameter block, so each step gathers the rows it reads once and
-applies one summed update.  Both objectives go through one
-batched gradient, ``_batch_gradient``, which ``mean_objective`` also
-returns next to a loss it computes apart from it, so the finite-difference
-checks cover the update that training applies.
+applies one summed update, a sparse product (``_sum_rows``) whose selector
+is built once per shape within a ``train`` call and holds no step's arrays
+between steps.  Both objectives go through one batched gradient,
+``_batch_gradient``, which ``mean_objective`` also returns next to a loss
+it computes apart from it, so the finite-difference checks cover the
+update that training applies.
 The batch size is derived from the corpus so that no parameter row collects
 too many summed gradient terms in one step (see ``_batch_size``).
 """
@@ -208,15 +212,39 @@ def _pair_table(corpus_rows, vocab: Vocabulary, window: int
     return ids, first, before.astype(_index_dtype(span + 1), copy=False)
 
 
+def _coarse_index(first: np.ndarray) -> tuple[int, np.ndarray]:
+    """(shift, marks): ``marks[k]`` is the token of pair ``k << shift`` as
+    ``_pairs_at`` defines it, for k up to the first mark past the last pair
+    (``len(first) - 1`` there).  ``1 << shift`` is the largest power of two
+    at most 16 times the pairs per token, so there is at most one mark for
+    every eight tokens, and a pair's token lies between the marks around
+    it, on average at most 16 tokens apart."""
+    pairs, tokens = int(first[-1]), len(first) - 1
+    shift = max(1, 16 * pairs // max(1, tokens)).bit_length() - 1
+    marks = first.searchsorted(np.arange(0, pairs + (1 << shift), 1 << shift),
+                               side="right")
+    marks -= 1
+    return shift, marks.astype(_index_dtype(tokens + 1))
+
+
 def _pairs_at(table: tuple[np.ndarray, np.ndarray, np.ndarray],
-              at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              coarse: tuple[int, np.ndarray], at: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(centers, contexts, relative positions) of the pairs numbered ``at``
-    in a ``_pair_table``: the pairs that ``extract_pairs`` gives, in the
-    order of ``at``."""
+    in a ``_pair_table`` whose ``_coarse_index`` is ``coarse``: the pairs
+    that ``extract_pairs`` gives, in the order of ``at``."""
     ids, first, before = table
-    # the last token whose first pair is at or before the pair: tokens
-    # without pairs share their successor's first entry
-    token = np.searchsorted(first, at, side="right") - 1
+    shift, marks = coarse
+    # the last token whose first pair is at or before the pair (tokens
+    # without pairs share their successor's first entry), bisected between
+    # the marks around the pair
+    k = at >> shift
+    token, last = marks[k], marks[k + 1]
+    for _ in range(int((last - token).max(initial=0)).bit_length()):
+        middle = (token + last + 1) >> 1
+        up = first[middle] <= at
+        token = np.where(up, middle, token)
+        last = np.where(up, last, middle - 1)
     # the j-th pair of a token has relative position j - before, plus one
     # from 0 on, as no token pairs with itself
     rel = at - first[token]
@@ -339,18 +367,20 @@ def _index_dtype(size: int) -> type:
     return np.int32 if size < 2 ** 31 else np.int64
 
 
-def _row_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_tables(size: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Scratch tables of ``_sum_rows`` for a block of ``size`` rows: an
-    all-False mark table and a slot table, int32 where it fits, as scipy
-    would pick, so that it neither scans nor copies the index arrays.
-    ``_sum_rows`` leaves the mark table all False again, so one pair serves
-    every step of a ``train`` call."""
+    all-False mark table, a slot table, int32 where it fits, as scipy
+    would pick, so that it neither scans nor copies the index arrays, and
+    an empty cache of selectors, one ``csc_array`` per shape.
+    ``_sum_rows`` leaves the mark table all False again and each cached
+    selector without arrays, so one set serves every step of a ``train``
+    call, and scipy's constructor runs once per shape, not once per step."""
     return (np.zeros(size, dtype=bool),
-            np.empty(size, dtype=_index_dtype(size)))
+            np.empty(size, dtype=_index_dtype(size)), {})
 
 
 def _sum_rows(rows: np.ndarray, indptr: np.ndarray, weights: np.ndarray,
-              x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]
+              x: np.ndarray, tables: tuple[np.ndarray, np.ndarray, dict]
               ) -> tuple[np.ndarray, np.ndarray]:
     """(unique rows, sums): the sum for row r is the sum of
     ``weights[j] * x[c]`` over all j with ``rows[j] == r``, added in the
@@ -360,16 +390,29 @@ def _sum_rows(rows: np.ndarray, indptr: np.ndarray, weights: np.ndarray,
 
     One sparse (unique rows x len(x)) product in column order, which adds
     each row's terms in stored order, so it sorts nothing; deterministic,
-    and cheaper than ``np.add.at`` on the repeated rows.
+    and cheaper than ``np.add.at`` on the repeated rows.  The selector of
+    that shape is taken from the tables' cache; the step's arrays are
+    assigned to its public attributes for the product and dropped after
+    it, so the cache holds no step's arrays once this returns.
     """
-    mark, slot = tables
+    mark, slot, selectors = tables
     mark[rows] = True
     unique = np.flatnonzero(mark)                   # ascending
     mark[unique] = False
     slot[unique] = np.arange(len(unique), dtype=slot.dtype)
-    selector = sparse.csc_array(
-        (weights, slot[rows], indptr), shape=(len(unique), len(x)))
-    return unique, selector @ x
+    shape = (len(unique), len(x))
+    selector = selectors.get(shape)
+    if selector is None:
+        selector = selectors[shape] = sparse.csc_array(shape)
+    # scipy's constructor would upcast both index arrays to one dtype, and
+    # sparsetools reads them as one
+    dtype = np.promote_types(slot.dtype, indptr.dtype)
+    selector.data = weights
+    selector.indices = slot[rows].astype(dtype, copy=False)
+    selector.indptr = indptr.astype(dtype, copy=False)
+    sums = selector @ x
+    del selector.data, selector.indices, selector.indptr
+    return unique, sums
 
 
 def _pair_rows(tokens: int, centers: np.ndarray, contexts: np.ndarray,
@@ -400,7 +443,8 @@ def _scatter_layout(pairs: int, width: int
 
 
 def _batch_gradient(block: np.ndarray, tokens: int, rows: np.ndarray,
-                    weights: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+                    weights: np.ndarray,
+                    tables: tuple[np.ndarray, np.ndarray, dict],
                     layout: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of sum_i weights[i] * loss_i over a batch of pairs,
@@ -466,6 +510,10 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     learning rate decays linearly per pair over all epochs.  Single-threaded
     and bit-reproducible for a fixed seed.
 
+    ``corpus_rows`` is read once, to build the pair table, and is neither
+    changed nor held after that: rows that the caller handed over (kept no
+    reference to) are freed before the first step.
+
     Raises ``ValueError`` if any trained vector is not finite.
     """
     if len(vocab) == 0:
@@ -476,11 +524,13 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
             f"vocabulary has {len(vocab)}"
         )
     table = _pair_table(corpus_rows, vocab, cfg.window)
+    del corpus_rows             # SGD reads the table alone
     ids, first, _ = table
     n_pairs = int(first[-1])
     model = _init_model(vocab, cfg)
     if n_pairs == 0 or cfg.epochs == 0:
         return model
+    coarse = _coarse_index(first)
 
     rng = np.random.default_rng(cfg.seed + 1)
     noise = None
@@ -506,7 +556,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
                 # A chunk of whole steps, prepared at once: its noise draws
                 # are the steps' draws in turn, as the stream fills in order.
                 at = order[offset:offset + chunk]
-                centers, contexts, rel = _pairs_at(table, at)
+                centers, contexts, rel = _pairs_at(table, coarse, at)
                 slots = (np.zeros_like(rel) if cfg.mode is Mode.CLASSIC
                          else position_slot(rel, cfg.window))
                 rows = _pair_rows(

@@ -1,9 +1,12 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
+from qtwalk import skipgram
 from qtwalk.skipgram import (
     CHUNK_PAIRS,
     FULL_SOFTMAX_CAP,
@@ -16,6 +19,7 @@ from qtwalk.skipgram import (
     Vocabulary,
     _batch_gradient,
     _batch_size,
+    _coarse_index,
     _draw_noise,
     _init_model,
     _noise_cdf,
@@ -24,6 +28,7 @@ from qtwalk.skipgram import (
     _pair_table,
     _pairs_at,
     _row_tables,
+    _scatter_layout,
     _sum_rows,
     build_vocabulary,
     extract_pairs,
@@ -126,6 +131,11 @@ def test_unknown_tokens_are_dropped_before_pairing():
 )
 @example(rows=[[], ["a"], ["a", "b", "a"], ["c"]], min_count=2, window=1)
 @example(rows=[], min_count=1, window=3)
+# a run of rows of one token, which have no pairs, between two rows whose
+# pairs share a coarse mark: the first pairs of the third row lie 48
+# tokens past the mark, the first token of the first row
+@example(rows=[list("abcdefga"), *[["c"]] * 40, list("abcdefg" * 10)],
+         min_count=1, window=5)
 @settings(max_examples=300, deadline=None)
 def test_corpus_pairs_equal_concatenated_extract_pairs(rows, min_count,
                                                        window):
@@ -138,7 +148,8 @@ def test_corpus_pairs_equal_concatenated_extract_pairs(rows, min_count,
     assert table[1][-1] == n
 
     def pairs(at):
-        return list(zip(*(a.tolist() for a in _pairs_at(table, at))))
+        return list(zip(*(a.tolist() for a in _pairs_at(
+            table, _coarse_index(table[1]), at))))
 
     assert pairs(np.arange(n, dtype=np.int32)) == expected
     # training reads a chunk of a shuffled order at a time; also no pair,
@@ -502,13 +513,14 @@ def test_hot_token_corpus_trains_at_derived_batch_size():
 @pytest.mark.parametrize("mode", list(Mode))
 def test_training_holds_few_bytes_per_pair(mode):
     # SGD holds 4 bytes per pair, its place in the epoch's order, next to a
-    # table of 12 bytes per token (about 7.5 pairs each here); noise draws,
-    # block rows and learning rates exist for one chunk of steps at a time.
-    # The corpus is large enough that the fixed cost of a call (chunk
-    # tables, noise table, parameter block) is small per pair.  The bound
-    # lies between the traced peak per pair of this layout (7.7 classic,
-    # 8.5 structured) and that of int32 centers, contexts, slots and order
-    # held per pair, 16 bytes (20.3 and 20.6).
+    # table of 12 bytes per token (about 7.5 pairs each here) and a coarse
+    # index of at most 0.5 (0.47 here); noise draws, block rows and
+    # learning rates exist for one chunk of steps at a time.  The corpus is
+    # large enough that the fixed cost of a call (chunk tables, noise
+    # table, parameter block) is small per pair.  The bound lies between
+    # the traced peak per pair of this layout (7.5 classic, 7.8 structured;
+    # 7.4 and 7.7 without the coarse index) and that of int32 centers,
+    # contexts, slots and order held per pair, 16 bytes (20.3 and 20.6).
     rng = np.random.default_rng(0)
     rows = [[f"t{i}" for i in rng.integers(0, 400, size=12)]
             for _ in range(8000)]
@@ -587,22 +599,73 @@ def test_sum_rows_adds_each_rows_terms_in_input_order(size):
     assert np.array_equal(sums, [expected[r] for r in sorted(expected)])
 
 
+def run_of_sum_rows_calls(tables, size: int, seed: int) -> None:
+    """Calls ``_sum_rows`` on one set of tables, with unsorted, repeated
+    rows whose unique counts recur and change from call to call, in both
+    column layouts of ``_batch_gradient``: 2b + 1 indptr entries over the
+    interleaved rows of negative sampling, b + 1 under the exact softmax.
+    Each result must be byte-equal to a freshly built selector's product,
+    and after each call the tables must be ready for the next: the mark
+    table all False, and no cached selector holding an array."""
+    rng = np.random.default_rng(seed)
+    b, negatives, dim = 6, 3, 4
+    shapes = set()
+    for width, columns in ((2 + negatives, 2 * b), (2, b)):
+        indptr = _scatter_layout(b, width)[0][:columns + 1]
+        assert indptr.dtype == np.int32
+        for unique_count in (5, 3, 5, 4, 3):
+            pool = rng.choice(size, size=unique_count - 2, replace=False)
+            pool = np.concatenate(([0, size - 1], pool))
+            rows = rng.choice(pool, size=int(indptr[-1]))
+            rows[:unique_count] = pool
+            rng.shuffle(rows)
+            weights = rng.normal(size=len(rows))
+            x = rng.normal(size=(columns, dim))
+            unique = np.unique(rows)
+            shape = (len(unique), columns)
+            fresh = sparse.csc_array(
+                (weights, unique.searchsorted(rows), indptr), shape=shape) @ x
+            got_rows, sums = _sum_rows(rows, indptr, weights, x, tables)
+            assert got_rows.tolist() == unique.tolist()
+            assert sums.dtype == fresh.dtype
+            assert sums.tobytes() == fresh.tobytes()
+            assert not tables[0].any()
+            for selector in tables[2].values():
+                assert not any(isinstance(value, np.ndarray)
+                               for value in vars(selector).values())
+            shapes.add(shape)
+    # one selector per shape, each reused whenever its shape came again
+    assert set(tables[2]) == shapes
+    assert len(shapes) == 6
+
+
 def test_sum_rows_leaves_its_tables_ready_for_the_next_call():
-    size, dim = 70_000, 3
-    rng = np.random.default_rng(11)
+    size = 70_000
     tables = _row_tables(size)
-    # the second call touches rows the first did not, and misses some it did
-    for pool in ([0, 5, 6, size // 2, size - 1], [1, 5, 7, size - 2]):
-        rows = rng.choice(pool, size=60)
-        columns = np.sort(rng.integers(0, 8, size=60))
-        weights = rng.normal(size=60)
-        x = rng.normal(size=(8, dim))
-        indptr = np.searchsorted(columns, np.arange(len(x) + 1))
-        shared = _sum_rows(rows, indptr, weights, x, tables)
-        fresh = _sum_rows(rows, indptr, weights, x, _row_tables(size))
-        assert shared[0].tolist() == fresh[0].tolist() == sorted(set(rows))
-        assert np.array_equal(shared[1], fresh[1])
-        assert not tables[0].any()
+    assert tables[1].dtype == np.int32
+    run_of_sum_rows_calls(tables, size, seed=11)
+
+
+class OneIndexDtypeSelector(sparse.csc_array):
+    """A selector whose product checks that its index arrays share one
+    dtype, as scipy's constructor gives them."""
+
+    def __matmul__(self, other):
+        assert self.indices.dtype == self.indptr.dtype
+        return super().__matmul__(other)
+
+
+def test_sum_rows_reuses_selectors_with_int64_slots_and_int32_indptr(
+        monkeypatch):
+    # From 2**31 block rows the slot table is int64, while a step's indptr
+    # stays int32: the selector's two index arrays must still share one
+    # dtype.  (sparsetools would convert one of them on every product.)
+    monkeypatch.setattr(skipgram, "sparse",
+                        SimpleNamespace(csc_array=OneIndexDtypeSelector))
+    size = 70_000
+    mark, _, selectors = _row_tables(size)
+    run_of_sum_rows_calls((mark, np.empty(size, dtype=np.int64), selectors),
+                          size, seed=12)
 
 
 @pytest.mark.parametrize("structured, negative_sampling", [
