@@ -44,10 +44,14 @@ class InputError(Exception):
 @contextlib.contextmanager
 def _outputs(inputs, *paths: str | None):
     """Check each output path before any work, then yield a temp path
-    beside each (None, for stdout, stays None).  No output may name one of
-    the command's ``inputs``.  When the block returns, each temp file
-    written replaces its path and each path whose temp file was not
-    written is removed; when it raises, every old file stays."""
+    beside each (None, for stdout, stays None).  A path is resolved first,
+    links followed, so an output written through a link reaches the link's
+    target and the link stays.  No output may name one of the command's
+    ``inputs`` or a file open as a standard stream, and one that exists
+    must be a regular file.  When the block returns, each temp file
+    written replaces its resolved path and each path whose temp file was
+    not written is removed (a link, not its target); when it raises, every
+    old file stays."""
     named = [path for path in paths if path is not None]
     resolved = [Path(path).resolve() for path in named]
     read = [Path(path).resolve() for path in inputs]
@@ -59,19 +63,39 @@ def _outputs(inputs, *paths: str | None):
             raise InputError(f"{path}: is also an input")
         if Path(path).is_dir():
             raise InputError(f"{path}: is a directory")
-        if not Path(path).parent.is_dir():
-            raise InputError(f"{path}: no such directory: {Path(path).parent}")
-    staged = {path: Path(f"{path}.{os.getpid()}.tmp") for path in named}
+        if Path(path).exists() and not Path(path).is_file():
+            raise InputError(f"{path}: not a regular file")
+        if (stream := _standard_stream(path)) is not None:
+            raise InputError(f"{path}: is {stream}")
+        for folder in (Path(path).parent, where.parent):
+            if not folder.is_dir():
+                raise InputError(f"{path}: no such directory: {folder}")
+    staged = {path: Path(f"{where}.{os.getpid()}.tmp")
+              for path, where in zip(named, resolved)}
     try:
         yield [staged.get(path) for path in paths]
-        for path, tmp in staged.items():
-            if tmp.exists():
-                os.replace(tmp, path)
+        for path, where in zip(named, resolved):
+            if staged[path].exists():
+                os.replace(staged[path], where)
             else:
                 Path(path).unlink(missing_ok=True)
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+
+
+def _standard_stream(path) -> str | None:
+    """The name of the standard stream open on ``path``'s file, if any.
+    An output naming one, say ``/dev/stdout`` with stdout redirected to a
+    file, would replace the file the shell opened, and ``>>`` would lose
+    its earlier lines."""
+    if not Path(path).exists():
+        return None
+    for fd, name in enumerate(("stdin", "stdout", "stderr")):
+        with contextlib.suppress(OSError):
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return name
+    return None
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -231,6 +255,17 @@ def _train_config(args) -> sg.TrainConfig:
     )
 
 
+def _train_rows(held: list, cfg: sg.TrainConfig) -> sg.EmbeddingModel:
+    """Train on the corpus rows ``held[0]``, handing them over.
+
+    ``held`` is a one-item list that nothing else references.  Popped from
+    it, the rows reach ``train`` as its argument alone (from CPython 3.11
+    the callee's frame takes over a call's arguments), so they are freed
+    once ``train`` has built its pair table, before the first step."""
+    vocab = sg.build_vocabulary(held[0], cfg.min_count)
+    return sg.train(held.pop(), vocab, cfg)
+
+
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     # the sidecar is listed even without --save-outputs: an older one goes
@@ -239,13 +274,7 @@ def cmd_train(args) -> int:
                   ) as (output, manifest_out, sidecar):
         # a corpus edited after walking trains, but vouches for nothing
         manifest = read_bound_manifest(args.input, strict=False)
-        # The rows are handed over: popped from the one list that holds
-        # them, they reach train as its argument alone (from CPython 3.11
-        # the callee's frame takes over a call's arguments), so they are
-        # freed once train has built its pair table.
-        held = [wk.read_corpus_lines(args.input)[1]]
-        vocab = sg.build_vocabulary(held[0], cfg.min_count)
-        model = sg.train(held.pop(), vocab, cfg)
+        model = _train_rows([wk.read_corpus_lines(args.input)[1]], cfg)
         sg.save_embeddings(model, output)
         if args.save_outputs:
             sg.save_output_matrices(model, sidecar)
@@ -320,12 +349,9 @@ def cmd_eval(args) -> int:
 
 def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
                  ) -> sg.EmbeddingModel:
-    """walk -> train, in memory; used by the sweep command and tests."""
-    # the walk corpus is not bound, so no Walk outlives the rows while
-    # training, and the rows are handed over (see cmd_train)
-    held = [[walk.texts() for walk in wk.generate_corpus(g, params).walks]]
-    vocab = sg.build_vocabulary(held[0], cfg.min_count)
-    return sg.train(held.pop(), vocab, cfg)
+    """walk -> train, in memory, on the rows ``walk`` would write (from
+    :func:`walks.walk_rows`); used by the sweep command and tests."""
+    return _train_rows([list(wk.walk_rows(g, params, g.roots))], cfg)
 
 
 def _grid(flag: str, text: str | None, field: str, parse,

@@ -1,7 +1,7 @@
 """Quoted-triple-aware walk corpus generation.
 
 Two strategies over an indexed RDF-star graph, each rooted at a term id
-(``Graph.roots`` lists the ids ``generate_corpus`` walks from):
+(``Graph.roots`` lists the ids a corpus walks from):
 
 * random walks: breadth-wise expansion from a root, trimmed to at most
   ``n`` partial walks after each depth iteration;
@@ -15,6 +15,12 @@ entity in the object role of a quoted triple to the QT token itself
 subject, predicate, and object (qs-step).  The oq-step has priority when
 both are possible.  With ``alpha == beta == 0`` the output reduces to
 plain random walks that treat each QT as an opaque node.
+
+The walkers return term-id lists; :func:`walk_rows` turns them into rows,
+which ``write_corpus`` writes as a corpus file and ``cli.run_pipeline``
+trains on in memory.  ``Walk``, ``WalkCorpus``, ``corpus_roots`` and
+``generate_corpus`` are kept for the benchmark harness under
+``perfbench/``, which calls and times them; no command uses them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import signal
 import sys
 import tempfile
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -62,7 +68,10 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class Walk:
-    """A token sequence as term ids of ``graph``."""
+    """A token sequence as term ids of ``graph``.
+
+    :func:`generate_corpus` builds them for the benchmark harness; no
+    command does."""
 
     ids: tuple[int, ...]
     graph: Graph = field(compare=False, repr=False)
@@ -73,12 +82,15 @@ class Walk:
         return tuple(terms[i] for i in self.ids)
 
     def texts(self) -> list[str]:
+        """The walk's row, as :func:`walk_rows` gives it."""
         texts = self.graph.texts
         return [texts[i] for i in self.ids]
 
 
 @dataclass(frozen=True)
 class WalkCorpus:
+    """The walks of :func:`generate_corpus`, for the benchmark harness."""
+
     walks: tuple[Walk, ...]
 
 
@@ -242,7 +254,8 @@ def mid_walks(g: Graph, focus: int, params: WalkParams) -> list[list[int]]:
 def corpus_roots(g: Graph) -> list[Term]:
     """Walk roots: IRIs and QTs in any subject/object position, sorted.
 
-    Predicate-only IRIs and literals are not roots.
+    Predicate-only IRIs and literals are not roots.  The benchmark harness
+    counts them; the commands walk ``Graph.roots``, their ids.
     """
     return [g.terms[i] for i in g.roots]
 
@@ -257,9 +270,9 @@ def generate_corpus(g: Graph, params: WalkParams) -> WalkCorpus:
 
     Each root draws from an independent seeded substream, so the corpus is
     reproducible regardless of the order roots are processed in.  Walks
-    stay id sequences; ``Walk.texts`` looks their text up.  The ``walk``
-    command writes its corpus with :func:`write_corpus`, which builds no
-    ``Walk`` objects.
+    stay id sequences; ``Walk.texts`` looks their text up, giving the rows
+    of :func:`walk_rows`.  Kept for the benchmark harness, which sizes and
+    times its workloads with it; the commands use :func:`walk_rows`.
     """
     walker = _walker(params)
     walks: list[Walk] = []
@@ -288,15 +301,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def walk_rows(g: Graph, params: WalkParams, roots) -> Iterator[list[str]]:
+    """Each walk from the root ids ``roots`` as a list of its token texts,
+    root by root in the order given: the rows of a corpus file."""
+    walker, texts = _walker(params), g.texts
+    for root in roots:
+        for ids in walker(g, root, params):
+            yield [texts[i] for i in ids]
+
+
 def _write_walks(fh, g: Graph, params: WalkParams, roots) -> None:
     """Write the walks of ``roots`` to the binary file ``fh``, one line of
     tab-separated token texts per walk, in root order."""
-    walker, texts = _walker(params), g.texts
     for start in range(0, len(roots), _BATCH_ROOTS):
         fh.write("".join(
-            "\t".join([texts[i] for i in ids]) + "\n"
-            for root in roots[start:start + _BATCH_ROOTS]
-            for ids in walker(g, root, params)).encode("utf-8"))
+            "\t".join(row) + "\n" for row in walk_rows(
+                g, params, roots[start:start + _BATCH_ROOTS])
+        ).encode("utf-8"))
 
 
 def _fork_shard(write: Callable[[BinaryIO, Sequence], None], shard: Sequence,

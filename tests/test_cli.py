@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -829,79 +830,83 @@ def test_sharded_sweep_gives_the_same_bytes_on_any_cpu_count(
 def test_sweep_shard_holds_one_cells_model_and_corpus(
         tmp_path, fixture_graph, monkeypatch):
     # 4 cells in one shard: when a cell starts training, the previous
-    # cell's model and this cell's Walk objects are gone
+    # cell's model is gone; no cell builds a Walk, whose id tuples would
+    # outlive the rows in CPython's free lists
     _, emb = run_walk_train(tmp_path, fixture_graph)
     gold_dir = write_gold(tmp_path, emb)
     monkeypatch.setattr(walks, "_usable_cpus", lambda: 1)
-    models, cell_walks, seen = [], [], []
-    run_pipeline, generate_corpus, train = (
-        cli.run_pipeline, walks.generate_corpus, cli.sg.train)
+    models, seen = [], []
+    run_pipeline, train = cli.run_pipeline, cli.sg.train
 
     def recording_pipeline(g, params, cfg):
         model = run_pipeline(g, params, cfg)
         models.append(weakref.ref(model))
         return model
 
-    def recording_corpus(g, params):
-        corpus = generate_corpus(g, params)
-        cell_walks[:] = map(weakref.ref, corpus.walks[:3])
-        return corpus
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a sweep built a Walk")
 
     def checking_train(rows, vocab, cfg):
-        # (previous model dead, this cell's walks dead) on entry
-        seen.append((not models or models[-1]() is None,
-                     bool(cell_walks) and all(r() is None for r in cell_walks)))
+        seen.append(not models or models[-1]() is None)  # on entry
         return train(rows, vocab, cfg)
 
     monkeypatch.setattr(cli, "run_pipeline", recording_pipeline)
-    monkeypatch.setattr(walks, "generate_corpus", recording_corpus)
+    monkeypatch.setattr(walks, "Walk", no_walk)
     monkeypatch.setattr(cli.sg, "train", checking_train)
     out = tmp_path / "sweep.tsv"
     assert main(sweep_args(fixture_graph, gold_dir, out)) == 0
     assert len(models) == 4
-    assert seen == [(True, True)] * 4
+    assert seen == [True] * 4
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
     "before 3.11 a call's arguments stay on the caller's stack until it "
     "returns, so no caller can hand its rows over"))
-@pytest.mark.parametrize("command", ["train", "run_pipeline"])
+@pytest.mark.parametrize("command, strategy", [
+    pytest.param("train", "random", id="train"),
+    pytest.param("run_pipeline", "random", id="run_pipeline"),
+    pytest.param("run_pipeline", "mid", id="run_pipeline-mid")])
 def test_training_frees_the_corpus_rows_before_its_first_step(
-        tmp_path, monkeypatch, command):
-    # The traced bytes allocated by the function that builds the rows
-    # (read_corpus_lines for train, Walk.texts for run_pipeline), when the
-    # vocabulary is built and again at the first SGD step.  With the rows
-    # held through SGD by train and its caller, the second reading equals
-    # the first: 832,181 and 831,933 bytes for train, 732,808 and 732,808
-    # for run_pipeline.  Handed over, what is left is the one string per
-    # distinct token that the vocabulary keeps (55,024 bytes for train),
-    # or a few lists that CPython keeps for reuse (3,528 for run_pipeline).
+        tmp_path, monkeypatch, command, strategy):
+    # The traced bytes allocated by read_corpus_lines (for train) or
+    # anywhere in walks.py (for run_pipeline), when the vocabulary is built
+    # and again at the first SGD step.  At the vocabulary they are 832,008
+    # bytes for train, and 736,672 (random) and 1,075,832 (mid) for
+    # run_pipeline.  With the rows held through SGD by train and its
+    # caller, the second reading stays near the first (831,816 for train).
+    # Handed over, what is left is the one string per distinct token that
+    # the vocabulary keeps (55,024 bytes for train), or a few lists that
+    # CPython keeps for reuse (840 and 3,080 for run_pipeline).  Rows built
+    # through a Walk per walk left CPython's free lists holding their id
+    # tuples: 508,312 (random) and 318,288 bytes (mid) at the first step,
+    # more or less by what ran before in the process.
     graph = tmp_path / "graph.ttls"
     assert main(["gen-fixture", str(graph), "--seed", "3",
                  "--triples", "300"]) == 0
     corpus = tmp_path / "walks.tsv"
     assert main(["walk", str(graph), str(corpus), "--walks", "20",
                  "--depth", "6", "--strategy", "random", "--seed", "1"]) == 0
-    rows_from = walks.read_corpus_lines if command == "train" else \
-        walks.Walk.texts
-    lines, first = inspect.getsourcelines(rows_from)
-    filters = [tracemalloc.Filter(True, walks.__file__, line)
-               for line in range(first, first + len(lines))]
+    if command == "train":
+        lines, first = inspect.getsourcelines(walks.read_corpus_lines)
+        filters = [tracemalloc.Filter(True, walks.__file__, line)
+                   for line in range(first, first + len(lines))]
+    else:
+        filters = [tracemalloc.Filter(True, walks.__file__)]
     sg = cli.sg
     build_vocabulary, batch_gradient = sg.build_vocabulary, sg._batch_gradient
     readings = []
 
-    def rows_bytes() -> int:
-        return sum(stat.size for stat in tracemalloc.take_snapshot()
+    def traced_bytes() -> int:
+        return sum(entry.size for entry in tracemalloc.take_snapshot()
                    .filter_traces(filters).statistics("filename"))
 
     def measured_vocabulary(rows, min_count):
-        readings.append(rows_bytes())
+        readings.append(traced_bytes())
         return build_vocabulary(rows, min_count)
 
     def measured_step(*args):
         if len(readings) == 1:
-            readings.append(rows_bytes())
+            readings.append(traced_bytes())
         return batch_gradient(*args)
 
     monkeypatch.setattr(sg, "build_vocabulary", measured_vocabulary)
@@ -914,14 +919,15 @@ def test_training_frees_the_corpus_rows_before_its_first_step(
         else:
             cli.run_pipeline(
                 cli.load_graph(str(graph)),
-                walks.WalkParams(strategy=walks.Strategy.RANDOM_WALK, n=20,
+                walks.WalkParams(strategy=walks.Strategy(strategy), n=20,
                                  d=6, seed=1),
                 sg.TrainConfig(dim=8, epochs=1))
     finally:
         tracemalloc.stop()
     at_vocabulary, at_first_step = readings
     assert at_vocabulary > 1 << 19, at_vocabulary
-    assert at_first_step < at_vocabulary / 10, readings
+    bound = at_vocabulary / 10 if command == "train" else 64 << 10
+    assert at_first_step < bound, readings
 
 
 # Runs ``sweep`` over 4 cells in 3 shards with the cell ``alpha, beta``
@@ -1133,6 +1139,87 @@ def test_an_output_linked_to_an_input_is_refused(tmp_path, capsys,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("old_target", [True, False])
+def test_an_output_through_a_symlink_reaches_its_target(
+        tmp_path, fixture_graph, old_target):
+    direct = tmp_path / "direct.tsv"
+    assert main(["stats", str(fixture_graph), "--output", str(direct)]) == 0
+    (tmp_path / "data").mkdir()
+    (tmp_path / "out").mkdir()
+    target = tmp_path / "data" / "target.tsv"
+    if old_target:
+        target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "out" / "link.tsv"
+    link.symlink_to(Path("..") / "data" / "target.tsv")
+    assert main(["stats", str(fixture_graph), "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == os.path.join("..", "data", "target.tsv")
+    assert target.read_bytes() == direct.read_bytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_an_output_linked_into_a_missing_directory_is_refused(
+        tmp_path, fixture_graph, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_graph", unreachable)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(tmp_path / "missing" / "target.tsv")
+    assert main(["stats", str(fixture_graph), "--output", str(link)]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {link}: no such directory: {tmp_path / 'missing'}\n")
+    assert link.is_symlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("through", ["path", "symlink", pytest.param(
+    "fd", marks=pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="no /proc/self/fd"))])
+def test_an_output_that_is_no_regular_file_is_refused(
+        tmp_path, fixture_graph, capsys, monkeypatch, through):
+    # "fd" names a pipe's end as /dev/stdout may: that /proc link resolves
+    # to no path, so only following it to the pipe tells what it is
+    monkeypatch.setattr(cli, "load_graph", unreachable)
+    fifo = tmp_path / "fifo.tsv"
+    os.mkfifo(fifo)
+    (tmp_path / "link.tsv").symlink_to(fifo)
+    pipe = os.pipe()
+    out = {"path": fifo, "symlink": tmp_path / "link.tsv",
+           "fd": Path(f"/proc/self/fd/{pipe[1]}")}[through]
+    try:
+        assert main(["stats", str(fixture_graph), "--output", str(out)]) == 1
+    finally:
+        for fd in pipe:
+            os.close(fd)
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: {out}: not a regular file\n")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# ``qtwalk stats g.ttls --output /dev/stdout >> log.txt``: the link leads to
+# log.txt, which replacing would empty of its earlier lines
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_an_output_open_as_a_standard_stream_is_refused(
+        tmp_path, fixture_graph, stream):
+    log = tmp_path / "log.txt"
+    log.write_text("earlier\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, qtwalk.cli; sys.exit(qtwalk.cli.main(sys.argv[1:]))"
+    with open(log, "a", encoding="utf-8") as appended:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+                   stream: appended}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "stats", str(fixture_graph),
+             "--output", f"/dev/{stream}"],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True, **streams)
+    assert proc.returncode == 1
+    # the error goes to stderr, which for "stderr" is the log
+    assert (log.read_text(encoding="utf-8") + (proc.stdout or "")
+            + (proc.stderr or "")) == (
+        f"earlier\nqtwalk: error: /dev/{stream}: is {stream}\n")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_train_checks_its_outputs_sidecar_before_reading(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setattr(walks, "read_corpus_lines", unreachable)
@@ -1211,3 +1298,19 @@ def test_train_without_save_outputs_removes_an_older_sidecar(tmp_path,
     assert not sidecar.exists()
     assert Path(f"{emb}.manifest").exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_train_without_save_outputs_removes_a_linked_sidecar_not_its_target(
+        tmp_path, fixture_graph):
+    corpus, emb = run_walk_train(tmp_path, fixture_graph,
+                                 train_flags=["--save-outputs"])
+    (tmp_path / "kept").mkdir()
+    target = tmp_path / "kept" / "outputs.npz"
+    sidecar = Path(f"{emb}.out.npz")
+    sidecar.rename(target)
+    sidecar.symlink_to(target)
+    old = target.read_bytes()
+    assert main(["train", str(corpus), str(emb), *small_train_flags()]) == 0
+    assert not sidecar.is_symlink() and not sidecar.exists()
+    assert target.read_bytes() == old
+    assert not list(tmp_path.rglob("*.tmp"))
