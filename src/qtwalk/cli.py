@@ -9,7 +9,8 @@ artifact; ``eval`` refuses an input whose manifest records another hash,
 manifest that records none.  Each command checks all its outputs, manifests
 included, before any work, and publishes them together once it is done.
 
-Exit codes: 0 ok, 1 input error, 2 internal invariant violation.
+Exit codes: 0 ok, 1 input error (a usage error included), 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import enum
 import gc
 import hashlib
 import io
@@ -32,7 +34,7 @@ from . import skipgram as sg
 from . import walks as wk
 from .fixtures import random_graph
 from .parser import ParseError, parse_document, parse_term
-from .terms import RDF_TYPE, Iri, Triple, serialize_triple
+from .terms import RDF_TYPE, Iri, serialize_triple
 
 
 class InputError(Exception):
@@ -110,6 +112,16 @@ def _manifest_text(entries: dict[str, str]) -> str:
     return "".join(f"{key}\t{value}\n" for key, value in entries.items())
 
 
+def _settings(config, seed_key: str) -> dict[str, str]:
+    """The manifest entries of a ``WalkParams`` or ``TrainConfig``, in
+    field order: an enum by its value, a number by ``repr``; the seed
+    under ``seed_key`` and ``softmax_mode`` under ``softmax``."""
+    keys = {"seed": seed_key, "softmax_mode": "softmax"}
+    return {keys.get(name, name): value.value
+            if isinstance(value, enum.Enum) else repr(value)
+            for name, value in dataclasses.asdict(config).items()}
+
+
 # The buffer serves ``train`` and ``eval``, which hash their input (``walk``
 # hashes its corpus as it writes it).  glibc's malloc raises its mmap
 # threshold to the largest mapped block freed, so the buffer's size shapes
@@ -160,9 +172,16 @@ def read_bound_manifest(path, *, strict: bool) -> dict[str, str]:
 # -- shared loading -----------------------------------------------------------
 
 def load_graph(path: str, exclude_predicates: tuple[str, ...] = ()) -> gr.Graph:
-    # the text is let go once parsed, before the graph is indexed
-    return gr.intern_document(Path(path).read_text(encoding="utf-8")
-                              ).graph(exclude_predicates)
+    return gr.parse_graph(Path(path).read_text(encoding="utf-8"),
+                          exclude_predicates)
+
+
+def _config(cls, args):
+    """A ``WalkParams`` or ``TrainConfig`` from the flags that set its
+    fields, each value coerced to its field's type (an enum from its
+    value)."""
+    return cls(**{f.name: type(f.default)(getattr(args, f.name))
+                  for f in dataclasses.fields(cls)})
 
 
 def _excluded_predicates(args) -> tuple[str, ...]:
@@ -206,53 +225,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _walk_params(args) -> wk.WalkParams:
-    return wk.WalkParams(
-        strategy=wk.Strategy(args.strategy),
-        n=args.walks,
-        d=args.depth,
-        alpha=args.alpha,
-        beta=args.beta,
-        seed=args.seed,
-    )
-
-
 def cmd_walk(args) -> int:
     excluded = _excluded_predicates(args)
-    params = _walk_params(args)
+    params = _config(wk.WalkParams, args)
     with _outputs([args.input], args.output, args.output + ".manifest"
                   ) as (output, manifest):
         g = load_graph(args.input, excluded)
         digest = wk.write_corpus(g, params, output)
         _write_text(manifest, _manifest_text({
             "graph_fingerprint": g.fingerprint(),
-            "strategy": params.strategy.value,
-            "n": str(params.n),
-            "d": str(params.d),
-            "alpha": repr(params.alpha),
-            "beta": repr(params.beta),
-            "walk_seed": str(params.seed),
+            **_settings(params, "walk_seed"),
             "excluded_predicates": " ".join(excluded),
             "artifact_sha256": digest,
         }))
     return 0
-
-
-def _train_config(args) -> sg.TrainConfig:
-    return sg.TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        epochs=args.epochs,
-        negatives=args.negatives,
-        learning_rate=args.learning_rate,
-        min_count=args.min_count,
-        seed=args.seed,
-        mode=sg.Mode(args.mode),
-        softmax_mode=(
-            sg.SoftmaxMode.FULL_SOFTMAX if args.full_softmax
-            else sg.SoftmaxMode.NEGATIVE_SAMPLING
-        ),
-    )
 
 
 def _train_rows(held: list, cfg: sg.TrainConfig) -> sg.EmbeddingModel:
@@ -267,7 +253,7 @@ def _train_rows(held: list, cfg: sg.TrainConfig) -> sg.EmbeddingModel:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
+    cfg = _config(sg.TrainConfig, args)
     # the sidecar is listed even without --save-outputs: an older one goes
     with _outputs([args.input, args.input + ".manifest"], args.output,
                   args.output + ".manifest", args.output + ".out.npz"
@@ -278,18 +264,8 @@ def cmd_train(args) -> int:
         sg.save_embeddings(model, output)
         if args.save_outputs:
             sg.save_output_matrices(model, sidecar)
-        manifest.update({
-            "dim": str(cfg.dim),
-            "window": str(cfg.window),
-            "epochs": str(cfg.epochs),
-            "negatives": str(cfg.negatives),
-            "learning_rate": repr(cfg.learning_rate),
-            "min_count": str(cfg.min_count),
-            "train_seed": str(cfg.seed),
-            "mode": cfg.mode.value,
-            "softmax": cfg.softmax_mode.value,
-            "artifact_sha256": _file_sha256(output),
-        })
+        manifest.update(_settings(cfg, "train_seed"),
+                        artifact_sha256=_file_sha256(output))
         _write_text(manifest_out, _manifest_text(manifest))
     return 0
 
@@ -375,13 +351,13 @@ def cmd_sweep(args) -> int:
     # every cell, the output and the gold file are checked before the graph
     # is read or any cell trains
     excluded = _excluded_predicates(args)
-    base = _walk_params(args)
+    base = _config(wk.WalkParams, args)
     depths = _grid("--grid-depth", args.grid_depth, "d", int, base)
     alphas = _grid("--grid-alpha", args.grid_alpha, "alpha", float, base)
     betas = _grid("--grid-beta", args.grid_beta, "beta", float, base)
     cells = [dataclasses.replace(base, d=d, alpha=a, beta=b)
              for d, a, b in itertools.product(depths, alphas, betas)]
-    cfg = _train_config(args)
+    cfg = _config(sg.TrainConfig, args)
     gold_files = _gold_paths(args.gold_dir, ["classification"])
     with _outputs([args.input, *gold_files], args.output or None) as (output,):
         _check_gold(["classification"], gold_files)
@@ -420,13 +396,17 @@ def cmd_gen_fixture(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
+# A walk or training flag's destination is the field it sets (``--depth``
+# sets ``d``), which ``_config`` reads back.
 def _add_walk_flags(p: argparse.ArgumentParser) -> None:
     w = wk.WalkParams()
     p.add_argument("--alpha", type=float, default=w.alpha)
     p.add_argument("--beta", type=float, default=w.beta)
-    p.add_argument("--depth", type=int, default=w.d)
-    p.add_argument("--walks", type=int, default=w.n)
-    p.add_argument("--strategy", choices=["random", "mid"],
+    p.add_argument("--depth", dest="d", metavar="DEPTH", type=int,
+                   default=w.d)
+    p.add_argument("--walks", dest="n", metavar="WALKS", type=int,
+                   default=w.n)
+    p.add_argument("--strategy", choices=[s.value for s in wk.Strategy],
                    default=w.strategy.value)
     p.add_argument("--exclude-predicate", action="append", default=[],
                    metavar="IRI")
@@ -440,13 +420,23 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--negatives", type=int, default=c.negatives)
     p.add_argument("--learning-rate", type=float, default=c.learning_rate)
     p.add_argument("--min-count", type=int, default=c.min_count)
-    p.add_argument("--mode", choices=["classic", "structured"],
+    p.add_argument("--mode", choices=[m.value for m in sg.Mode],
                    default=c.mode.value)
-    p.add_argument("--full-softmax", action="store_true")
+    p.add_argument("--full-softmax", dest="softmax_mode",
+                   action="store_const", const=sg.SoftmaxMode.FULL_SOFTMAX,
+                   default=c.softmax_mode)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is an input error, so ``main`` exits 1 with argparse's
+    message.  Subparsers are made of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qtwalk",
         description="RDF-star graph embeddings via QT-aware walks",
     )

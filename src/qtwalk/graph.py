@@ -262,20 +262,17 @@ def _grouped(n: int, rows, key, value=None) -> tuple:
     return tuple(index)
 
 
-def intern_document(text: str) -> Interner:
-    """An interner fed every term and asserted triple of a Turtle-star
-    document.  Once it returns, nothing here holds the text, so a caller
-    that passes the text straight in indexes the graph without it."""
-    interner = Interner()
-    parse_into(text, interner)
-    return interner
-
-
 def parse_graph(text: str, exclude_predicates=()) -> Graph:
     """The graph of a Turtle-star document, parsed straight to ids: no Term
     object is built.  Triples whose predicate IRI is in
-    ``exclude_predicates`` are left out (see ``Interner.graph``)."""
-    return intern_document(text).graph(exclude_predicates)
+    ``exclude_predicates`` are left out (see ``Interner.graph``).  The
+    text is let go before the graph is indexed: from CPython 3.11, a
+    caller that passes it as a temporary (``cli.load_graph``) never holds
+    the text and the index together."""
+    interner = Interner()
+    parse_into(text, interner)
+    del text
+    return interner.graph(exclude_predicates)
 
 
 def build_graph(triples) -> Graph:

@@ -66,22 +66,29 @@ class ParseError(ValueError):
 # positioned ParseError.
 MAX_QT_DEPTH = 400
 
+# A string or IRI token's body, and what one failed to close over (for a
+# string, its text up to the newline, end of input or bad escape).
+_STRING_BODY_RE = re.compile(r'[^"\\\n]*(?:\\.[^"\\\n]*)*')
+_IRI_BODY_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
+
 # One token per match, after any whitespace and comments.  A token's
 # position is the start of its group (``lastgroup``).  Every position
 # matches something (ERR takes any other character), so the matches tile
 # the text and END closes it.  PNAME comes before NAME, which is a
 # prefixed name's prefix without the ':' ("a", or a misplaced word); a
 # '.' before a digit starts a decimal; a string token carries its
-# language tag ("" if malformed) or its '^^'.
-_TOKEN_RE = re.compile(r"""
+# language tag ("" if malformed) or its '^^'.  IRI and STRING take the
+# body patterns above: neither holds the whitespace or '#' that VERBOSE
+# drops, and the f-string inserts the IRI class's '{}' as text.
+_TOKEN_RE = re.compile(rf"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (?: (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:
                   (?:[A-Za-z0-9_\-.%]*[A-Za-z0-9_\-%])?)
       | (?P<DOT>\.(?![0-9]))
       | (?P<QOPEN><<)
       | (?P<QCLOSE>>>)
-      | (?P<IRI><[^\x00-\x20<>"{}|^`\\]*>)
-      | (?P<STRING>"(?P<lexical>[^"\\\n]*(?:\\.[^"\\\n]*)*)"
+      | (?P<IRI><{_IRI_BODY_RE.pattern}>)
+      | (?P<STRING>"(?P<lexical>{_STRING_BODY_RE.pattern})"
                    (?:@(?P<lang>[A-Za-z]+(?:-[A-Za-z0-9]+)*|)
                      |(?P<datatype>\^\^))?)
       | (?P<SEMI>;)
@@ -92,10 +99,6 @@ _TOKEN_RE = re.compile(r"""
       | (?P<END>\Z)
       | (?P<ERR>.)
     )""", re.VERBOSE)
-# What a string token failed to close over: its text up to the newline,
-# end of input or bad escape that stopped it.
-_STRING_BODY_RE = re.compile(r'[^"\\\n]*(?:\\.[^"\\\n]*)*')
-_IRI_BODY_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
 # One escape in a string body: \u and 4 hex digits, \U and 8, or a
 # backslash and any one character (a 'u' or 'U' here lacks its digits).
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))",

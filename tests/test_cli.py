@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qtwalk import cli, walks
+from qtwalk import graph as gr
 from qtwalk.cli import main, read_manifest
 from qtwalk.convert import ConversionReport
 from qtwalk.graph import Graph
@@ -565,6 +566,36 @@ def test_missing_input_file_is_exit_code_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["walk", "g.ttls", "x.tsv", "--depth", "abc"],
+                 "argument --depth: invalid int value: 'abc'", id="bad-int"),
+    pytest.param(["walk", "g.ttls", "x.tsv", "--strategy", "foo"],
+                 "argument --strategy: invalid choice: 'foo'",
+                 id="bad-choice"),
+    pytest.param(["walk", "g.ttls"],
+                 "the following arguments are required: output",
+                 id="missing-argument"),
+    pytest.param(["frob"], "argument command: invalid choice: 'frob'",
+                 id="unknown-command"),
+])
+def test_usage_error_is_exit_code_one(tmp_path, capsys, monkeypatch, argv,
+                                      message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qtwalk: error: {message}"), err
+    assert err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_is_exit_code_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qtwalk walk ")
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf", "1e200"])
 def test_non_finite_training_is_exit_code_one(tmp_path, fixture_graph,
                                               capsys, rate):
@@ -928,6 +959,50 @@ def test_training_frees_the_corpus_rows_before_its_first_step(
     assert at_vocabulary > 1 << 19, at_vocabulary
     bound = at_vocabulary / 10 if command == "train" else 64 << 10
     assert at_first_step < bound, readings
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before 3.11 a call's arguments stay on the caller's stack until it "
+    "returns, so no caller can hand its text over"))
+@pytest.mark.parametrize("through", ["parse_graph", "load_graph"])
+def test_parsing_lets_go_of_the_text_before_indexing(tmp_path, monkeypatch,
+                                                     through):
+    # The text's block is known by the traceback and size tracemalloc
+    # records for it; at the start of ``Interner.graph`` no block with both
+    # may be traced.  The text is passed as a call's temporary, as
+    # ``load_graph`` passes the text it reads.
+    path = tmp_path / "graph.ttls"
+    assert main(["gen-fixture", str(path), "--seed", "3",
+                 "--triples", "2000"]) == 0
+    assert path.stat().st_size >= 200_000
+    texts, alive = [], []
+
+    def traced(text):
+        texts.append((tracemalloc.get_object_traceback(text),
+                      sys.getsizeof(text)))
+        return text
+
+    read_text, graph = Path.read_text, gr.Interner.graph
+    monkeypatch.setattr(Path, "read_text",
+                        lambda self, **kw: traced(read_text(self, **kw)))
+
+    def measured_graph(self, exclude_predicates):
+        alive.extend(trace for trace in tracemalloc.take_snapshot().traces
+                     if (trace.traceback, trace.size) in texts)
+        return graph(self, exclude_predicates)
+
+    monkeypatch.setattr(gr.Interner, "graph", measured_graph)
+    tracemalloc.start()
+    try:
+        if through == "parse_graph":
+            g = gr.parse_graph(path.read_text(encoding="utf-8"))
+        else:
+            g = cli.load_graph(str(path))
+    finally:
+        tracemalloc.stop()
+    assert texts and texts[0][1] >= 200_000
+    assert not alive, alive
+    assert g.roots
 
 
 # Runs ``sweep`` over 4 cells in 3 shards with the cell ``alpha, beta``

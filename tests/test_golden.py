@@ -1,7 +1,7 @@
 """Byte-identity guard: pinned sha256 digests of walk corpora, graph
 fingerprints, stats tables, one trained embedding file, the parameters of
-every trainer configuration and the parser's outcome on thousands of
-mutated inputs.
+every trainer configuration, the walk and train manifests and the parser's
+outcome on thousands of mutated inputs.
 
 Candidate order, RNG draws and token text all feed these bytes, so a
 change to how the graph is indexed or walked that alters any of them
@@ -11,6 +11,7 @@ deliberate, documented change of output.
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from qtwalk.graph import build_graph, compute_stats, stats_tsv
 from qtwalk.parser import ParseError, parse_document, parse_term
 from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
                              build_vocabulary, train)
-from qtwalk.terms import serialize_term, serialize_triple
+from qtwalk.terms import RDF_TYPE, serialize_term, serialize_triple
 from qtwalk import walks
 from qtwalk.walks import (Strategy, WalkParams, read_corpus_lines,
                           write_corpus)
@@ -160,6 +161,68 @@ def test_trained_model_bytes_are_pinned(walk_corpus, mode, softmax_mode):
     digest = hashlib.sha256(model.input_vectors.tobytes())
     digest.update(model.output_matrices.tobytes())
     assert digest.hexdigest() == MODEL_SHA256[(mode, softmax_mode)]
+
+
+# -- manifests ------------------------------------------------------------------
+
+# The full text of each manifest, per command line; the train manifests
+# carry the entries of the mid corpus walked with the exclusion.
+MANIFEST_SHA256 = {
+    ("walk", "mid"):
+        "b86f92a6d0f4122667ce1a561b0772a81abdea83798eb714dcb621ec392c96b5",
+    ("walk", "mid", "excluded"):
+        "84797f6afb31756ea5679c99318e872b90efc38f9f3c0ab98de0337a9afbd316",
+    ("walk", "random"):
+        "53f06a188ef8f2ffaa1e564df38140b6ac20b682189b89c5257d2a473fa273ce",
+    ("walk", "random", "excluded"):
+        "f814991f0ccfed3b348633e2fb278ddbab0dfa4f7e875cdb78ab19deae06c3f4",
+    ("train", "classic"):
+        "ca79ae74a1ba08e0ecde954243e71c7d41a822590c54a4224400768a0fa8b268",
+    ("train", "structured", "full-softmax"):
+        "7b2fa6733be91d7df4161bd8a0397a54272dcce0b12d5d0f150e8160759a1b34",
+}
+WALK_FLAGS = ["--walks", "4", "--depth", "5", "--alpha", "0.25",
+              "--beta", "0.75", "--seed", "2"]
+
+
+@pytest.fixture(scope="module")
+def fixture_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graph") / "graph.ttls"
+    assert main(["gen-fixture", str(path), "--seed", "3",
+                 "--triples", "40"]) == 0
+    return path
+
+
+def walk_manifest(fixture_graph, corpus, strategy, excluded) -> bytes:
+    argv = ["walk", str(fixture_graph), str(corpus), "--strategy", strategy,
+            *WALK_FLAGS]
+    if excluded:
+        argv += ["--exclude-predicate", RDF_TYPE]
+    assert main(argv) == 0
+    return Path(f"{corpus}.manifest").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["mid", "random"])
+@pytest.mark.parametrize("excluded", [False, True])
+def test_walk_manifest_bytes_are_pinned(tmp_path, fixture_graph, strategy,
+                                        excluded):
+    text = walk_manifest(fixture_graph, tmp_path / "walks.tsv", strategy,
+                         excluded)
+    key = ("walk", strategy, "excluded") if excluded else ("walk", strategy)
+    assert sha256(text) == MANIFEST_SHA256[key]
+
+
+@pytest.mark.parametrize("key, flags", [
+    (("train", "classic"), []),
+    (("train", "structured", "full-softmax"),
+     ["--mode", "structured", "--full-softmax", "--learning-rate", "0.05"]),
+], ids=["classic", "structured-full-softmax"])
+def test_train_manifest_bytes_are_pinned(tmp_path, fixture_graph, key, flags):
+    corpus, emb = tmp_path / "walks.tsv", tmp_path / "emb.tsv"
+    walk_manifest(fixture_graph, corpus, "mid", excluded=True)
+    assert main(["train", str(corpus), str(emb), "--dim", "8", "--epochs",
+                 "2", "--window", "3", "--seed", "1", *flags]) == 0
+    assert sha256(Path(f"{emb}.manifest").read_bytes()) == MANIFEST_SHA256[key]
 
 
 # -- parser outcomes -----------------------------------------------------------

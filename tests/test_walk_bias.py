@@ -28,6 +28,38 @@ after plain walks 0.250, 0.434, 0.596, 0.339, 0.393, 0.368, 0.411, 0.321,
 0.473, 0.439, 0.456, 0.439 (majority share 0.333-0.358; gaps 0.145 to
 0.396, mean 0.243).  The gate runs seeds 1-3, in ~8 s.  Fewer walks or
 epochs shrank the gap: with n=10 and 5 epochs, seed 7 read -0.018.
+
+The sweep's shape (acceptance criterion 5 on KGRC-star) is gated on the
+same scenes with 4 places per story, so each entity class (person,
+object, place) has at least 10 members, and the same walks and training
+(mid walks n=5, structured, dim 32, window 5, 15 epochs, seed 0).  On
+entity-class 3-NN accuracy, (alpha = beta = 0.2, depth 8) beats
+(1.0, 1.0, 8), and (0.5, 0.5, 4) scores at least as well as
+(0.5, 0.5, 16).  Sized on seeds 1-12 before the gate judged anything
+(majority share 0.385 on every seed):
+
+    seed   0.2,8  1.0,8  gap    0.5,4  0.5,16 gap
+    1      1.000  0.769  0.231  1.000  0.821  0.179
+    2      1.000  0.795  0.205  1.000  0.795  0.205
+    3      1.000  0.795  0.205  1.000  0.846  0.154
+    4      0.974  0.949  0.025  1.000  0.795  0.205
+    5      0.974  0.795  0.179  1.000  0.872  0.128
+    6      0.923  0.692  0.231  1.000  0.795  0.205
+    7      0.923  0.718  0.205  1.000  0.821  0.179
+    8      1.000  0.769  0.231  1.000  0.795  0.205
+    9      1.000  0.821  0.179  1.000  0.821  0.179
+    10     1.000  0.692  0.308  1.000  0.872  0.128
+    11     1.000  0.872  0.128  1.000  0.923  0.077
+    12     1.000  0.667  0.333  1.000  0.769  0.231
+
+The gaps' means are 0.205 and 0.173.  The gate runs seeds 1-2 (the four
+models of a seed train in ~3.5 s), each gap at least 0.02 on every seed
+and 0.1 in the mean.  On the scene QTs' story labels the order flips, on
+every sized seed: (1.0, 1.0, 8) read 0.818-0.930 against 0.333-0.607 for
+(0.2, 0.2, 8), and depth 16 read at least depth 4 (0.600-0.860 against
+0.321-0.600; equal on seed 1).  More QT steps and longer walks serve the
+QT task, as the paper argues; the gate prints these values and asserts
+none of them.
 """
 
 import sys
@@ -60,6 +92,8 @@ BIASED, PLAIN = 0.5, 0.0
 STORY_SIZES = dict(stories=3, scenes=20, persons=4, objects=5, places=3,
                    planted_duplicates=1)
 STORY_SEEDS = range(1, 4)
+ENTITY_SIZES = dict(STORY_SIZES, places=4)
+SHAPE_SEEDS = range(1, 3)
 
 
 def untyped_graph(data):
@@ -128,3 +162,34 @@ def test_qt_biased_walks_classify_scene_qts_by_story(tmp_path):
         gaps.append(accuracy[BIASED] - accuracy[PLAIN])
     assert min(gaps) >= 0.1, gaps
     assert sum(gaps) / len(gaps) >= 0.2, gaps
+
+
+def test_sweep_shape_holds_on_entity_classes(tmp_path):
+    # (alpha = beta, depth) cells of acceptance criterion 5
+    cells = [(0.2, 8), (1.0, 8), (0.5, 4), (0.5, 16)]
+    bias_gaps, depth_gaps = [], []
+    for seed in SHAPE_SEEDS:
+        data = gen.scene_graph(seed, **ENTITY_SIZES)
+        graph = untyped_graph(data)
+        golds = {}
+        for name, files in (("entity", data["gold"]),
+                            ("story", data["story_gold"])):
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(files["classification.tsv"], encoding="utf-8")
+            golds[name] = load_labeled_tsv(path)
+        accuracy = {}
+        for bias, depth in cells:
+            params = WalkParams(n=5, d=depth, alpha=bias, beta=bias, seed=0)
+            model = run_pipeline(graph, params, TrainConfig(
+                dim=32, window=5, epochs=15, seed=0, mode=Mode.STRUCTURED))
+            entity, story = (
+                eval_classification(model, golds[name]).metrics["accuracy"]
+                for name in ("entity", "story"))
+            accuracy[bias, depth] = entity
+            print(f"seed {seed} alpha=beta={bias} depth {depth}: entity "
+                  f"kNN accuracy {entity:.3f}, story {story:.3f}")
+        bias_gaps.append(accuracy[0.2, 8] - accuracy[1.0, 8])
+        depth_gaps.append(accuracy[0.5, 4] - accuracy[0.5, 16])
+    for gaps in (bias_gaps, depth_gaps):
+        assert min(gaps) >= 0.02, (bias_gaps, depth_gaps)
+        assert sum(gaps) / len(gaps) >= 0.1, (bias_gaps, depth_gaps)
