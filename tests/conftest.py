@@ -5,6 +5,7 @@ import pytest
 from qtwalk import walks
 from qtwalk.fixtures import random_iri, random_literal, random_quoted
 from qtwalk.graph import build_graph
+from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import Iri, QuotedTriple, Term, Triple
 
 
@@ -73,3 +74,26 @@ def nested_example():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def write_gold(tmp_path, emb_path):
+    """Gold files for all four tasks in ``tmp_path/gold``, cut from the
+    tokens of the embedding file ``emb_path``."""
+    emb = load_embeddings(emb_path)
+    tokens = [t for t in emb.tokens if t.startswith("<")][:33]
+    gold_dir = tmp_path / "gold"
+    gold_dir.mkdir()
+    labeled = "".join(
+        f"{tok}\t{'abc'[i % 3]}\n" for i, tok in enumerate(tokens[:30])
+    )
+    (gold_dir / "classification.tsv").write_text(labeled, encoding="utf-8")
+    (gold_dir / "clustering.tsv").write_text(labeled, encoding="utf-8")
+    rel = tokens[0] + "\n" + "".join(f"\t{t}\n" for t in tokens[1:11])
+    (gold_dir / "relatedness.tsv").write_text(rel, encoding="utf-8")
+    qt_tokens = [t for t in emb.tokens if t.startswith("<<")]
+    pairs = list(zip(qt_tokens, qt_tokens[1:]))[:6]
+    sim = "".join(
+        f"{a}\t{b}\t{round(0.1 * i, 2)}\n" for i, (a, b) in enumerate(pairs)
+    )
+    (gold_dir / "qt_similarity.tsv").write_text(sim, encoding="utf-8")
+    return gold_dir

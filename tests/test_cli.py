@@ -25,7 +25,7 @@ from qtwalk.skipgram import load_embeddings
 from qtwalk.terms import RDF_TYPE
 from qtwalk.walks import read_corpus_lines
 
-from conftest import count_forks, nested_qt_document
+from conftest import count_forks, nested_qt_document, write_gold
 
 
 @pytest.fixture
@@ -56,27 +56,6 @@ def run_walk_train(tmp_path, graph, exclude_type=True, train_flags=()):
     assert main(["train", str(corpus), str(emb), *small_train_flags(),
                  *train_flags]) == 0
     return corpus, emb
-
-
-def write_gold(tmp_path, emb_path):
-    emb = load_embeddings(emb_path)
-    tokens = [t for t in emb.tokens if t.startswith("<")][:33]
-    gold_dir = tmp_path / "gold"
-    gold_dir.mkdir()
-    labeled = "".join(
-        f"{tok}\t{'abc'[i % 3]}\n" for i, tok in enumerate(tokens[:30])
-    )
-    (gold_dir / "classification.tsv").write_text(labeled, encoding="utf-8")
-    (gold_dir / "clustering.tsv").write_text(labeled, encoding="utf-8")
-    rel = tokens[0] + "\n" + "".join(f"\t{t}\n" for t in tokens[1:11])
-    (gold_dir / "relatedness.tsv").write_text(rel, encoding="utf-8")
-    qt_tokens = [t for t in emb.tokens if t.startswith("<<")]
-    pairs = list(zip(qt_tokens, qt_tokens[1:]))[:6]
-    sim = "".join(
-        f"{a}\t{b}\t{round(0.1 * i, 2)}\n" for i, (a, b) in enumerate(pairs)
-    )
-    (gold_dir / "qt_similarity.tsv").write_text(sim, encoding="utf-8")
-    return gold_dir
 
 
 def test_gen_fixture_then_stats(tmp_path, fixture_graph, capsys):

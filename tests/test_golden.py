@@ -1,7 +1,7 @@
 """Byte-identity guard: pinned sha256 digests of walk corpora, graph
 fingerprints, stats tables, one trained embedding file, the parameters of
-every trainer configuration, the walk and train manifests and the parser's
-outcome on thousands of mutated inputs.
+every trainer configuration, the walk and train manifests, the tables the commands write and the
+parser's outcome on thousands of mutated inputs.
 
 Candidate order, RNG draws and token text all feed these bytes, so a
 change to how the graph is indexed or walked that alters any of them
@@ -26,7 +26,7 @@ from qtwalk import walks
 from qtwalk.walks import (Strategy, WalkParams, read_corpus_lines,
                           write_corpus)
 
-from conftest import random_term
+from conftest import random_term, write_gold
 
 SEEDS = (0, 1, 2)
 ALPHA_BETA = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
@@ -145,11 +145,16 @@ def walk_corpus(tmp_path_factory):
     return corpus
 
 
-def test_walk_train_embedding_bytes_are_pinned(tmp_path, walk_corpus):
-    emb = tmp_path / "emb.txt"
+@pytest.fixture(scope="module")
+def walk_train_embedding(tmp_path_factory, walk_corpus):
+    emb = tmp_path_factory.mktemp("train") / "emb.txt"
     assert main(["train", str(walk_corpus), str(emb), "--dim", "8",
                  "--epochs", "2", "--seed", "1"]) == 0
-    assert sha256(emb.read_bytes()) == EMBEDDING_SHA256
+    return emb
+
+
+def test_walk_train_embedding_bytes_are_pinned(walk_train_embedding):
+    assert sha256(walk_train_embedding.read_bytes()) == EMBEDDING_SHA256
 
 
 @pytest.mark.parametrize("mode,softmax_mode", list(MODEL_SHA256))
@@ -223,6 +228,105 @@ def test_train_manifest_bytes_are_pinned(tmp_path, fixture_graph, key, flags):
     assert main(["train", str(corpus), str(emb), "--dim", "8", "--epochs",
                  "2", "--window", "3", "--seed", "1", *flags]) == 0
     assert sha256(Path(f"{emb}.manifest").read_bytes()) == MANIFEST_SHA256[key]
+
+
+# -- tables ---------------------------------------------------------------------
+
+# The full text of each table a command writes, per command line.
+TABLE_SHA256 = {
+    "convert":
+        "54544f1255de81492ffdcff2ae8e9f31fc2112acd4e04c8b00644387ba44d57c",
+    "stats":
+        "d09ac70eaddb0a1837ff51a69d2d26e6e67d58952abfddd655d0cdfd05893da0",
+    "stats-id-nesting":
+        "633edf855ce389dded5d3f1096bc6d0765c0635a6275dbb9cba24c278a68f0a2",
+    "eval":
+        "8fb218bf72c2bbc2606ca9453f0c2eed308d4a3d7c2c770fc749b11ffe9df686",
+    "sweep":
+        "9f754f17fe432d62c86a6aeaf2084a91ee1460b85f5b5578e7847e4c6419fb6a",
+}
+
+# Two scenes with one (s, p, o), linked; a scene without subject or object;
+# one with a literal subject; one whose predicate is no IRI, dropped; and a
+# triple outside any scene.
+SCENES_DOC = """\
+@prefix kgc: <http://kgc.knowledge-graph.jp/ontology/kgc.owl#> .
+@prefix ex: <urn:ex:> .
+ex:s1 kgc:hasPredicate ex:take ; kgc:subject ex:alice ;
+    kgc:what ex:key ; kgc:then ex:s2 .
+ex:s2 kgc:hasPredicate ex:take ; kgc:subject ex:alice ;
+    kgc:what ex:key ; kgc:when "night" .
+ex:s3 kgc:hasPredicate ex:sleep ; kgc:when ex:noon .
+ex:s4 kgc:hasPredicate ex:run ; kgc:subject "Bob" ; kgc:where ex:park .
+ex:s5 kgc:hasPredicate "hide" ; kgc:subject ex:bob .
+ex:alice a ex:Person .
+"""
+
+
+@pytest.fixture(scope="module")
+def scene_graph(tmp_path_factory):
+    """The converted ``SCENES_DOC``, and its report's bytes, the report
+    written to its default path and to ``--report`` alike."""
+    tmp = tmp_path_factory.mktemp("scenes")
+    doc = tmp / "scenes.ttl"
+    doc.write_text(SCENES_DOC, encoding="utf-8")
+    graph, other, report = tmp / "a.ttls", tmp / "b.ttls", tmp / "report.tsv"
+    assert main(["convert", str(doc), str(graph)]) == 0
+    assert main(["convert", str(doc), str(other), "--report",
+                 str(report)]) == 0
+    assert graph.read_bytes() == other.read_bytes()
+    text = Path(f"{graph}.report.tsv").read_bytes()
+    assert text == report.read_bytes()
+    return graph, text
+
+
+def table(capsys, argv, output) -> bytes:
+    """The table ``argv`` writes to stdout, checked equal to the one it
+    writes to ``--output``."""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert main([*argv, "--output", str(output)]) == 0
+    assert output.read_bytes() == printed
+    return printed
+
+
+def test_convert_report_bytes_are_pinned(scene_graph):
+    assert sha256(scene_graph[1]) == TABLE_SHA256["convert"]
+
+
+@pytest.mark.parametrize("key, flags", [
+    ("stats", []), ("stats-id-nesting", ["--include-id-nesting"])])
+def test_stats_table_bytes_are_pinned(tmp_path, capsys, fixture_graph,
+                                      scene_graph, key, flags):
+    text = b"".join(table(capsys, ["stats", str(graph), *flags],
+                          tmp_path / "stats.tsv")
+                    for graph in (fixture_graph, scene_graph[0]))
+    assert sha256(text) == TABLE_SHA256[key]
+
+
+def test_eval_report_bytes_are_pinned(tmp_path, capsys,
+                                      walk_train_embedding):
+    gold_dir = write_gold(tmp_path, walk_train_embedding)
+    text = table(capsys, ["eval", str(walk_train_embedding), "--gold-dir",
+                          str(gold_dir), "--allow-leak", "--seed", "1"],
+                 tmp_path / "report.tsv")
+    assert {line.split(b"\t")[0] for line in text.splitlines()} == {
+        b"classification", b"clustering", b"entity_relatedness",
+        b"qt_similarity"}
+    assert sha256(text) == TABLE_SHA256["eval"]
+
+
+def test_sweep_table_bytes_are_pinned(tmp_path, capsys, fixture_graph,
+                                      walk_train_embedding):
+    gold_dir = write_gold(tmp_path, walk_train_embedding)
+    text = table(capsys, ["sweep", str(fixture_graph), "--gold-dir",
+                          str(gold_dir), "--walks", "4", "--depth", "4",
+                          "--dim", "8", "--epochs", "1", "--seed", "1",
+                          "--grid-alpha", "0.0,0.5", "--grid-beta",
+                          "0.0,0.5"],
+                 tmp_path / "sweep.tsv")
+    assert len(text.splitlines()) == 5
+    assert sha256(text) == TABLE_SHA256["sweep"]
 
 
 # -- parser outcomes -----------------------------------------------------------
