@@ -108,17 +108,19 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _manifest_text(entries: dict[str, str]) -> str:
-    return "".join(f"{key}\t{value}\n" for key, value in entries.items())
+def _tsv(rows) -> str:
+    """A table: one line per row, its fields spelled by ``str`` and joined
+    by TAB.  Every table and manifest a command writes is spelled here."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-def _settings(config, seed_key: str) -> dict[str, str]:
+def _settings(config, seed_key: str) -> dict:
     """The manifest entries of a ``WalkParams`` or ``TrainConfig``, in
-    field order: an enum by its value, a number by ``repr``; the seed
-    under ``seed_key`` and ``softmax_mode`` under ``softmax``."""
+    field order: an enum by its value, a number as it is; the seed under
+    ``seed_key`` and ``softmax_mode`` under ``softmax``."""
     keys = {"seed": seed_key, "softmax_mode": "softmax"}
     return {keys.get(name, name): value.value
-            if isinstance(value, enum.Enum) else repr(value)
+            if isinstance(value, enum.Enum) else value
             for name, value in dataclasses.asdict(config).items()}
 
 
@@ -213,7 +215,7 @@ def cmd_convert(args) -> int:
             parse_document(Path(args.input).read_text(encoding="utf-8")),
             link_to_wrapper=not args.link_to_inner)
         write_triples(converted, output)
-        _write_text(report_path, report.tsv())
+        _write_text(report_path, _tsv(report.rows()))
     return 0
 
 
@@ -221,7 +223,7 @@ def cmd_stats(args) -> int:
     with _outputs([args.input], args.output or None) as (output,):
         g = load_graph(args.input)
         stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
-        _write_text(output, gr.stats_tsv(stats))
+        _write_text(output, _tsv(gr.stats_rows(stats)))
     return 0
 
 
@@ -232,12 +234,12 @@ def cmd_walk(args) -> int:
                   ) as (output, manifest):
         g = load_graph(args.input, excluded)
         digest = wk.write_corpus(g, params, output)
-        _write_text(manifest, _manifest_text({
+        _write_text(manifest, _tsv({
             "graph_fingerprint": g.fingerprint(),
             **_settings(params, "walk_seed"),
             "excluded_predicates": " ".join(excluded),
             "artifact_sha256": digest,
-        }))
+        }.items()))
     return 0
 
 
@@ -266,7 +268,7 @@ def cmd_train(args) -> int:
             sg.save_output_matrices(model, sidecar)
         manifest.update(_settings(cfg, "train_seed"),
                         artifact_sha256=_file_sha256(output))
-        _write_text(manifest_out, _manifest_text(manifest))
+        _write_text(manifest_out, _tsv(manifest.items()))
     return 0
 
 
@@ -319,7 +321,8 @@ def cmd_eval(args) -> int:
             else:
                 reports.append(ev.eval_qt_similarity(
                     emb, ev.load_similarity(path)))
-        _write_text(output, ev.reports_tsv(reports))
+        _write_text(output, _tsv(row for report in reports
+                                 for row in report.rows()))
     return 0
 
 
@@ -370,15 +373,14 @@ def cmd_sweep(args) -> int:
                 # cell trains
                 report = ev.eval_classification(run_pipeline(g, params, cfg),
                                                 gold, seed=args.seed)
-                cell = f"{params.alpha!r}\t{params.beta!r}\t{params.d}"
-                fh.write("".join(f"{cell}\t{task}\t{metric}\t{value}\n"
-                                 for task, metric, value in report.rows()
-                                 ).encode("utf-8"))
+                fh.write(_tsv((params.alpha, params.beta, params.d, *row)
+                              for row in report.rows()).encode("utf-8"))
 
         # each cell seeds its own walks and training: any process runs it
         rows = io.BytesIO()
         wk.run_in_shards(cells, write_rows, rows)
-        _write_text(output, "alpha\tbeta\tdepth\ttask\tmetric\tvalue\n"
+        _write_text(output, _tsv([("alpha", "beta", "depth", "task",
+                                   "metric", "value")])
                     + rows.getvalue().decode("utf-8"))
     return 0
 

@@ -54,19 +54,16 @@ class ConversionReport:
     duplicates_disambiguated: int = 0
     dropped_scenes: list[tuple[str, str]] = field(default_factory=list)
 
-    def rows(self) -> list[tuple[str, str]]:
+    def rows(self) -> list[tuple[str, int | str]]:
         out = [
-            ("scenes_converted", str(self.scenes_converted)),
-            ("nothing_substitutions", str(self.nothing_substitutions)),
-            ("duplicates_disambiguated", str(self.duplicates_disambiguated)),
-            ("dropped_scenes", str(len(self.dropped_scenes))),
+            ("scenes_converted", self.scenes_converted),
+            ("nothing_substitutions", self.nothing_substitutions),
+            ("duplicates_disambiguated", self.duplicates_disambiguated),
+            ("dropped_scenes", len(self.dropped_scenes)),
         ]
         out.extend(("dropped", f"{sid}: {reason}")
                    for sid, reason in self.dropped_scenes)
         return out
-
-    def tsv(self) -> str:
-        return "".join(f"{k}\t{v}\n" for k, v in self.rows())
 
 
 def _role_name(predicate: Iri) -> str | None:
@@ -118,20 +115,24 @@ def object_role(rec: SceneRecord) -> str | None:
 
 
 def convert_scene(rec: SceneRecord
-                  ) -> tuple[QuotedTriple, list[tuple[Iri, Term]]]:
-    """Fold a scene into its QT plus metadata (predicate, object) pairs.
+                  ) -> tuple[QuotedTriple, list[tuple[Iri, Term]], int]:
+    """Fold a scene into its QT plus metadata (predicate, object) pairs,
+    and the number of QT parts it substituted with ``owl:Nothing`` (a
+    missing or literal subject, a missing object).
 
     Scene-to-scene link objects are left untouched here; resolution is a
     second pass over all converted scenes.
     """
     if rec.predicate is None:
         raise MissingPredicate(rec.scene_id.value)
-    subject = rec.role_map.get("subject", Iri(OWL_NOTHING))
+    subject = rec.role_map.get("subject")
     if isinstance(subject, Literal):
-        subject = Iri(OWL_NOTHING)
+        subject = None
     consumed = object_role(rec)
-    obj = rec.role_map[consumed] if consumed else Iri(OWL_NOTHING)
-    qt = QuotedTriple(subject, rec.predicate, obj)
+    obj = rec.role_map[consumed] if consumed else None
+    nothing = Iri(OWL_NOTHING)
+    qt = QuotedTriple(nothing if subject is None else subject, rec.predicate,
+                      nothing if obj is None else obj)
 
     metadata: list[tuple[Iri, Term]] = []
     for type_term in rec.type_terms:
@@ -141,7 +142,7 @@ def convert_scene(rec: SceneRecord
             continue
         metadata.append((Iri(KGC_NS + role), value))
     metadata.extend(rec.extra_metadata)
-    return qt, metadata
+    return qt, metadata, (subject is None) + (obj is None)
 
 
 def assign_subjects(qts: list[QuotedTriple]) -> list[Term]:
@@ -177,17 +178,14 @@ def convert_document(triples, link_to_wrapper: bool = True
     converted: list[tuple[Iri, QuotedTriple, list[tuple[Iri, Term]]]] = []
     for rec in ordered:
         try:
-            qt, metadata = convert_scene(rec)
+            qt, metadata, substituted = convert_scene(rec)
         except MissingPredicate:
             report.dropped_scenes.append(
                 (rec.scene_id.value, "missing kgc:hasPredicate")
             )
             continue
         report.scenes_converted += 1
-        report.nothing_substitutions += sum(
-            1 for part in (qt.subject, qt.object)
-            if isinstance(part, Iri) and part.value == OWL_NOTHING
-        )
+        report.nothing_substitutions += substituted
         converted.append((rec.scene_id, qt, metadata))
 
     subjects = assign_subjects([qt for _, qt, _ in converted])

@@ -60,17 +60,9 @@ class EvalReport:
     metrics: dict[str, float]
     details: dict[str, object] = field(default_factory=dict)
 
-    def rows(self) -> list[tuple[str, str, str]]:
-        return [(self.task, name, repr(value))
+    def rows(self) -> list[tuple[str, str, float]]:
+        return [(self.task, name, value)
                 for name, value in self.metrics.items()]
-
-
-def reports_tsv(reports) -> str:
-    return "".join(
-        f"{task}\t{metric}\t{value}\n"
-        for report in reports
-        for task, metric, value in report.rows()
-    )
 
 
 # -- gold-standard files -----------------------------------------------------

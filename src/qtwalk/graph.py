@@ -354,7 +354,3 @@ def stats_rows(stats: GraphStats) -> list[tuple[str, int]]:
         rows.append((f"{name}-nested QT", count))
     rows.append(("Total", stats.total))
     return rows
-
-
-def stats_tsv(stats: GraphStats) -> str:
-    return "".join(f"{k}\t{v}\n" for k, v in stats_rows(stats))

@@ -1313,10 +1313,10 @@ def test_failed_convert_report_keeps_the_old_graph(tmp_path, fixture_graph,
     out = tmp_path / "g2.ttls"
     out.write_text("old\n", encoding="utf-8")
 
-    def failing_tsv(self):
+    def failing_rows(self):
         raise ValueError("disk full")
 
-    monkeypatch.setattr(ConversionReport, "tsv", failing_tsv)
+    monkeypatch.setattr(ConversionReport, "rows", failing_rows)
     assert main(["convert", str(fixture_graph), str(out)]) == 1
     assert out.read_text(encoding="utf-8") == "old\n"
     assert not Path(f"{out}.report.tsv").exists()

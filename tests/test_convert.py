@@ -1,5 +1,6 @@
 from collections import Counter
 
+from qtwalk.cli import _tsv
 from qtwalk.convert import (
     ConversionReport,
     SceneRecord,
@@ -138,6 +139,29 @@ def test_literal_subject_becomes_nothing():
     out, report = convert_document(parse_document(doc))
     qt = QuotedTriple(Iri(OWL_NOTHING), kp("sleep"), kd("room"))
     assert out == [Triple(qt, kgc("when"), kd("night"))]
+    assert report.nothing_substitutions == 1
+
+
+def test_nothing_given_in_the_input_is_no_substitution():
+    # only the missing object of scene 10 is substituted
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    @prefix owl: <http://www.w3.org/2002/07/owl#> .
+    kdsb:9 kgc:hasPredicate kdp:take ; kgc:subject kdsb:Helen ;
+        kgc:what owl:Nothing ; kgc:when kdsb:night .
+    kdsb:10 kgc:hasPredicate kdp:sleep ; kgc:subject owl:Nothing ;
+        kgc:when kdsb:noon .
+    """
+    out, report = convert_document(parse_document(doc))
+    nothing = Iri(OWL_NOTHING)
+    assert out == [
+        Triple(QuotedTriple(nothing, kp("sleep"), nothing), kgc("when"),
+               kd("noon")),
+        Triple(QuotedTriple(kd("Helen"), kp("take"), nothing), kgc("when"),
+               kd("night")),
+    ]
     assert report.nothing_substitutions == 1
 
 
@@ -287,6 +311,6 @@ def test_report_tsv_shape():
         scenes_converted=3, nothing_substitutions=1,
         duplicates_disambiguated=2, dropped_scenes=[("urn:s", "why")],
     )
-    text = report.tsv()
+    text = _tsv(report.rows())
     assert "scenes_converted\t3\n" in text
     assert "dropped\turn:s: why\n" in text

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import kendalltau, pearsonr, spearmanr
 
+from qtwalk.cli import _tsv
 from qtwalk.evaluate import (
     LabeledSet,
     MissingSeed,
@@ -33,7 +34,6 @@ from qtwalk.evaluate import (
     load_relatedness,
     load_similarity,
     pearson,
-    reports_tsv,
     spearman,
     stratified_folds,
 )
@@ -532,7 +532,7 @@ def test_load_similarity(tmp_path):
 def test_reports_tsv_one_line_per_metric():
     emb, gold = separable_embedding()
     reports = [eval_classification(emb, gold), eval_clustering(emb, gold)]
-    text = reports_tsv(reports)
+    text = _tsv(row for report in reports for row in report.rows())
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("classification\taccuracy\t")

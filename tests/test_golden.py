@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from qtwalk.cli import main
+from qtwalk.cli import _tsv, main
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import build_graph, compute_stats, stats_tsv
+from qtwalk.graph import build_graph, compute_stats, stats_rows
 from qtwalk.parser import ParseError, parse_document, parse_term
 from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
                              build_vocabulary, train)
@@ -115,8 +115,8 @@ def test_corpus_bytes_are_pinned(tmp_path, monkeypatch, seed, strategy,
 def test_fingerprint_and_stats_are_pinned(seed):
     g = golden_graph(seed)
     assert g.fingerprint() == FINGERPRINT[seed]
-    text = stats_tsv(compute_stats(g)) + stats_tsv(
-        compute_stats(g, include_id_nesting=True))
+    text = _tsv(stats_rows(compute_stats(g))) + _tsv(stats_rows(
+        compute_stats(g, include_id_nesting=True)))
     assert sha256(text.encode("utf-8")) == STATS_SHA256[seed]
 
 

@@ -6,9 +6,9 @@ import tracemalloc
 
 import pytest
 
+from qtwalk.cli import _tsv
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import (build_graph, compute_stats, parse_graph, stats_rows,
-                          stats_tsv)
+from qtwalk.graph import build_graph, compute_stats, parse_graph, stats_rows
 from qtwalk.parser import MAX_QT_DEPTH, ParseError, parse_document
 from qtwalk.terms import (
     ID_PREDICATE,
@@ -304,7 +304,7 @@ def test_stats_rows_and_tsv_layout():
         "Class", "Instance", "Property", "Standard triple",
         "Single-nested QT", "Double-nested QT", "Total",
     ]
-    text = stats_tsv(compute_stats(g))
+    text = _tsv(rows)
     assert "Standard triple\t4\n" in text
     assert text.endswith("Total\t6\n")
 
@@ -352,17 +352,17 @@ def test_build_graph_leaves_no_garbage_cycles():
 # graph, or the same error.
 
 def graph_fields(g, triples) -> tuple:
-    """Every index of ``g``, its fingerprint and both stats tables, with
-    the asserted ``triples`` of its input as ids (``asserted_ids``), which
-    ``out_edges`` must list in the same order."""
+    """Every index of ``g``, its fingerprint and the rows of both stats
+    tables, with the asserted ``triples`` of its input as ids
+    (``asserted_ids``), which ``out_edges`` must list in the same order."""
     asserted = asserted_ids(g, triples)
     assert [(s, p, o) for s, edges in enumerate(g.out_edges)
             for p, o in edges] == asserted
     return (g.texts, asserted, g.qt_parts, g.qt_lookup,
             tuple(g.qt_lookup.values()), g.out_edges, g.in_edges,
             g.qts_by_subject, g.qts_by_object, g.roots, g.fingerprint(),
-            stats_tsv(compute_stats(g)),
-            stats_tsv(compute_stats(g, include_id_nesting=True)))
+            stats_rows(compute_stats(g)),
+            stats_rows(compute_stats(g, include_id_nesting=True)))
 
 
 def kept_triples(text: str, exclude=()) -> list[Triple]:
