@@ -1,7 +1,7 @@
 """Byte-identity guard: pinned sha256 digests of walk corpora, graph
 fingerprints, stats tables, one trained embedding file, the parameters of
-every trainer configuration, the walk and train manifests, the tables the commands write and the
-parser's outcome on thousands of mutated inputs.
+every trainer configuration, the walk and train manifests, the tables the
+commands write and the parser's outcome on thousands of mutated inputs.
 
 Candidate order, RNG draws and token text all feed these bytes, so a
 change to how the graph is indexed or walked that alters any of them
@@ -295,7 +295,8 @@ def test_convert_report_bytes_are_pinned(scene_graph):
 
 
 @pytest.mark.parametrize("key, flags", [
-    ("stats", []), ("stats-id-nesting", ["--include-id-nesting"])])
+    ("stats", []), ("stats-id-nesting", ["--include-id-nesting"])],
+    ids=["plain", "id-nesting"])
 def test_stats_table_bytes_are_pinned(tmp_path, capsys, fixture_graph,
                                       scene_graph, key, flags):
     text = b"".join(table(capsys, ["stats", str(graph), *flags],
