@@ -306,13 +306,14 @@ TEN_CANDIDATES = "".join(f"\t<urn:c{i}>\n" for i in range(10))
 
 def eval_error(tmp_path, capsys, task, gold, embedding=TINY_EMBEDDING):
     """stderr of ``qtwalk eval`` on hand-written files, which must exit 1;
-    ``{emb}`` and ``{gold}`` in it stand for the two paths."""
+    ``{emb}`` and ``{gold}`` in it stand for the two paths.  The embedding
+    has no manifest, so classification runs with ``--allow-leak``."""
     emb = tmp_path / "vectors.tsv"
     emb.write_text(embedding, encoding="utf-8")
     gold_path = tmp_path / f"{task}.tsv"
     gold_path.write_text(gold, encoding="utf-8")
     assert main(["eval", str(emb), "--gold-dir", str(tmp_path),
-                 "--tasks", task]) == 1
+                 "--tasks", task, "--allow-leak"]) == 1
     err = capsys.readouterr().err
     return err.replace(str(emb), "{emb}").replace(str(gold_path), "{gold}")
 
@@ -329,6 +330,8 @@ def eval_error(tmp_path, capsys, task, gold, embedding=TINY_EMBEDDING):
     ("clustering", "<urn:x>\tA\n<urn:y>\tB\n",
      "clustering: only 0/2 gold tokens are in the embedding; missing "
      "<urn:x>, <urn:y>"),
+    ("classification", "<urn:a>\tA\n<urn:b>\tA\n",
+     "classes below 10 members: {'A': 2}"),
 ])
 def test_eval_names_the_task_and_missing_token(tmp_path, capsys, task, gold,
                                                message):
@@ -344,6 +347,9 @@ def test_eval_names_the_task_and_missing_token(tmp_path, capsys, task, gold,
     ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
      TINY_EMBEDDING.replace("1.0 0.0", "1.0 x"),
      "{emb}:2: token '<urn:a>': could not convert string to float: 'x'"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     TINY_EMBEDDING.replace("1.0 0.0", "1.0"),
+     "{emb}: token '<urn:a>' has 1 values, expected 2"),
     ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
      "#qtwalk-emb v1 count=0 dim=-3 mode=classic\n",
      "{emb}:1: header needs count >= 0 and dim >= 1, got count=0 dim=-3"),
@@ -392,6 +398,25 @@ kd:1 kgc:hasPredicate kdp:meet ; kgc:subject kd:J ; kgc:whom kd:L ;
         encoding="utf-8"
     )
     assert "scenes_converted\t1\n" in report
+
+
+def test_convert_reports_a_scene_without_predicate(tmp_path):
+    doc = tmp_path / "scenes.ttl"
+    doc.write_text(
+        "@prefix kgc: <http://kgc.knowledge-graph.jp/ontology/kgc.owl#> .\n"
+        "<urn:ex:s1> kgc:hasPredicate <urn:ex:sleep> ;\n"
+        "    kgc:subject <urn:ex:alice> ; kgc:when <urn:ex:night> .\n"
+        "<urn:ex:s2> kgc:hasPredicate \"oops\" ; kgc:where <urn:ex:room> .\n",
+        encoding="utf-8")
+    out = tmp_path / "converted.ttls"
+    assert main(["convert", str(doc), str(out)]) == 0
+    assert Path(f"{out}.report.tsv").read_text(encoding="utf-8") == (
+        "scenes_converted\t1\n"
+        "nothing_substitutions\t1\n"
+        "duplicates_disambiguated\t0\n"
+        "dropped_scenes\t1\n"
+        "dropped\turn:ex:s2: missing kgc:hasPredicate\n")
+    assert "urn:ex:s2" not in out.read_text(encoding="utf-8")
 
 
 def test_sweep_emits_one_row_per_grid_cell(tmp_path, fixture_graph):
@@ -586,6 +611,20 @@ def test_non_finite_training_is_exit_code_one(tmp_path, fixture_graph,
                  "--learning-rate", rate]) == 1
     assert "qtwalk: error:" in capsys.readouterr().err
     assert not emb.exists()
+
+
+def test_train_on_an_empty_vocabulary_is_exit_code_one(tmp_path,
+                                                      fixture_graph, capsys):
+    corpus = tmp_path / "walks.tsv"
+    emb = tmp_path / "vectors.tsv"
+    assert main(["walk", str(fixture_graph), str(corpus),
+                 *small_walk_flags()]) == 0
+    assert main(["train", str(corpus), str(emb), *small_train_flags(),
+                 "--min-count", "1000000"]) == 1
+    assert capsys.readouterr().err == "qtwalk: error: vocabulary is empty\n"
+    assert not emb.exists()
+    assert not Path(f"{emb}.manifest").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("header, body", [
