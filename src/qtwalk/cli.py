@@ -9,8 +9,10 @@ artifact; ``eval`` refuses an input whose manifest records another hash,
 manifest that records none.  Each command checks all its outputs, manifests
 included, before any work, and publishes them together once it is done.
 
-Exit codes: 0 ok, 1 input error (a usage error included), 2 internal
-invariant violation.
+Exit codes: 0 ok, 1 input error, 2 internal invariant violation.  An
+input error, a usage error included, is a ``ValueError`` (a ``ParseError``
+is one) or an ``OSError``; any other exception is a bug, and leaves
+``main`` with its traceback.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ from .parser import ParseError, parse_document, parse_term
 from .terms import RDF_TYPE, Iri, serialize_triple
 
 
-class InputError(Exception):
-    pass
-
-
 # -- outputs and manifests ---------------------------------------------------
 
 @contextlib.contextmanager
@@ -59,19 +57,19 @@ def _outputs(inputs, *paths: str | None):
     read = [Path(path).resolve() for path in inputs]
     for path, where in zip(named, resolved):
         if resolved.count(where) > 1:
-            raise InputError(f"{path}: given for two outputs")
+            raise ValueError(f"{path}: given for two outputs")
         if any(where == source or where.exists() and source.exists()
                and os.path.samefile(where, source) for source in read):
-            raise InputError(f"{path}: is also an input")
+            raise ValueError(f"{path}: is also an input")
         if Path(path).is_dir():
-            raise InputError(f"{path}: is a directory")
+            raise ValueError(f"{path}: is a directory")
         if Path(path).exists() and not Path(path).is_file():
-            raise InputError(f"{path}: not a regular file")
+            raise ValueError(f"{path}: not a regular file")
         if (stream := _standard_stream(path)) is not None:
-            raise InputError(f"{path}: is {stream}")
+            raise ValueError(f"{path}: is {stream}")
         for folder in (Path(path).parent, where.parent):
             if not folder.is_dir():
-                raise InputError(f"{path}: no such directory: {folder}")
+                raise ValueError(f"{path}: no such directory: {folder}")
     staged = {path: Path(f"{where}.{os.getpid()}.tmp")
               for path, where in zip(named, resolved)}
     try:
@@ -167,7 +165,7 @@ def read_bound_manifest(path, *, strict: bool) -> dict[str, str]:
     if recorded is not None and recorded == _file_sha256(path):
         return manifest
     if recorded is not None and strict:
-        raise InputError(f"{path}: manifest describes a different file")
+        raise ValueError(f"{path}: manifest describes a different file")
     return {}
 
 
@@ -195,7 +193,7 @@ def _excluded_predicates(args) -> tuple[str, ...]:
         except ParseError:
             valid = False
         if not valid:
-            raise InputError(f"--exclude-predicate: not an IRI: {value!r}")
+            raise ValueError(f"--exclude-predicate: not an IRI: {value!r}")
     return tuple(args.exclude_predicate)
 
 
@@ -284,15 +282,15 @@ def _check_gold(tasks, paths) -> None:
     """Every task name is known and every gold file is found."""
     for task in tasks:
         if task not in _TASKS:
-            raise InputError(f"unknown task {task!r}")
+            raise ValueError(f"unknown task {task!r}")
     for path in paths:
         if not path.is_file():
-            raise InputError(f"gold file not found: {path}")
+            raise ValueError(f"gold file not found: {path}")
 
 
 def cmd_eval(args) -> int:
     if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     tasks = args.tasks.split(",") if args.tasks else list(_TASKS)
     gold_files = _gold_paths(args.gold_dir, tasks)
     with _outputs([args.input, args.input + ".manifest", *gold_files],
@@ -303,7 +301,7 @@ def cmd_eval(args) -> int:
         if "classification" in tasks and not args.allow_leak:
             excluded = manifest.get("excluded_predicates", "").split(" ")
             if RDF_TYPE not in excluded:
-                raise InputError(
+                raise ValueError(
                     "classification on embeddings trained without excluding "
                     "rdf:type leaks labels; pass --allow-leak to override"
                 )
@@ -345,7 +343,7 @@ def _grid(flag: str, text: str | None, field: str, parse,
             value = parse(item)
             dataclasses.replace(base, **{field: value})   # checks the range
         except ValueError as exc:
-            raise InputError(f"{flag}: bad item {item!r}: {exc}") from None
+            raise ValueError(f"{flag}: bad item {item!r}: {exc}") from None
         values.append(value)
     return values
 
@@ -434,7 +432,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     message.  Subparsers are made of this class too."""
 
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -516,7 +514,7 @@ def main(argv=None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, ParseError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"qtwalk: error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -20,23 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skipgram import DimensionMismatch, EmbeddingModel
-
-
-class MissingToken(KeyError):
-    """A gold token the embedding lacks.  ``str`` gives the message, not
-    the quoted repr that ``KeyError`` shows."""
-
-    def __str__(self) -> str:
-        return str(self.args[0])
-
-
-class MissingSeed(MissingToken):
-    pass
-
-
-class TooFewPerClass(ValueError):
-    pass
+from .skipgram import EmbeddingModel
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,7 @@ def cosine_similarity(u, v) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
-        raise DimensionMismatch(f"{u.shape} vs {v.shape}")
+        raise ValueError(f"{u.shape} vs {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
@@ -383,13 +367,13 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 def _labeled_vectors(emb: EmbeddingModel, gold: LabeledSet, task: str
                      ) -> tuple[list[str], list[str], np.ndarray, list[str]]:
     """The gold tokens the embedding has, their labels, their vectors as
-    rows, and the gold tokens it lacks; ``MissingToken`` when fewer than
+    rows, and the gold tokens it lacks; ``ValueError`` when fewer than
     90% are present."""
     present = [t for t, _ in gold.records if t in emb]
     missing = [t for t, _ in gold.records if t not in emb]
     if len(present) < 0.9 * len(gold.records):
         shown = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
-        raise MissingToken(
+        raise ValueError(
             f"{task}: only {len(present)}/{len(gold.records)} gold tokens "
             f"are in the embedding; missing {shown}"
         )
@@ -412,7 +396,7 @@ def eval_classification(emb: EmbeddingModel, gold: LabeledSet,
                                                    "classification")
     small = {l: c for l, c in Counter(labels).items() if c < FOLDS}
     if small:
-        raise TooFewPerClass(f"classes below {FOLDS} members: {small}")
+        raise ValueError(f"classes below {FOLDS} members: {small}")
 
     fold_of = stratified_folds(labels, FOLDS, seed)
     correct = 0
@@ -450,12 +434,12 @@ def eval_relatedness(emb: EmbeddingModel, gold: RelatednessGold
     taus: list[float] = []
     for seed_token, candidates in gold.records:
         if seed_token not in emb:
-            raise MissingSeed(
+            raise ValueError(
                 f"relatedness: seed {seed_token} is not in the embedding")
         usable = [c for c in candidates if c in emb]
         if len(usable) < 2:
-            raise MissingToken(f"relatedness: seed {seed_token} has fewer "
-                               "than 2 candidates in the embedding")
+            raise ValueError(f"relatedness: seed {seed_token} has fewer "
+                             "than 2 candidates in the embedding")
         sims = [cosine_similarity(emb[seed_token], emb[c]) for c in usable]
         gold_rank = list(range(len(usable)))
         predicted_rank = np.argsort(np.argsort([-s for s in sims],
@@ -478,7 +462,7 @@ def eval_qt_similarity(emb: EmbeddingModel, gold: SimilarityGold
     for qt1, qt2, score in gold.records:
         for token in (qt1, qt2):
             if token not in emb:
-                raise MissingToken(
+                raise ValueError(
                     f"qt_similarity: {token} is not in the embedding")
         predicted.append(cosine_similarity(emb[qt1], emb[qt2]))
         expected.append(score)

@@ -49,14 +49,6 @@ class SoftmaxMode(Enum):
     FULL_SOFTMAX = "full"
 
 
-class EmptyCorpus(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     tokens: tuple[str, ...]
@@ -517,7 +509,7 @@ def train(corpus_rows, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingModel:
     Raises ``ValueError`` if any trained vector is not finite.
     """
     if len(vocab) == 0:
-        raise EmptyCorpus("vocabulary is empty")
+        raise ValueError("vocabulary is empty")
     if cfg.softmax_mode is SoftmaxMode.FULL_SOFTMAX and len(vocab) > FULL_SOFTMAX_CAP:
         raise ValueError(
             f"full softmax limited to {FULL_SOFTMAX_CAP} tokens, "
@@ -685,7 +677,7 @@ def load_embeddings(path) -> EmbeddingModel:
                 raise ValueError(
                     f"{path}:{lineno}: token {token!r}: {exc}") from None
             if len(row) != dim:
-                raise DimensionMismatch(
+                raise ValueError(
                     f"{path}: token {token!r} has {len(row)} values, "
                     f"expected {dim}"
                 )
@@ -694,7 +686,7 @@ def load_embeddings(path) -> EmbeddingModel:
             index[token] = len(rows)
             rows.append(row)
     if len(rows) != count:
-        raise DimensionMismatch(
+        raise ValueError(
             f"{path}: header declares {count} tokens, found {len(rows)}"
         )
     vectors = np.stack(rows) if rows else np.zeros((0, dim))

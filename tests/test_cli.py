@@ -657,6 +657,20 @@ def test_internal_invariant_violation_is_exit_code_two(tmp_path, capsys,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_a_key_error_is_a_bug_not_an_input_error(tmp_path, capsys,
+                                                 monkeypatch, fixture_graph):
+    def broken(g, include_id_nesting=False):
+        raise KeyError("k")
+
+    monkeypatch.setattr(cli.gr, "compute_stats", broken)
+    out = tmp_path / "stats.tsv"
+    with pytest.raises(KeyError):
+        main(["stats", str(fixture_graph), "--output", str(out)])
+    assert "qtwalk: error:" not in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_parse_error_is_exit_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.ttls"
     bad.write_text("this is not turtle", encoding="utf-8")

@@ -11,8 +11,6 @@ from qtwalk.skipgram import (
     CHUNK_PAIRS,
     FULL_SOFTMAX_CAP,
     MAX_BATCH,
-    DimensionMismatch,
-    EmptyCorpus,
     Mode,
     SoftmaxMode,
     TrainConfig,
@@ -319,7 +317,7 @@ def test_training_is_reproducible():
 
 
 def test_empty_vocabulary_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match="^vocabulary is empty$"):
         train([], build_vocabulary([]), cfg())
 
 
@@ -761,13 +759,15 @@ def test_load_rejects_inconsistent_dimensions(tmp_path):
         "#qtwalk-emb v1 count=1 dim=3 mode=classic\na\t0.5 0.25\n",
         encoding="utf-8",
     )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="token 'a' has 2 values, "
+                                         "expected 3$"):
         load_embeddings(path)
     path.write_text(
         "#qtwalk-emb v1 count=2 dim=2 mode=classic\na\t0.5 0.25\n",
         encoding="utf-8",
     )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="header declares 2 tokens, "
+                                         "found 1$"):
         load_embeddings(path)
 
 
