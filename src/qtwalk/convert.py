@@ -34,10 +34,6 @@ HAS_PREDICATE = f"{KGC_NS}hasPredicate"
 OBJECT_ROLE_PRIORITY = ("what", "whom", "where", "on", "to", "from")
 
 
-class MissingPredicate(ValueError):
-    pass
-
-
 @dataclass
 class SceneRecord:
     scene_id: Iri
@@ -116,15 +112,13 @@ def object_role(rec: SceneRecord) -> str | None:
 
 def convert_scene(rec: SceneRecord
                   ) -> tuple[QuotedTriple, list[tuple[Iri, Term]], int]:
-    """Fold a scene into its QT plus metadata (predicate, object) pairs,
-    and the number of QT parts it substituted with ``owl:Nothing`` (a
-    missing or literal subject, a missing object).
+    """Fold a scene that has a predicate into its QT plus metadata
+    (predicate, object) pairs, and the number of QT parts it substituted
+    with ``owl:Nothing`` (a missing or literal subject, a missing object).
 
     Scene-to-scene link objects are left untouched here; resolution is a
     second pass over all converted scenes.
     """
-    if rec.predicate is None:
-        raise MissingPredicate(rec.scene_id.value)
     subject = rec.role_map.get("subject")
     if isinstance(subject, Literal):
         subject = None
@@ -170,39 +164,45 @@ def assign_subjects(qts: list[QuotedTriple]) -> list[Term]:
 
 def convert_document(triples, link_to_wrapper: bool = True
                      ) -> tuple[list[Triple], ConversionReport]:
-    """Full conversion: scenes folded, links resolved, duplicates split."""
+    """Full conversion: scenes folded, links resolved, duplicates split.
+
+    A scene without a predicate is dropped, and so is one that would leave
+    no triple: one with no metadata that no triple links to.  The latter
+    is dropped after duplicates are numbered, so no other scene's triples
+    change."""
     report = ConversionReport()
     scenes, passthrough = collect_scenes(triples)
 
     ordered = sorted(scenes.values(), key=lambda r: serialize_term(r.scene_id))
-    converted: list[tuple[Iri, QuotedTriple, list[tuple[Iri, Term]]]] = []
+    converted: list[tuple[Iri, QuotedTriple, list[tuple[Iri, Term]], int]] = []
     for rec in ordered:
-        try:
-            qt, metadata, substituted = convert_scene(rec)
-        except MissingPredicate:
+        if rec.predicate is None:
             report.dropped_scenes.append(
                 (rec.scene_id.value, "missing kgc:hasPredicate")
             )
-            continue
-        report.scenes_converted += 1
-        report.nothing_substitutions += substituted
-        converted.append((rec.scene_id, qt, metadata))
+        else:
+            converted.append((rec.scene_id, *convert_scene(rec)))
 
-    subjects = assign_subjects([qt for _, qt, _ in converted])
-    report.duplicates_disambiguated = sum(
-        1 for s in subjects if isinstance(s, QuotedTriple)
-        and s.predicate.value == ID_PREDICATE
-    )
-
+    subjects = assign_subjects([qt for _, qt, _, _ in converted])
     scene_target: dict[Term, Term] = {}
-    for (scene_id, qt, _), subject in zip(converted, subjects):
+    for (scene_id, qt, _, _), subject in zip(converted, subjects):
         scene_target[scene_id] = subject if link_to_wrapper else qt
 
     def _resolve(term: Term) -> Term:
         return scene_target.get(term, term)
 
+    linked = {obj for _, _, metadata, _ in converted for _, obj in metadata}
+    linked.update(t.object for t in passthrough)
     out: list[Triple] = []
-    for (_, _, metadata), subject in zip(converted, subjects):
+    for (scene_id, _, metadata, substituted), subject in zip(converted,
+                                                             subjects):
+        if not metadata and scene_id not in linked:
+            report.dropped_scenes.append((scene_id.value, "no metadata"))
+            continue
+        report.scenes_converted += 1
+        report.nothing_substitutions += substituted
+        report.duplicates_disambiguated += (
+            subject.predicate.value == ID_PREDICATE)
         for pred, obj in metadata:
             out.append(Triple(subject, pred, _resolve(obj)))
     for t in passthrough:

@@ -1,5 +1,7 @@
 from collections import Counter
 
+from hypothesis import example, given, settings, strategies as st
+
 from qtwalk.cli import _tsv
 from qtwalk.convert import (
     ConversionReport,
@@ -183,7 +185,8 @@ def test_scene_without_predicate_is_dropped_and_reported():
     @prefix kgc: <{KGC_NS}> .
     @prefix kdsb: <{KD}> .
     @prefix kdp: <{KP}> .
-    kdsb:8 kgc:hasPredicate kdp:walk ; kgc:subject kdsb:Helen .
+    kdsb:8 kgc:hasPredicate kdp:walk ; kgc:subject kdsb:Helen ;
+        kgc:when kdsb:night .
     """
     triples = parse_document(doc)
     # strip the hasPredicate triple to leave a malformed scene-like subject
@@ -204,6 +207,123 @@ def test_scene_without_predicate_is_dropped_and_reported():
     out2, report2 = convert_document(broken)
     assert report2.dropped_scenes == [(KD + "6", "missing kgc:hasPredicate")]
     assert all(t.subject != kd("6") for t in out2)
+
+
+def test_scene_that_leaves_no_triple_is_dropped_and_reported():
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    kdsb:1 kgc:hasPredicate kdp:take ; kgc:subject kdsb:Helen ;
+        kgc:what kdsb:key .
+    kdsb:2 kgc:hasPredicate kdp:open ; kgc:subject kdsb:Helen ;
+        kgc:what kdsb:door ; kgc:time kdsb:t1 .
+    """
+    out, report = convert_document(parse_document(doc))
+    qt2 = QuotedTriple(kd("Helen"), kp("open"), kd("door"))
+    assert out == [Triple(qt2, kgc("time"), kd("t1"))]
+    assert report.scenes_converted == 1
+    assert report.nothing_substitutions == 0
+    assert report.dropped_scenes == [(KD + "1", "no metadata")]
+
+    # a link from another scene, or from any triple, makes it reach the graph
+    for linker in ("kdsb:2 kgc:then kdsb:1 .", "kdsb:x kgc:about kdsb:1 ."):
+        out, report = convert_document(parse_document(doc + linker))
+        assert report.scenes_converted == 2
+        assert report.dropped_scenes == []
+        assert QuotedTriple(kd("Helen"), kp("take"), kd("key")) in {
+            t.object for t in out}
+
+
+def test_dropping_a_duplicate_without_metadata_renumbers_nothing():
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    @prefix kdsb: <{KD}> .
+    @prefix kdp: <{KP}> .
+    kdsb:1 kgc:hasPredicate kdp:walk ; kgc:subject kdsb:Helen .
+    kdsb:2 kgc:hasPredicate kdp:walk ; kgc:subject kdsb:Helen ;
+        kgc:when kdsb:night .
+    """
+    out, report = convert_document(parse_document(doc))
+    inner = QuotedTriple(kd("Helen"), kp("walk"), Iri(OWL_NOTHING))
+    wrapper2 = QuotedTriple(
+        inner, Iri(ID_PREDICATE), Literal("2", datatype=XSD_INTEGER)
+    )
+    assert out == [Triple(wrapper2, kgc("when"), kd("night"))]
+    assert report.scenes_converted == 1
+    assert report.duplicates_disambiguated == 1
+    assert report.nothing_substitutions == 1
+    assert report.dropped_scenes == [(KD + "1", "no metadata")]
+
+
+# -- every counted scene reaches the graph ----------------------------------------
+
+_SCENES = st.lists(st.fixed_dictionaries({
+    # None stands for a literal predicate, which makes no QT
+    "predicate": st.sampled_from([None, "take", "open"]),
+    "roles": st.dictionaries(
+        st.sampled_from(["subject", "what", "whom", "where"]),
+        st.sampled_from(["alice", "key", "door"]), max_size=3),
+    "time": st.booleans(),
+    "then": st.lists(st.integers(0, 5), max_size=2),
+}), min_size=1, max_size=6)
+
+
+def _scene_document(scenes, outside_links) -> list[Triple]:
+    """Scene ``k`` is ``urn:ex:s<k>``; a link index is taken modulo the
+    number of scenes."""
+    def sid(k):
+        return Iri(f"urn:ex:s{k % len(scenes)}")
+
+    triples = []
+    for k, scene in enumerate(scenes):
+        predicate = scene["predicate"]
+        triples.append(Triple(sid(k), kgc("hasPredicate"), Literal("none")
+                              if predicate is None else kp(predicate)))
+        triples.extend(Triple(sid(k), kgc(role), kd(value))
+                       for role, value in scene["roles"].items())
+        if scene["time"]:
+            triples.append(Triple(sid(k), kgc("time"), kd("t1")))
+        triples.extend(Triple(sid(k), kgc("then"), sid(i))
+                       for i in scene["then"])
+    triples.extend(Triple(Iri("urn:ex:x"), Iri("urn:ex:about"), sid(i))
+                   for i in outside_links)
+    return triples
+
+
+def _scene_qt(scene) -> QuotedTriple:
+    roles = {role: kd(value) for role, value in scene["roles"].items()}
+    obj = next((roles[r] for r in ("what", "whom", "where") if r in roles),
+               Iri(OWL_NOTHING))
+    return QuotedTriple(roles.get("subject", Iri(OWL_NOTHING)),
+                        kp(scene["predicate"]), obj)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SCENES, st.lists(st.integers(0, 5), max_size=2))
+@example([{"predicate": "take", "roles": {"subject": "alice", "what": "key"},
+           "time": False, "then": []},
+          {"predicate": "open", "roles": {"subject": "alice", "what": "door"},
+           "time": True, "then": []}], [])
+def test_every_counted_scene_reaches_the_graph(scenes, outside_links):
+    out, report = convert_document(_scene_document(scenes, outside_links))
+    dropped = dict(report.dropped_scenes)
+    assert report.scenes_converted + len(dropped) == len(scenes)
+    kept: Counter = Counter()
+    for k, scene in enumerate(scenes):
+        reason = dropped.get(f"urn:ex:s{k}")
+        if scene["predicate"] is None:
+            assert reason == "missing kgc:hasPredicate"
+        elif reason is None:
+            kept[_scene_qt(scene)] += 1
+    # a converted scene's term is its QT, or the id wrapper of a duplicate,
+    # and is a subject or an object of the output
+    reached: Counter = Counter()
+    for term in {term for t in out for term in (t.subject, t.object)
+                 if isinstance(term, QuotedTriple)}:
+        reached[term.subject if term.predicate == Iri(ID_PREDICATE)
+                else term] += 1
+    assert reached == kept
 
 
 # -- duplicate disambiguation -----------------------------------------------------

@@ -235,7 +235,7 @@ def test_train_manifest_bytes_are_pinned(tmp_path, fixture_graph, key, flags):
 # The full text of each table a command writes, per command line.
 TABLE_SHA256 = {
     "convert":
-        "54544f1255de81492ffdcff2ae8e9f31fc2112acd4e04c8b00644387ba44d57c",
+        "dccf09aa00ceff48718a97a1305ed404ea634a32d0bcfd9e62c42422020a0f82",
     "stats":
         "d09ac70eaddb0a1837ff51a69d2d26e6e67d58952abfddd655d0cdfd05893da0",
     "stats-id-nesting":
@@ -247,8 +247,8 @@ TABLE_SHA256 = {
 }
 
 # Two scenes with one (s, p, o), linked; a scene without subject or object;
-# one with a literal subject; one whose predicate is no IRI, dropped; and a
-# triple outside any scene.
+# one with a literal subject and no metadata, dropped; one whose predicate is
+# no IRI, dropped; and a triple outside any scene.
 SCENES_DOC = """\
 @prefix kgc: <http://kgc.knowledge-graph.jp/ontology/kgc.owl#> .
 @prefix ex: <urn:ex:> .
