@@ -219,9 +219,9 @@ def cmd_convert(args) -> int:
 
 def cmd_stats(args) -> int:
     with _outputs([args.input], args.output or None) as (output,):
-        g = load_graph(args.input)
-        stats = gr.compute_stats(g, include_id_nesting=args.include_id_nesting)
-        _write_text(output, _tsv(gr.stats_rows(stats)))
+        _write_text(output, _tsv(gr.compute_stats(
+            load_graph(args.input),
+            include_id_nesting=args.include_id_nesting)))
     return 0
 
 

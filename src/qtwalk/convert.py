@@ -166,10 +166,11 @@ def convert_document(triples, link_to_wrapper: bool = True
                      ) -> tuple[list[Triple], ConversionReport]:
     """Full conversion: scenes folded, links resolved, duplicates split.
 
-    A scene without a predicate is dropped, and so is one that would leave
-    no triple: one with no metadata that no triple links to.  The latter
-    is dropped after duplicates are numbered, so no other scene's triples
-    change."""
+    A scene without a predicate is dropped, and so is one whose predicate
+    is the reserved id predicate: its QT would read as an id wrapper.  So
+    is one that would leave no triple: one with no metadata that no triple
+    links to.  The latter is dropped after duplicates are numbered, so no
+    other scene's triples change."""
     report = ConversionReport()
     scenes, passthrough = collect_scenes(triples)
 
@@ -180,6 +181,9 @@ def convert_document(triples, link_to_wrapper: bool = True
             report.dropped_scenes.append(
                 (rec.scene_id.value, "missing kgc:hasPredicate")
             )
+        elif rec.predicate.value == ID_PREDICATE:
+            report.dropped_scenes.append(
+                (rec.scene_id.value, "reserved predicate kgc:sid"))
         else:
             converted.append((rec.scene_id, *convert_scene(rec)))
 
@@ -194,15 +198,14 @@ def convert_document(triples, link_to_wrapper: bool = True
     linked = {obj for _, _, metadata, _ in converted for _, obj in metadata}
     linked.update(t.object for t in passthrough)
     out: list[Triple] = []
-    for (scene_id, _, metadata, substituted), subject in zip(converted,
-                                                             subjects):
+    for (scene_id, qt, metadata, substituted), subject in zip(converted,
+                                                              subjects):
         if not metadata and scene_id not in linked:
             report.dropped_scenes.append((scene_id.value, "no metadata"))
             continue
         report.scenes_converted += 1
         report.nothing_substitutions += substituted
-        report.duplicates_disambiguated += (
-            subject.predicate.value == ID_PREDICATE)
+        report.duplicates_disambiguated += subject is not qt
         for pred, obj in metadata:
             out.append(Triple(subject, pred, _resolve(obj)))
     for t in passthrough:

@@ -17,10 +17,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .skipgram import EmbeddingModel
+if TYPE_CHECKING:
+    from .skipgram import EmbeddingModel
 
 
 @dataclass(frozen=True)

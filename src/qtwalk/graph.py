@@ -282,28 +282,17 @@ def build_graph(triples) -> Graph:
     return parse_graph("".join(serialize_triple(t) + "\n" for t in triples))
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    class_count: int
-    instance_count: int
-    property_count: int
-    standard_triple_count: int
-    qt_count_by_depth: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return self.standard_triple_count + sum(self.qt_count_by_depth.values())
-
-
-def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
-    """Structural statistics of the graph.
+def compute_stats(g: Graph, include_id_nesting: bool = False
+                  ) -> list[tuple[str, int]]:
+    """The ``(metric, count)`` rows of the ``stats`` table: ``Class``,
+    ``Instance``, ``Property``, ``Standard triple``, one ``<name>-nested
+    QT`` row per nesting depth present, in depth order, then ``Total``.
 
     Classes are distinct rdf:type objects, instances distinct rdf:type
     subjects, properties distinct predicates at any nesting level.  QTs
-    are counted once each
-    (at every nesting level) by their own depth; QTs whose predicate is
-    the reserved duplicate-disambiguation id property are excluded unless
-    ``include_id_nesting`` is set.
+    are counted once each (at every nesting level) by their own depth;
+    QTs whose predicate is the reserved duplicate-disambiguation id
+    property are excluded unless ``include_id_nesting`` is set.
     """
     rdf_type = g.id_of(Iri(RDF_TYPE))
     id_pred = g.id_of(Iri(ID_PREDICATE))
@@ -332,25 +321,12 @@ def compute_stats(g: Graph, include_id_nesting: bool = False) -> GraphStats:
         properties.add(p)
         by_depth[d] = by_depth.get(d, 0) + 1
 
-    return GraphStats(
-        class_count=len(classes),
-        instance_count=len(instances),
-        property_count=len(properties),
-        standard_triple_count=standard,
-        qt_count_by_depth=dict(sorted(by_depth.items())),
-    )
-
-
-def stats_rows(stats: GraphStats) -> list[tuple[str, int]]:
-    """Stats as (metric, value) rows, one per summary-table line."""
-    rows = [
-        ("Class", stats.class_count),
-        ("Instance", stats.instance_count),
-        ("Property", stats.property_count),
-        ("Standard triple", stats.standard_triple_count),
+    return [
+        ("Class", len(classes)),
+        ("Instance", len(instances)),
+        ("Property", len(properties)),
+        ("Standard triple", standard),
+        *((f"{_DEPTH_NAMES.get(d, f'{d}-fold')}-nested QT", by_depth[d])
+          for d in sorted(by_depth)),
+        ("Total", standard + sum(by_depth.values())),
     ]
-    for depth, count in stats.qt_count_by_depth.items():
-        name = _DEPTH_NAMES.get(depth, f"{depth}-fold")
-        rows.append((f"{name}-nested QT", count))
-    rows.append(("Total", stats.total))
-    return rows

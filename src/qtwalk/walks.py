@@ -9,12 +9,28 @@ Two strategies over an indexed RDF-star graph, each rooted at a term id
   each iteration between extending backward (predecessors) and forward
   (successors).
 
-At every expansion the walker may, with probability ``beta``, step from an
-entity in the object role of a quoted triple to the QT token itself
-(oq-step), or, with probability ``alpha``, decompose a QT into its
-subject, predicate, and object (qs-step).  The oq-step has priority when
-both are possible.  With ``alpha == beta == 0`` the output reduces to
-plain random walks that treat each QT as an opaque node.
+The QT steps differ by strategy.  At each expansion of a random walk,
+the walker may, with probability ``beta``, step to a quoted triple's
+token from an entity in its object role (oq-step): from the root, or
+from a last token that closes the QT's subject, predicate and object in
+the walk.  With probability ``alpha`` it may append a QT's subject,
+predicate and object (qs-step): the last token's, if it is a QT, else
+those of a QT with the last token as its subject; at the root, the walk
+starts with the QT token instead.  The oq-step has priority when both
+are possible.  On ``<< a p b >> m x``, one step from ``b`` gives
+``b << a p b >>`` and one from ``a`` gives ``<< a p b >> a p b``.
+
+In a mid walk the coin picks the direction, so the two steps never
+compete, and neither writes a QT token.  Backward, with probability
+``beta``, an entity in a QT's object role is preceded by the QT's
+subject and predicate (oq-step).  Forward, with probability ``alpha``, a
+QT is followed by its subject, predicate and object, or an entity in a
+QT's subject role by the QT's predicate and object (qs-step).  On the
+same graph, a step backward from ``b`` or forward from ``a`` gives
+``a p b``.
+
+With ``alpha == beta == 0`` the output reduces to plain random walks that
+treat each QT as an opaque node.
 
 The walkers return term-id lists; :func:`walk_rows` turns them into rows,
 which ``write_corpus`` writes as a corpus file and ``cli.run_pipeline``

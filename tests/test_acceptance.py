@@ -81,11 +81,16 @@ def _passed(n: int, name: str) -> None:
 def test_criterion_1_dataset_statistics_exact():
     started = time.monotonic()
     g = _kgrc_graph()
-    stats = compute_stats(g)
+    rows = compute_stats(g)
     elapsed = time.monotonic() - started
-    assert stats.standard_triple_count == 14180
-    assert stats.qt_count_by_depth == {1: 9765, 2: 6409, 3: 695, 4: 43}
-    assert stats.total == 31092
+    assert rows[3:] == [
+        ("Standard triple", 14180),
+        ("Single-nested QT", 9765),
+        ("Double-nested QT", 6409),
+        ("Triple-nested QT", 695),
+        ("Quadruple-nested QT", 43),
+        ("Total", 31092),
+    ]
     assert elapsed < 30.0
     _passed(1, "dataset statistics exact")
 

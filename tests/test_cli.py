@@ -552,6 +552,17 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert out.strip() == ""
 
 
+def test_evaluate_import_loads_no_scipy_or_skipgram():
+    # the model type is for annotations only
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, qtwalk.evaluate; print(' '.join(m for m in "
+            "('scipy', 'qtwalk.skipgram') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
 def test_graph_and_walk_modules_load_no_numpy_or_scipy():
     # the package root imports nothing, so only training and evaluation
     # load numpy and scipy

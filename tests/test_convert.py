@@ -256,11 +256,30 @@ def test_dropping_a_duplicate_without_metadata_renumbers_nothing():
     assert report.dropped_scenes == [(KD + "1", "no metadata")]
 
 
+def test_scene_with_the_reserved_id_predicate_is_dropped_and_reported():
+    doc = f"""
+    @prefix kgc: <{KGC_NS}> .
+    <urn:ex:s1> kgc:hasPredicate kgc:sid ; kgc:subject <urn:ex:a> ;
+        kgc:when <urn:ex:t> .
+    <urn:ex:s2> kgc:hasPredicate <urn:ex:p> ; kgc:subject <urn:ex:a> ;
+        kgc:when <urn:ex:t> .
+    """
+    out, report = convert_document(parse_document(doc))
+    qt2 = QuotedTriple(Iri("urn:ex:a"), Iri("urn:ex:p"), Iri(OWL_NOTHING))
+    assert out == [Triple(qt2, kgc("when"), Iri("urn:ex:t"))]
+    assert report.scenes_converted == 1
+    assert report.duplicates_disambiguated == 0
+    assert report.nothing_substitutions == 1
+    assert report.dropped_scenes == [
+        ("urn:ex:s1", "reserved predicate kgc:sid")]
+
+
 # -- every counted scene reaches the graph ----------------------------------------
 
 _SCENES = st.lists(st.fixed_dictionaries({
     # None stands for a literal predicate, which makes no QT
-    "predicate": st.sampled_from([None, "take", "open"]),
+    "predicate": st.sampled_from([None, kp("take"), kp("open"),
+                                  Iri(ID_PREDICATE)]),
     "roles": st.dictionaries(
         st.sampled_from(["subject", "what", "whom", "where"]),
         st.sampled_from(["alice", "key", "door"]), max_size=3),
@@ -279,7 +298,7 @@ def _scene_document(scenes, outside_links) -> list[Triple]:
     for k, scene in enumerate(scenes):
         predicate = scene["predicate"]
         triples.append(Triple(sid(k), kgc("hasPredicate"), Literal("none")
-                              if predicate is None else kp(predicate)))
+                              if predicate is None else predicate))
         triples.extend(Triple(sid(k), kgc(role), kd(value))
                        for role, value in scene["roles"].items())
         if scene["time"]:
@@ -296,14 +315,16 @@ def _scene_qt(scene) -> QuotedTriple:
     obj = next((roles[r] for r in ("what", "whom", "where") if r in roles),
                Iri(OWL_NOTHING))
     return QuotedTriple(roles.get("subject", Iri(OWL_NOTHING)),
-                        kp(scene["predicate"]), obj)
+                        scene["predicate"], obj)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_SCENES, st.lists(st.integers(0, 5), max_size=2))
-@example([{"predicate": "take", "roles": {"subject": "alice", "what": "key"},
+@example([{"predicate": kp("take"),
+           "roles": {"subject": "alice", "what": "key"},
            "time": False, "then": []},
-          {"predicate": "open", "roles": {"subject": "alice", "what": "door"},
+          {"predicate": kp("open"),
+           "roles": {"subject": "alice", "what": "door"},
            "time": True, "then": []}], [])
 def test_every_counted_scene_reaches_the_graph(scenes, outside_links):
     out, report = convert_document(_scene_document(scenes, outside_links))
@@ -314,6 +335,8 @@ def test_every_counted_scene_reaches_the_graph(scenes, outside_links):
         reason = dropped.get(f"urn:ex:s{k}")
         if scene["predicate"] is None:
             assert reason == "missing kgc:hasPredicate"
+        elif scene["predicate"] == Iri(ID_PREDICATE):
+            assert reason == "reserved predicate kgc:sid"
         elif reason is None:
             kept[_scene_qt(scene)] += 1
     # a converted scene's term is its QT, or the id wrapper of a duplicate,

@@ -8,7 +8,7 @@ import pytest
 
 from qtwalk.cli import _tsv
 from qtwalk.fixtures import random_graph
-from qtwalk.graph import build_graph, compute_stats, parse_graph, stats_rows
+from qtwalk.graph import build_graph, compute_stats, parse_graph
 from qtwalk.parser import MAX_QT_DEPTH, ParseError, parse_document
 from qtwalk.terms import (
     ID_PREDICATE,
@@ -116,7 +116,9 @@ def test_node_set_covers_nested_components(nested_example):
 def test_empty_graph():
     g = build_graph([])
     assert g.triples == ()
-    assert compute_stats(g).total == 0
+    assert compute_stats(g) == [("Class", 0), ("Instance", 0),
+                                ("Property", 0), ("Standard triple", 0),
+                                ("Total", 0)]
 
 
 def test_fingerprint_is_order_independent():
@@ -245,15 +247,23 @@ FIVE_TRIPLE_DOC = """
 """
 
 
+def qt_rows(rows) -> dict[str, int]:
+    """The ``<name>-nested QT`` rows of a stats table, by metric."""
+    return {metric: count for metric, count in rows
+            if metric.endswith("-nested QT")}
+
+
 def test_stats_counts_every_nesting_level_once():
     g = build_graph(parse_document(FIVE_TRIPLE_DOC))
-    stats = compute_stats(g)
-    assert stats.standard_triple_count == 4
-    assert stats.qt_count_by_depth == {1: 1, 2: 1}
-    assert stats.total == 6
-    assert stats.class_count == 1
-    assert stats.instance_count == 2
-    assert stats.property_count == 5  # rdf:type, p, q, r (quoted), s
+    assert compute_stats(g) == [
+        ("Class", 1),
+        ("Instance", 2),
+        ("Property", 5),  # rdf:type, p, q, r (quoted), s
+        ("Standard triple", 4),
+        ("Single-nested QT", 1),
+        ("Double-nested QT", 1),
+        ("Total", 6),
+    ]
 
 
 def test_stats_shared_qt_counted_once():
@@ -263,7 +273,7 @@ def test_stats_shared_qt_counted_once():
     << :a :p :b >> :m2 :y .
     """
     g = build_graph(parse_document(doc))
-    assert compute_stats(g).qt_count_by_depth == {1: 1}
+    assert qt_rows(compute_stats(g)) == {"Single-nested QT": 1}
 
 
 def test_stats_exclude_id_wrapper_by_default():
@@ -273,9 +283,9 @@ def test_stats_exclude_id_wrapper_by_default():
         Iri("urn:never-a-literal-but-fine-for-depth")
     )
     g = build_graph([Triple(wrapper, iri("m"), iri("x"))])
-    assert compute_stats(g).qt_count_by_depth == {1: 1}
-    assert compute_stats(g, include_id_nesting=True).qt_count_by_depth == {
-        1: 1, 2: 1
+    assert qt_rows(compute_stats(g)) == {"Single-nested QT": 1}
+    assert qt_rows(compute_stats(g, include_id_nesting=True)) == {
+        "Single-nested QT": 1, "Double-nested QT": 1
     }
 
 
@@ -287,18 +297,18 @@ def test_stats_additive_over_disjoint_graphs():
                Iri(t.object.value + "-b") if isinstance(t.object, Iri) else t.object)
         for t in random_graph(22, triples=25, entity_pool=10, qt_probability=0.0)
     ]
-    sa = compute_stats(build_graph(a))
-    sb = compute_stats(build_graph(b))
-    sab = compute_stats(build_graph(a + b))
-    assert sab.standard_triple_count == (
-        sa.standard_triple_count + sb.standard_triple_count
+    sa = dict(compute_stats(build_graph(a)))
+    sb = dict(compute_stats(build_graph(b)))
+    sab = dict(compute_stats(build_graph(a + b)))
+    assert sab["Standard triple"] == (
+        sa["Standard triple"] + sb["Standard triple"]
     )
-    assert sab.total == sa.total + sb.total
+    assert sab["Total"] == sa["Total"] + sb["Total"]
 
 
 def test_stats_rows_and_tsv_layout():
     g = build_graph(parse_document(FIVE_TRIPLE_DOC))
-    rows = stats_rows(compute_stats(g))
+    rows = compute_stats(g)
     names = [name for name, _ in rows]
     assert names == [
         "Class", "Instance", "Property", "Standard triple",
@@ -361,8 +371,7 @@ def graph_fields(g, triples) -> tuple:
     return (g.texts, asserted, g.qt_parts, g.qt_lookup,
             tuple(g.qt_lookup.values()), g.out_edges, g.in_edges,
             g.qts_by_subject, g.qts_by_object, g.roots, g.fingerprint(),
-            stats_rows(compute_stats(g)),
-            stats_rows(compute_stats(g, include_id_nesting=True)))
+            compute_stats(g), compute_stats(g, include_id_nesting=True))
 
 
 def kept_triples(text: str, exclude=()) -> list[Triple]:
@@ -437,8 +446,10 @@ def test_id_path_equals_term_path_on_deep_graphs(seed, exclude):
 def test_id_path_equals_term_path_at_the_depth_limit():
     text = nested_qt_document(MAX_QT_DEPTH)
     assert id_path(text) == term_path(text)
-    assert compute_stats(parse_graph(text)).qt_count_by_depth == {
-        d: 1 for d in range(1, MAX_QT_DEPTH + 1)}
+    assert qt_rows(compute_stats(parse_graph(text))) == {
+        "Single-nested QT": 1, "Double-nested QT": 1, "Triple-nested QT": 1,
+        "Quadruple-nested QT": 1,
+        **{f"{d}-fold-nested QT": 1 for d in range(5, MAX_QT_DEPTH + 1)}}
     deeper = nested_qt_document(MAX_QT_DEPTH + 1)
     assert id_path(deeper) == term_path(deeper)
     assert id_path(deeper).startswith("error ")

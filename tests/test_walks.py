@@ -229,6 +229,24 @@ def test_hop_has_priority_over_decomposition():
     assert all(w.tokens[:2] == (e, q_obj) for w in walks)
 
 
+def test_one_qt_step_emits_per_strategy():
+    # on << a p b >> m x, one step with both step probabilities at 1: a
+    # random walk writes the QT token, a mid walk only the QT's parts
+    a, p, b = iri("a"), iri("p"), iri("b")
+    qt = QuotedTriple(a, p, b)
+    g = build_graph([Triple(qt, iri("m"), iri("x"))])
+
+    def shapes(walker, root):
+        return {w.tokens for w in walks_of(walker, g, g.id_of(root), params(
+            alpha=1.0, beta=1.0, n=20, d=1))}
+
+    assert shapes(random_walks, b) == {(b, qt)}
+    assert shapes(random_walks, a) == {(qt, a, p, b)}
+    # the coin picks the direction: b has no successor, a no predecessor
+    assert shapes(mid_walks, b) == {(b,), (a, p, b)}
+    assert shapes(mid_walks, a) == {(a,), (a, p, b)}
+
+
 # -- bounds, determinism, roots -----------------------------------------------------
 
 _DRAW_SIZES = [1, 2, 3, 5, 7, 8, 9, 100, 255, 256, 257, 1023, 1024, 1025,
