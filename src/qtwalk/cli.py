@@ -210,8 +210,7 @@ def cmd_convert(args) -> int:
                   args.report or args.output + ".report.tsv"
                   ) as (output, report_path):
         converted, report = conv.convert_document(
-            parse_document(Path(args.input).read_text(encoding="utf-8")),
-            link_to_wrapper=not args.link_to_inner)
+            parse_document(Path(args.input).read_text(encoding="utf-8")))
         write_triples(converted, output)
         _write_text(report_path, _tsv(report.rows()))
     return 0
@@ -446,9 +445,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--report")
-    p.add_argument("--link-to-inner", action="store_true",
-                   help="resolve scene links to the inner QT, not the "
-                        "id wrapper")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stats", help="structural statistics of a graph")

@@ -4,10 +4,10 @@ Each scene node carrying a ``kgc:hasPredicate`` is folded into a quoted
 triple ``<< subject predicate object >>``.  The object is the value of
 the highest-priority populated role (what > whom > where > on > to >
 from); a missing subject or object becomes ``owl:Nothing``.  Remaining
-roles and types reattach to the QT as metadata, scene-to-scene links are
-resolved to the target scene's QT, and duplicate (s, p, o) combinations
-are told apart by nesting each occurrence under a reserved id predicate:
-``<< << s p o >> id val >>``.
+roles and types reattach to the QT as metadata, duplicate (s, p, o)
+combinations are told apart by nesting each occurrence under a reserved id
+predicate: ``<< << s p o >> id val >>``, and a scene-to-scene link is
+resolved to the target scene's own subject, its QT or its id wrapper.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ def assign_subjects(qts: list[QuotedTriple]) -> list[Term]:
     return subjects
 
 
-def convert_document(triples, link_to_wrapper: bool = True
-                     ) -> tuple[list[Triple], ConversionReport]:
+def convert_document(triples) -> tuple[list[Triple], ConversionReport]:
     """Full conversion: scenes folded, links resolved, duplicates split.
 
     A scene without a predicate is dropped, and so is one whose predicate
@@ -188,13 +187,8 @@ def convert_document(triples, link_to_wrapper: bool = True
             converted.append((rec.scene_id, *convert_scene(rec)))
 
     subjects = assign_subjects([qt for _, qt, _, _ in converted])
-    scene_target: dict[Term, Term] = {}
-    for (scene_id, qt, _, _), subject in zip(converted, subjects):
-        scene_target[scene_id] = subject if link_to_wrapper else qt
-
-    def _resolve(term: Term) -> Term:
-        return scene_target.get(term, term)
-
+    target = {scene_id: subject
+              for (scene_id, *_), subject in zip(converted, subjects)}
     linked = {obj for _, _, metadata, _ in converted for _, obj in metadata}
     linked.update(t.object for t in passthrough)
     out: list[Triple] = []
@@ -207,7 +201,8 @@ def convert_document(triples, link_to_wrapper: bool = True
         report.nothing_substitutions += substituted
         report.duplicates_disambiguated += subject is not qt
         for pred, obj in metadata:
-            out.append(Triple(subject, pred, _resolve(obj)))
+            out.append(Triple(subject, pred, target.get(obj, obj)))
     for t in passthrough:
-        out.append(Triple(t.subject, t.predicate, _resolve(t.object)))
+        out.append(Triple(t.subject, t.predicate,
+                          target.get(t.object, t.object)))
     return out, report

@@ -74,7 +74,7 @@ def load_labeled_tsv(path) -> LabeledSet:
     seen: set[str] = set()
     for lineno, line in _lines(path):
         token, _, label = line.partition("\t")
-        if not label:
+        if not label or "\t" in label:
             raise ValueError(f"{path}:{lineno}: expected token<TAB>label")
         if token in seen:
             raise ValueError(f"{path}: duplicate token {token!r}")
@@ -117,6 +117,9 @@ def load_similarity(path) -> SimilarityGold:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: score {score!r} is not a "
                              "number") from None
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: score {score!r} is not a "
+                             "finite number")
         records.append((qt1, qt2, value))
     return SimilarityGold(_nonempty(path, records))
 

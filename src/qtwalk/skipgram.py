@@ -676,6 +676,9 @@ def load_embeddings(path) -> EmbeddingModel:
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: token {token!r}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(
+                    f"{path}:{lineno}: token {token!r}: non-finite value")
             if len(row) != dim:
                 raise ValueError(
                     f"{path}: token {token!r} has {len(row)} values, "

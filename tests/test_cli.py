@@ -361,6 +361,16 @@ def test_eval_names_the_task_and_missing_token(tmp_path, capsys, task, gold,
      "{gold}:1: candidate before any seed"),
     ("clustering", "<urn:a>\tA\n<urn:b> B\n", TINY_EMBEDDING,
      "{gold}:2: expected token<TAB>label"),
+    ("clustering", "<urn:a>\tPerson\t0.5\n", TINY_EMBEDDING,
+     "{gold}:1: expected token<TAB>label"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\tnan\n", TINY_EMBEDDING,
+     "{gold}:1: score 'nan' is not a finite number"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     TINY_EMBEDDING.replace("0.0 1.0", "0.0 nan"),
+     "{emb}:3: token '<urn:b>': non-finite value"),
+    ("qt_similarity", "<urn:a>\t<urn:b>\t0.5\n",
+     TINY_EMBEDDING.replace("1.0 0.0", "1e400 0.0"),
+     "{emb}:2: token '<urn:a>': non-finite value"),
 ])
 def test_eval_input_errors_name_file_and_line(tmp_path, capsys, task, gold,
                                               embedding, message):
@@ -592,6 +602,9 @@ def test_missing_input_file_is_exit_code_one(tmp_path, capsys):
                  id="missing-argument"),
     pytest.param(["frob"], "argument command: invalid choice: 'frob'",
                  id="unknown-command"),
+    pytest.param(["convert", "s.ttl", "g.ttls", "--link-to-inner"],
+                 "unrecognized arguments: --link-to-inner",
+                 id="removed-flag"),
 ])
 def test_usage_error_is_exit_code_one(tmp_path, capsys, monkeypatch, argv,
                                       message):

@@ -392,7 +392,7 @@ def test_disambiguated_metadata_round_trips_multiset():
     assert len({t.subject for t in out}) == 2
 
 
-def test_duplicate_scenes_link_to_wrapper_or_inner():
+def test_a_link_to_a_duplicate_scene_names_its_wrapper():
     doc = f"""
     @prefix kgc: <{KGC_NS}> .
     @prefix kdsb: <{KD}> .
@@ -409,10 +409,6 @@ def test_duplicate_scenes_link_to_wrapper_or_inner():
     )
     link = [t for t in out if t.predicate == kgc("then")]
     assert link and link[0].object == wrapper2
-
-    out_inner, _ = convert_document(parse_document(doc), link_to_wrapper=False)
-    link_inner = [t for t in out_inner if t.predicate == kgc("then")]
-    assert link_inner and link_inner[0].object == inner
 
 
 def test_role_values_are_preserved_somewhere_in_output():
