@@ -12,7 +12,8 @@ included, before any work, and publishes them together once it is done.
 Exit codes: 0 ok, 1 input error, 2 internal invariant violation.  An
 input error, a usage error included, is a ``ValueError`` (a ``ParseError``
 is one) or an ``OSError``; any other exception is a bug, and leaves
-``main`` with its traceback.
+``main`` with its traceback.  ``main`` alone reports a failure, one that
+``walks.run_in_shards`` raises again from a forked shard included.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import evaluate as ev
 from . import graph as gr
 from . import skipgram as sg
 from . import walks as wk
+from .config import Mode, SoftmaxMode, TrainConfig
 from .fixtures import random_graph
 from .parser import ParseError, parse_document, parse_term
 from .terms import RDF_TYPE, Iri, serialize_triple
@@ -240,7 +242,7 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def _train_rows(held: list, cfg: sg.TrainConfig) -> sg.EmbeddingModel:
+def _train_rows(held: list, cfg: TrainConfig) -> sg.EmbeddingModel:
     """Train on the corpus rows ``held[0]``, handing them over.
 
     ``held`` is a one-item list that nothing else references.  Popped from
@@ -252,7 +254,7 @@ def _train_rows(held: list, cfg: sg.TrainConfig) -> sg.EmbeddingModel:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(sg.TrainConfig, args)
+    cfg = _config(TrainConfig, args)
     # the sidecar is listed even without --save-outputs: an older one goes
     with _outputs([args.input, args.input + ".manifest"], args.output,
                   args.output + ".manifest", args.output + ".out.npz"
@@ -323,7 +325,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: sg.TrainConfig
+def run_pipeline(g: gr.Graph, params: wk.WalkParams, cfg: TrainConfig
                  ) -> sg.EmbeddingModel:
     """walk -> train, in memory, on the rows ``walk`` would write (from
     :func:`walks.walk_rows`); used by the sweep command and tests."""
@@ -357,7 +359,7 @@ def cmd_sweep(args) -> int:
     betas = _grid("--grid-beta", args.grid_beta, "beta", float, base)
     cells = [dataclasses.replace(base, d=d, alpha=a, beta=b)
              for d, a, b in itertools.product(depths, alphas, betas)]
-    cfg = _config(sg.TrainConfig, args)
+    cfg = _config(TrainConfig, args)
     gold_files = _gold_paths(args.gold_dir, ["classification"])
     with _outputs([args.input, *gold_files], args.output or None) as (output,):
         _check_gold(["classification"], gold_files)
@@ -412,17 +414,17 @@ def _add_walk_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    c = sg.TrainConfig()
+    c = TrainConfig()
     p.add_argument("--dim", type=int, default=c.dim)
     p.add_argument("--window", type=int, default=c.window)
     p.add_argument("--epochs", type=int, default=c.epochs)
     p.add_argument("--negatives", type=int, default=c.negatives)
     p.add_argument("--learning-rate", type=float, default=c.learning_rate)
     p.add_argument("--min-count", type=int, default=c.min_count)
-    p.add_argument("--mode", choices=[m.value for m in sg.Mode],
+    p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=c.mode.value)
     p.add_argument("--full-softmax", dest="softmax_mode",
-                   action="store_const", const=sg.SoftmaxMode.FULL_SOFTMAX,
+                   action="store_const", const=SoftmaxMode.FULL_SOFTMAX,
                    default=c.softmax_mode)
 
 

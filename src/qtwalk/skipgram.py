@@ -30,23 +30,13 @@ too many summed gradient terms in one step (see ``_batch_size``).
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-
-class Mode(Enum):
-    CLASSIC = "classic"
-    STRUCTURED = "structured"
-
-
-class SoftmaxMode(Enum):
-    NEGATIVE_SAMPLING = "neg"
-    FULL_SOFTMAX = "full"
+from .config import Mode, SoftmaxMode, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -84,32 +74,6 @@ def build_vocabulary(corpus_rows, min_count: int = 1) -> Vocabulary:
 # The exact softmax scores the whole vocabulary for every pair, so it is
 # only offered as a verification path on small vocabularies.
 FULL_SOFTMAX_CAP = 2000
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    dim: int = 100
-    window: int = 5
-    epochs: int = 5
-    negatives: int = 5
-    learning_rate: float = 0.025
-    min_count: int = 1
-    seed: int = 0
-    mode: Mode = Mode.CLASSIC
-    softmax_mode: SoftmaxMode = SoftmaxMode.NEGATIVE_SAMPLING
-
-    def __post_init__(self):
-        for name, value in (("dim", self.dim), ("window", self.window),
-                            ("negatives", self.negatives),
-                            ("min_count", self.min_count)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        for name, value in (("epochs", self.epochs), ("seed", self.seed)):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate!r}")
 
 
 @dataclass

@@ -13,12 +13,15 @@ The QT steps differ by strategy.  At each expansion of a random walk,
 the walker may, with probability ``beta``, step to a quoted triple's
 token from an entity in its object role (oq-step): from the root, or
 from a last token that closes the QT's subject, predicate and object in
-the walk.  With probability ``alpha`` it may append a QT's subject,
-predicate and object (qs-step): the last token's, if it is a QT, else
-those of a QT with the last token as its subject; at the root, the walk
-starts with the QT token instead.  The oq-step has priority when both
-are possible.  On ``<< a p b >> m x``, one step from ``b`` gives
-``b << a p b >>`` and one from ``a`` gives ``<< a p b >> a p b``.
+the walk.  With probability ``alpha`` it may decompose a QT (qs-step):
+after a QT token it appends the QT's subject, predicate and object;
+after an entity, the predicate and object of a QT with that entity as
+its subject, which the walk already ends in; at the root, the walk
+starts with the QT token, then its subject, predicate and object.  The
+oq-step has priority when both are possible.  On ``z q a`` and
+``<< a p b >> m x``, one step from ``b`` gives ``b << a p b >>``, one
+from ``a`` gives ``<< a p b >> a p b``, and a qs-step past the root
+takes ``z q a`` to ``z q a p b``.
 
 In a mid walk the coin picks the direction, so the two steps never
 compete, and neither writes a QT token.  Backward, with probability
@@ -46,8 +49,8 @@ import os
 import random
 import shutil
 import signal
-import sys
 import tempfile
+import traceback
 import warnings
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -189,7 +192,8 @@ def random_walks(g: Graph, root: int, params: WalkParams) -> list[list[int]]:
                 nw = list(walk)
                 if not walk:
                     nw.append(qs)
-                nw.extend(parts[qs])
+                # past the root, an entity's walk already ends in its subject
+                nw.extend(parts[qs][1:] if walk and qs != cur else parts[qs])
                 if walk:
                     new_wl.append(walk)  # the undecomposed walk survives
                 new_wl.append(nw)
@@ -336,10 +340,15 @@ def _write_walks(fh, g: Graph, params: WalkParams, roots) -> None:
         ).encode("utf-8"))
 
 
+# By exit status, the kinds of failure ``cli.main`` tells apart, as a shard
+# child reports them to its parent (see ``run_in_shards``).
+_FAILURES = {1: ValueError, 2: AssertionError, 3: RuntimeError}
+
+
 def _fork_shard(write: Callable[[BinaryIO, Sequence], None], shard: Sequence,
                 part: BinaryIO) -> int:
     """Fork a child that calls ``write(part, shard)`` and exits, 0 on
-    success; return its pid."""
+    success and a key of ``_FAILURES`` on failure; return its pid."""
     with warnings.catch_warnings():
         # Python 3.12+ warns that fork() in a process with several threads
         # may deadlock the child: it could inherit a lock another thread
@@ -355,14 +364,22 @@ def _fork_shard(write: Callable[[BinaryIO, Sequence], None], shard: Sequence,
         pid = os.fork()
     if pid:
         return pid
-    code = 1
+    code = 3  # a bug, unless ``write`` returns or raises another kind
     try:
         write(part, shard)
         part.flush()
         code = 0
-    except Exception as exc:
-        sys.stderr.write(f"qtwalk: error: {exc}\n")
-        sys.stderr.flush()
+    except BaseException as exc:  # the child ends here, whatever it raised
+        if isinstance(exc, (OSError, ValueError)):
+            code, text = 1, str(exc)
+        elif isinstance(exc, AssertionError):
+            code, text = 2, str(exc)
+        else:
+            text = traceback.format_exc()
+        part.seek(0)
+        part.truncate()
+        part.write(text.encode("utf-8"))
+        part.flush()
     finally:
         os._exit(code)  # never return into the caller's stack
 
@@ -378,8 +395,16 @@ def run_in_shards(jobs: Sequence, write: Callable[[BinaryIO, Sequence], None],
     temporary file in ``part_dir`` (the system's temporary directory if
     None); this process appends the parts in shard order.  So ``out``
     holds the bytes of one serial pass when ``write`` depends only on its
-    shard.  On any failure each child is killed and reaped; the parts have
-    no name, and closing them removes them.
+    shard.
+
+    A child that raises leaves the text of its failure in its part, in
+    place of its output: an input error's or a broken invariant's message,
+    or a bug's traceback.  This call raises it again, as a ``ValueError``,
+    an ``AssertionError`` or a ``RuntimeError``, so ``cli.main`` reports it
+    as it would in process.  A child ended by a signal fails the call with
+    a ``ChildProcessError`` naming the shard and the signal.  On any
+    failure each child is killed and reaped; the parts have no name, and
+    closing them removes them.
     """
     shards = max(1, min(_usable_cpus(), len(jobs)))
     cuts = [len(jobs) * k // shards for k in range(shards + 1)]
@@ -392,13 +417,15 @@ def run_in_shards(jobs: Sequence, write: Callable[[BinaryIO, Sequence], None],
                                         parts[-1]))
         write(out, jobs[:cuts[1]])
         for k, part in enumerate(parts, 1):
-            status = os.waitpid(children[0], 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
             del children[0]
-            if status:
+            if code < 0:
                 raise ChildProcessError(
-                    f"shard {k + 1} of {shards} failed: exit status "
-                    f"{os.waitstatus_to_exitcode(status)}")
+                    f"shard {k + 1} of {shards} ended by signal {-code} "
+                    f"({signal.strsignal(-code)})")
             part.seek(0)
+            if code:
+                raise _FAILURES[code](part.read().decode("utf-8"))
             shutil.copyfileobj(part, out)
     finally:
         for pid in children:

@@ -27,16 +27,11 @@ from qtwalk.evaluate import (
     pearson,
     spearman,
 )
+from qtwalk.config import Mode, SoftmaxMode, TrainConfig
 from qtwalk.fixtures import random_graph
 from qtwalk.graph import build_graph, compute_stats
 from qtwalk.parser import ParseError, parse_document
-from qtwalk.skipgram import (
-    Mode,
-    SoftmaxMode,
-    TrainConfig,
-    load_embeddings,
-    mean_objective,
-)
+from qtwalk.skipgram import load_embeddings, mean_objective
 from qtwalk.terms import QuotedTriple, RDF_TYPE, serialize_term, serialize_triple
 from qtwalk.walks import Strategy, Walk, WalkParams, random_walks
 

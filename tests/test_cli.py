@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import inspect
+import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -18,6 +20,7 @@ import pytest
 from qtwalk import cli, walks
 from qtwalk import graph as gr
 from qtwalk.cli import main, read_manifest
+from qtwalk.config import TrainConfig
 from qtwalk.convert import ConversionReport
 from qtwalk.graph import Graph
 from qtwalk.parser import MAX_QT_DEPTH
@@ -575,10 +578,11 @@ def test_evaluate_import_loads_no_scipy_or_skipgram():
 
 def test_graph_and_walk_modules_load_no_numpy_or_scipy():
     # the package root imports nothing, so only training and evaluation
-    # load numpy and scipy
+    # load numpy and scipy; the training settings are apart from training
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, qtwalk.walks, qtwalk.graph, qtwalk.parser, "
-            "qtwalk.convert, qtwalk.fixtures; print(' '.join(m for m in "
+            "qtwalk.convert, qtwalk.fixtures, qtwalk.config; "
+            "print(' '.join(m for m in "
             "('numpy', 'scipy') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -1008,7 +1012,7 @@ def test_training_frees_the_corpus_rows_before_its_first_step(
                 cli.load_graph(str(graph)),
                 walks.WalkParams(strategy=walks.Strategy(strategy), n=20,
                                  d=6, seed=1),
-                sg.TrainConfig(dim=8, epochs=1))
+                TrainConfig(dim=8, epochs=1))
     finally:
         tracemalloc.stop()
     at_vocabulary, at_first_step = readings
@@ -1109,6 +1113,110 @@ def test_failed_sweep_cell_leaves_no_file_or_child(tmp_path, fixture_graph,
     assert "Traceback" not in err
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# Runs ``walk`` with the walker raising on the last root and ``sweep`` with
+# ``run_pipeline`` raising on the last cell, each at 1 and 2 usable CPUs.
+# Each run is a forked process that ends as ``python -m qtwalk.cli`` does,
+# so an exception ``main`` re-raises prints its traceback and exits 1.
+# Prints each run's exit code and stderr as JSON.
+FAILING_COMMANDS = """
+import json, os, sys
+from qtwalk import cli, walks
+
+kind = {"ValueError": ValueError, "KeyError": KeyError,
+        "AssertionError": AssertionError}[sys.argv[1]]
+folder, walk_argv, sweep_argv = sys.argv[2], *map(json.loads, sys.argv[3:])
+last_root = cli.load_graph(walk_argv[1]).roots[-1]
+mid_walks, run_pipeline = walks.mid_walks, cli.run_pipeline
+
+def failing_walker(g, root, params):
+    if root == last_root:
+        raise kind("fault")
+    return mid_walks(g, root, params)
+
+def failing_pipeline(g, params, cfg):
+    if (params.alpha, params.beta) == (0.5, 0.5):
+        raise kind("fault")
+    return run_pipeline(g, params, cfg)
+
+walks.mid_walks, cli.run_pipeline = failing_walker, failing_pipeline
+runs = {}
+for command, argv in (("walk", walk_argv), ("sweep", sweep_argv)):
+    for cpus in (1, 2):
+        err = os.path.join(folder, f"{command}-{cpus}.err")
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(os.open(err, os.O_WRONLY | os.O_CREAT), 2)
+            walks._usable_cpus = lambda: cpus
+            sys.exit(cli.main(argv))
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        with open(err, encoding="utf-8") as fh:
+            runs[f"{command} {cpus}"] = code, fh.read()
+print(json.dumps(runs))
+"""
+
+# the exit code and ``qtwalk:`` lines of one CPU, and whether it prints a
+# traceback
+ONE_CPU = {
+    "ValueError": (1, ["qtwalk: error: fault"], False),
+    "AssertionError": (2, ["qtwalk: internal invariant violated: fault"],
+                       False),
+    "KeyError": (1, [], True),
+}
+
+
+@pytest.mark.parametrize("kind", list(ONE_CPU))
+def test_a_shard_child_fails_a_command_as_one_cpu_does(tmp_path, fixture_graph,
+                                                       kind):
+    _, emb = run_walk_train(tmp_path, fixture_graph)
+    gold_dir = write_gold(tmp_path, emb)
+    walk_argv = ["walk", str(fixture_graph), str(tmp_path / "failed.tsv"),
+                 "--walks", "4", "--depth", "4"]
+    sweep_argv = sweep_args(fixture_graph, gold_dir, tmp_path / "sweep.tsv")
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c", FAILING_COMMANDS, kind, str(tmp_path),
+             json.dumps(walk_argv), json.dumps(sweep_argv)],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    runs = json.loads(out)
+    for command in ("walk", "sweep"):
+        for cpus in (1, 2):
+            code, stderr = runs[f"{command} {cpus}"]
+            lines = [line for line in stderr.splitlines()
+                     if line.startswith("qtwalk:")]
+            assert (code, lines, "Traceback" in stderr) == ONE_CPU[kind], (
+                command, cpus, stderr)
+
+
+def test_a_shard_child_ended_by_a_signal_fails_the_command(
+        tmp_path, fixture_graph, monkeypatch, capsys):
+    parent = os.getpid()
+    last_root = cli.load_graph(str(fixture_graph)).roots[-1]
+    mid_walks = walks.mid_walks
+
+    def killed_walker(g, root, params):
+        if root == last_root and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return mid_walks(g, root, params)
+
+    monkeypatch.setattr(walks, "mid_walks", killed_walker)
+    monkeypatch.setattr(walks, "_usable_cpus", lambda: 2)
+    forked = count_forks(monkeypatch)
+    open_fds = os.listdir("/proc/self/fd")
+    assert main(["walk", str(fixture_graph), str(tmp_path / "walks.tsv"),
+                 *small_walk_flags()]) == 1
+    assert capsys.readouterr().err == (
+        f"qtwalk: error: shard 2 of 2 ended by signal {int(signal.SIGKILL)} "
+        f"({signal.strsignal(signal.SIGKILL)})\n")
+    assert os.listdir("/proc/self/fd") == open_fds  # the part is closed
+    assert list(tmp_path.iterdir()) == [fixture_graph]
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forked[0], os.WNOHANG)
 
 
 # -- every output is checked before any work, and written atomically ----------

@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import kendalltau, pearsonr, spearmanr
 
 from qtwalk.cli import _tsv
+from qtwalk.config import Mode, TrainConfig
 from qtwalk.evaluate import (
     LabeledSet,
     RelatednessGold,
@@ -36,8 +37,6 @@ from qtwalk.evaluate import (
 )
 from qtwalk.skipgram import (
     EmbeddingModel,
-    Mode,
-    TrainConfig,
     build_vocabulary,
     load_embeddings,
     save_embeddings,

@@ -16,11 +16,11 @@ from pathlib import Path
 import pytest
 
 from qtwalk.cli import _tsv, main
+from qtwalk.config import Mode, SoftmaxMode, TrainConfig
 from qtwalk.fixtures import random_graph
 from qtwalk.graph import build_graph, compute_stats
 from qtwalk.parser import ParseError, parse_document, parse_term
-from qtwalk.skipgram import (Mode, SoftmaxMode, TrainConfig,
-                             build_vocabulary, train)
+from qtwalk.skipgram import build_vocabulary, train
 from qtwalk.terms import RDF_TYPE, serialize_term, serialize_triple
 from qtwalk import walks
 from qtwalk.walks import (Strategy, WalkParams, read_corpus_lines,
@@ -45,7 +45,7 @@ CORPUS_SHA256 = {
     (0, "random", 0.0, 0.0):
         "d65b1ebed9291ca42d1220ed3d6e3d3be281a53eaf97456ebb8ee840b471b4d2",
     (0, "random", 0.5, 0.5):
-        "f8a6379c2dfa0a9a27ff05a792d32a792da58e390d93a70f9211881d9b96dde1",
+        "b8d54b40893d5c3fb3756b0403e49631e672ec0d4c9bd7184257408750f67842",
     (0, "random", 1.0, 1.0):
         "e654bafb5631d9fd07a5847d01e86d8cc48824b131ecea480d4c10c813376aa6",
     (0, "mid", 0.0, 0.0):
@@ -57,7 +57,7 @@ CORPUS_SHA256 = {
     (1, "random", 0.0, 0.0):
         "d75d2408d41b7cb243a9b30aa8662fd8d1eb3781c960599c51b5317e8f9fe963",
     (1, "random", 0.5, 0.5):
-        "04df288d534995256226caafa0c9fc45dfe8a03f6b32d5cb2db6a6edb660352c",
+        "736d29bf582b8380345d24ecf98462c7d709228a483732dee46bbbce35e95230",
     (1, "random", 1.0, 1.0):
         "3320e7508ba9a25f401c4945b076cea0dacfecd7ff0c43329411a981cf04d6b8",
     (1, "mid", 0.0, 0.0):
@@ -69,7 +69,7 @@ CORPUS_SHA256 = {
     (2, "random", 0.0, 0.0):
         "8de2f6e85d4ef74faf6915ecb34e247d6c49458bee6891232cdace9d58b6b5a2",
     (2, "random", 0.5, 0.5):
-        "98aaa27783d8c05f3c5f92e389dd0e5a8c23c6ec2c3cf5378a89000486aa1131",
+        "1f5a7f061a3032c59271542c7e4b8f0f9d7226254176df609904e429dfc038ce",
     (2, "random", 1.0, 1.0):
         "6ff7b47ce3a74e12b6cc942249cb00c0f65270f70cfaca14a0d05c5ad5d83cd6",
     (2, "mid", 0.0, 0.0):
@@ -178,9 +178,9 @@ MANIFEST_SHA256 = {
     ("walk", "mid", "excluded"):
         "84797f6afb31756ea5679c99318e872b90efc38f9f3c0ab98de0337a9afbd316",
     ("walk", "random"):
-        "53f06a188ef8f2ffaa1e564df38140b6ac20b682189b89c5257d2a473fa273ce",
+        "cabd5af5ef96de7d70cc779a6d4a803913b73f130f83fb21bd2129dfd682100e",
     ("walk", "random", "excluded"):
-        "f814991f0ccfed3b348633e2fb278ddbab0dfa4f7e875cdb78ab19deae06c3f4",
+        "b2d00f86dddaff3fcbdf0086b3d22c8d1f7dd1cc41ce295623e90ccfb003b636",
     ("train", "classic"):
         "ca79ae74a1ba08e0ecde954243e71c7d41a822590c54a4224400768a0fa8b268",
     ("train", "structured", "full-softmax"):

@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from qtwalk import skipgram
+from qtwalk.config import Mode, SoftmaxMode, TrainConfig
 from qtwalk.skipgram import (
     CHUNK_PAIRS,
     FULL_SOFTMAX_CAP,
     MAX_BATCH,
-    Mode,
-    SoftmaxMode,
-    TrainConfig,
     Vocabulary,
     _batch_gradient,
     _batch_size,

@@ -77,7 +77,7 @@ from qtwalk.evaluate import (
 )
 from qtwalk.graph import build_graph
 from qtwalk.parser import parse_document
-from qtwalk.skipgram import Mode, TrainConfig
+from qtwalk.config import Mode, TrainConfig
 from qtwalk.terms import RDF_TYPE
 from qtwalk.walks import Strategy, WalkParams
 

@@ -81,15 +81,6 @@ def legal_walk(tokens: tuple[Term, ...], g) -> bool:
             and ok(i + 3)
         ):
             return True
-        # decomposition of a QT having t in its subject role; the subject
-        # token repeats as the splice point
-        if (
-            i + 3 < n
-            and tokens[i + 1] == t
-            and QuotedTriple(t, tokens[i + 2], tokens[i + 3]) in g.qt_set
-            and ok(i + 3)
-        ):
-            return True
         # hop from an object-role entity to the QT token
         nxt = tokens[i + 1] if i + 1 < n else None
         if (
@@ -245,6 +236,21 @@ def test_one_qt_step_emits_per_strategy():
     # the coin picks the direction: b has no successor, a no predecessor
     assert shapes(mid_walks, b) == {(b,), (a, p, b)}
     assert shapes(mid_walks, a) == {(a,), (a, p, b)}
+
+
+def test_qs_step_past_the_root_writes_the_entity_once():
+    # on z q a . << a p b >> m x, the walk z q a ends in the QT's subject,
+    # so a qs-step appends only its predicate and object, in either strategy
+    z, q, a, p, b = (iri(name) for name in "zqapb")
+    g = build_graph([Triple(z, q, a),
+                     Triple(QuotedTriple(a, p, b), iri("m"), iri("x"))])
+
+    def shapes(walker):
+        return {w.tokens for w in walks_of(walker, g, g.id_of(z), params(
+            alpha=1.0, beta=0.0, n=20, d=2))}
+
+    assert shapes(random_walks) == {(z, q, a), (z, q, a, p, b)}
+    assert shapes(mid_walks) == {(z,), (z, q, a), (z, q, a, p, b)}
 
 
 # -- bounds, determinism, roots -----------------------------------------------------
